@@ -79,20 +79,22 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
+# names, not function objects: the series is looked up in ``enumeration`` at
+# call time, so a wrapper installed there (a tracer, a test double) applies
 _COUNT_SERIES = {
-    "excursions": lambda m, n, mode: enumeration.excursion_series(m, n, mode),
-    "meanders": lambda m, n, mode: enumeration.meander_mass_series(m, n, mode),
-    "arches": lambda m, n, mode: enumeration.arch_series(m, n, mode),
-    "bridges": lambda m, n, mode: enumeration.bridge_mass_series(m, n, mode),
-    "returns": lambda m, n, mode: enumeration.returns_mean_series(m, n, mode),
-    "final-alt": lambda m, n, mode: enumeration.final_altitude_series(m, n, mode),
+    "excursions": "excursion_series",
+    "meanders": "meander_mass_series",
+    "arches": "arch_series",
+    "bridges": "bridge_mass_series",
+    "returns": "returns_mean_series",
+    "final-alt": "final_altitude_series",
 }
 
 
 def _cmd_count(args) -> int:
     model = load_model(args.model)
     mode = "exact" if args.exact else "float"
-    series = _COUNT_SERIES[args.what](model, args.n, mode)
+    series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, mode)
     print(f"# n\t{args.what}")
     for n, value in enumerate(series):
         _print_row(n, value)

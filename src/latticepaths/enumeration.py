@@ -1,26 +1,34 @@
 """Exact finite-length statistics for boundary walk models.
 
 Everything here is ground truth for the rest of the package: step-by-step
-recurrences in exact rational arithmetic (default) or double precision
+recurrences in exact arithmetic (default) or double precision
 (``mode="float"``, for lengths in the thousands), plus a brute-force path
 enumerator used as an independent oracle in the tests.
 
 The recurrence is the obvious one. Mass sitting at altitude zero steps with
 the boundary polynomial, mass at positive altitude steps with the bulk
 polynomial, and anything landing below zero is discarded (absorbed).
+
+One engine, ``_walk``, runs every recurrence as slice updates on a numpy
+array indexed by altitude. Exact mode works on integers: every weight is an
+integer over D, the lcm of the denominators in ``P`` and ``P0``, so the
+state after t steps is a vector of Python ints (an ``object`` array) over
+D**t, and a value becomes a ``Fraction`` only when it is output. Float mode
+runs the same updates on float64.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import InvalidModelError, LatticePathError
-from .model import WalkModel
+from .model import LaurentPolynomial, WalkModel
 
 Mode = str  # "exact" | "float"
 Number = Union[Fraction, float]
@@ -90,10 +98,52 @@ def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Dense DP runners. The exact runner keeps a list of Fractions indexed by
-# altitude, the float runner a numpy vector; both invoke a callback after
-# every step so series extractors share one pass.
+# The DP engine. Every series below is one pass of ``_walk`` with a callback
+# that reads what it needs from the state after each step.
 # ---------------------------------------------------------------------------
+
+
+def _denominator(model: WalkModel) -> int:
+    """The lcm D of every weight's denominator in P and P0."""
+    return math.lcm(*(p.denominator for poly in (model.P, model.P0) for _, p in poly.terms()))
+
+
+def _scaled_terms(poly: LaurentPolynomial, den: int) -> list[tuple[int, int]]:
+    """(jump, weight * den) for every term; den must clear every denominator."""
+    return [(j, p.numerator * (den // p.denominator)) for j, p in poly.terms()]
+
+
+class _Arithmetic:
+    """The number system one DP runs in.
+
+    Exact: weights are Python ints over ``den`` held in ``object`` arrays,
+    so a mass accumulated over t steps is an integer over den**t. Float:
+    float64 weights and arrays, with den = 1.
+    """
+
+    def __init__(self, model: WalkModel, mode: Mode):
+        _check_mode(mode)
+        self.exact = mode == "exact"
+        if self.exact:
+            self.den = _denominator(model)
+            self.dtype: type = object
+            bulk = _scaled_terms(model.P, self.den)
+            rim = _scaled_terms(model.P0, self.den)
+        else:
+            self.den = 1
+            self.dtype = float
+            bulk = [(j, float(p)) for j, p in model.P.terms()]
+            rim = [(j, float(p)) for j, p in model.P0.terms()]
+        self.bulk = bulk
+        self.rim = [(j, p) for j, p in rim if j >= 0]  # negative boundary jumps are absorbed
+
+    def value(self, x, t: int) -> Number:
+        """A mass accumulated over t steps, in the mode's output type."""
+        return Fraction(x, self.den**t) if self.exact else float(x)
+
+    def ratio(self, x, y) -> Number:
+        """x / y for two masses of the same step (the scale cancels)."""
+        return Fraction(x, y) if self.exact else float(x) / float(y)
 
 
 def _max_rise(model: WalkModel) -> int:
@@ -104,80 +154,74 @@ def _max_rise(model: WalkModel) -> int:
     return max(rise, 1)
 
 
-def _run_exact(model: WalkModel, n: int, on_step: Callable[[int, list], None]) -> list:
-    rise = _max_rise(model)
-    vec: list[Fraction] = [Fraction(0)] * (n * rise + 1) if n else [Fraction(0)]
-    vec[0] = Fraction(1)
-    bulk = list(model.P.terms())
-    boundary = [(j, p) for j, p in model.P0.terms() if j >= 0]
-    hi = 0
-    for t in range(1, n + 1):
-        new = [Fraction(0)] * len(vec)
-        w0 = vec[0]
-        if w0:
-            for j, p in boundary:
-                new[j] += w0 * p
-        for alt in range(1, hi + 1):
-            w = vec[alt]
-            if not w:
-                continue
-            for j, p in bulk:
-                tgt = alt + j
-                if tgt >= 0:
-                    new[tgt] += w * p
-        vec = new
-        hi = min(hi + rise, len(vec) - 1)
-        on_step(t, vec)
-    return vec
+def _ignore(t: int, vec: np.ndarray) -> None:
+    pass
 
 
-def _run_float(model: WalkModel, n: int, on_step: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    rise = _max_rise(model)
-    vec = np.zeros(n * rise + 1 if n else 1)
-    vec[0] = 1.0
-    bulk = [(j, float(p)) for j, p in model.P.terms()]
-    boundary = [(j, float(p)) for j, p in model.P0.terms() if j >= 0]
-    hi = 0
+def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, np.ndarray], None],
+          *, free: bool = False, trail: tuple[int, ...] = (),
+          at_zero: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+    """Run n steps from altitude 0 and return the final state.
+
+    The state is indexed by altitude, with an optional trailing axis of
+    shape ``trail`` that every step carries along; it starts as 1 at
+    altitude 0 and trailing index 0. After each step the row at altitude 0
+    becomes ``at_zero(row)``, if given, and then ``on_step(t, state)`` runs;
+    it may modify the state. With ``free`` the walk lives on Z with no
+    boundary (only P applies) and altitude 0 sits at index ``n * c``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if free:
+        fall, rise, first, lo = model.c, model.d, 0, n * model.c
+    else:
+        fall, rise, first, lo = 0, _max_rise(model), 1, 0  # row 0 steps with the boundary
+    size = lo + n * rise + 1
+    hi = lo
+    vec = np.zeros((size,) + trail, dtype=arith.dtype)
+    vec[(lo,) + (0,) * len(trail)] = 1
     for t in range(1, n + 1):
         new = np.zeros_like(vec)
-        w0 = vec[0]
-        if w0:
-            for j, p in boundary:
-                new[j] += p * w0
-        for j, p in bulk:
-            src_lo = max(1, -j)
-            if hi >= src_lo:
-                new[src_lo + j : hi + j + 1] += p * vec[src_lo : hi + 1]
+        if not free:
+            for j, p in arith.rim:
+                new[j] += p * vec[0]
+        for j, p in arith.bulk:
+            src = max(lo, first, -j)
+            if src <= hi:
+                new[src + j : hi + j + 1] += p * vec[src : hi + 1]
         vec = new
-        hi = min(hi + rise, len(vec) - 1)
+        lo, hi = max(lo - fall, 0), min(hi + rise, size - 1)
+        if at_zero is not None:
+            vec[0] = at_zero(vec[0])
         on_step(t, vec)
     return vec
 
 
 def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> AltitudeDistribution:
     """Altitude distribution after n steps, starting at 0, boundary applied."""
-    _check_mode(mode)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        one: Number = Fraction(1) if mode == "exact" else 1.0
-        return AltitudeDistribution(n=0, mass={0: one})
-    if mode == "exact":
-        vec = _run_exact(model, n, lambda t, v: None)
-        mass: dict[int, Number] = {k: w for k, w in enumerate(vec) if w}
-    else:
-        fvec = _run_float(model, n, lambda t, v: None)
-        mass = {int(k): float(w) for k, w in enumerate(fvec) if w}
-    return AltitudeDistribution(n=n, mass=mass)
+    arith = _Arithmetic(model, mode)
+    vec = _walk(model, n, arith, _ignore)
+    return AltitudeDistribution(n=n, mass={k: arith.value(w, n) for k, w in enumerate(vec) if w})
+
+
+def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") -> list[list]:
+    """For each altitude 0..top-1, its mass after every length 0..n (one DP pass)."""
+    arith = _Arithmetic(model, mode)
+    out = [[arith.value(int(a == 0), 0)] for a in range(top)]
+
+    def record(t, vec):
+        for a, series in enumerate(out):
+            series.append(arith.value(vec[a] if a < len(vec) else 0, t))
+
+    _walk(model, n, arith, record)
+    return out
 
 
 def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
-    _check_mode(mode)
-    out = [Fraction(1) if mode == "exact" else 1.0]
-    record = lambda t, v: out.append(v[0])
-    if n > 0:
-        (_run_exact if mode == "exact" else _run_float)(model, n, record)
+    arith = _Arithmetic(model, mode)
+    out = [arith.value(1, 0)]
+    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec[0], t)))
     return out
 
 
@@ -187,15 +231,9 @@ def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 
 def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """m_0..m_n, the surviving mass per length (1 for every n iff nothing absorbs)."""
-    _check_mode(mode)
-    if mode == "exact":
-        out = [Fraction(1)]
-        if n > 0:
-            _run_exact(model, n, lambda t, v: out.append(sum(v, Fraction(0))))
-    else:
-        out = [1.0]
-        if n > 0:
-            _run_float(model, n, lambda t, v: out.append(float(v.sum())))
+    arith = _Arithmetic(model, mode)
+    out = [arith.value(1, 0)]
+    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec.sum(), t)))
     return out
 
 
@@ -210,22 +248,15 @@ def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -
 
 def final_altitude_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Expected final altitude (conditioned on survival) for every length 0..n."""
-    _check_mode(mode)
-    out = [Fraction(0) if mode == "exact" else 0.0]
-    if n == 0:
-        return out
-    if mode == "exact":
-        def record(t, vec):
-            total = sum(vec, Fraction(0))
-            out.append(sum(k * w for k, w in enumerate(vec) if w) / total if total else None)
-        _run_exact(model, n, record)
-    else:
-        idx = np.arange(n * _max_rise(model) + 1, dtype=float)
+    arith = _Arithmetic(model, mode)
+    out = [arith.value(0, 0)]
+    idx = np.arange(n * _max_rise(model) + 1, dtype=arith.dtype)
 
-        def record(t, vec):
-            total = float(vec.sum())
-            out.append(float(idx[: len(vec)] @ vec) / total if total > 0 else None)
-        _run_float(model, n, record)
+    def record(t, vec):
+        total = vec.sum()
+        out.append(arith.ratio(idx @ vec, total) if total else None)
+
+    _walk(model, n, arith, record)
     return out
 
 
@@ -235,67 +266,16 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
     Only P applies; there is no boundary. With probability weights the total
     is exactly 1, which doubles as a sanity check on the DP.
     """
-    _check_mode(mode)
-    c, d = model.c, model.d
-    offset = n * c
-    if mode == "exact":
-        vec = [Fraction(0)] * (n * (c + d) + 1)
-        vec[offset] = Fraction(1)
-        terms = list(model.P.terms())
-        for _ in range(n):
-            new = [Fraction(0)] * len(vec)
-            for idx, w in enumerate(vec):
-                if not w:
-                    continue
-                for j, p in terms:
-                    new[idx + j] += w * p
-            vec = new
-        return sum(vec, Fraction(0)), vec[offset]
-    fvec = np.zeros(n * (c + d) + 1)
-    fvec[offset] = 1.0
-    fterms = [(j, float(p)) for j, p in model.P.terms()]
-    lo = hi = offset
-    for _ in range(n):
-        new = np.zeros_like(fvec)
-        for j, p in fterms:
-            new[lo + j : hi + j + 1] += p * fvec[lo : hi + 1]
-        fvec = new
-        lo, hi = lo - c, hi + d
-    return float(fvec.sum()), float(fvec[offset])
+    arith = _Arithmetic(model, mode)
+    vec = _walk(model, n, arith, _ignore, free=True)
+    return arith.value(vec.sum(), n), arith.value(vec[n * model.c], n)
 
 
 def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Mass at altitude 0 of the unconstrained walk, for every length 0..n."""
-    _check_mode(mode)
-    c, d = model.c, model.d
-    offset = n * c
-    if mode == "exact":
-        vec = [Fraction(0)] * (n * (c + d) + 1)
-        vec[offset] = Fraction(1)
-        out = [Fraction(1)]
-        terms = list(model.P.terms())
-        for _ in range(n):
-            new = [Fraction(0)] * len(vec)
-            for idx, w in enumerate(vec):
-                if not w:
-                    continue
-                for j, p in terms:
-                    new[idx + j] += w * p
-            vec = new
-            out.append(vec[offset])
-        return out
-    fvec = np.zeros(n * (c + d) + 1)
-    fvec[offset] = 1.0
-    out = [1.0]
-    fterms = [(j, float(p)) for j, p in model.P.terms()]
-    lo = hi = offset
-    for _ in range(n):
-        new = np.zeros_like(fvec)
-        for j, p in fterms:
-            new[lo + j : hi + j + 1] += p * fvec[lo : hi + 1]
-        fvec = new
-        lo, hi = lo - c, hi + d
-        out.append(float(fvec[offset]))
+    arith = _Arithmetic(model, mode)
+    out = [arith.value(1, 0)]
+    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec[n * model.c], t)), free=True)
     return out
 
 
@@ -306,59 +286,14 @@ def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 
 def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
-    _check_mode(mode)
-    exact = mode == "exact"
-    zero: Number = Fraction(0) if exact else 0.0
-    out = [zero] * (n + 1)
-    if n >= 1:
-        flat = model.P0geq.coeffs[0] if model.P0geq.lo == 0 and not model.P0geq.is_zero else zero
-        out[1] = flat if exact else float(flat)
-    if n < 2:
-        return out
-    d = model.d
-    d0 = model.P0geq.hi if not model.P0geq.is_zero else 0
-    size = max(d0, 1) + max(0, n - 2) * d + 1
-    down = {-j: p for j, p in model.P.terms() if j < 0}
-    if exact:
-        vec = [Fraction(0)] * size
-        for j, p in model.P0.terms():
-            if 1 <= j < size:
-                vec[j] = p
-        bulk = list(model.P.terms())
-        for t in range(1, n):
-            out[t + 1] = sum(
-                (vec[a] * down[a] for a in down if a < size and vec[a]), Fraction(0)
-            )
-            if t == n - 1:
-                break
-            new = [Fraction(0)] * size
-            for alt in range(1, size):
-                w = vec[alt]
-                if not w:
-                    continue
-                for j, p in bulk:
-                    tgt = alt + j
-                    if 1 <= tgt < size:
-                        new[tgt] += w * p
-            vec = new
-    else:
-        fvec = np.zeros(size)
-        for j, p in model.P0.terms():
-            if 1 <= j < size:
-                fvec[j] = float(p)
-        fbulk = [(j, float(p)) for j, p in model.P.terms()]
-        fdown = {a: float(p) for a, p in down.items()}
-        for t in range(1, n):
-            out[t + 1] = float(sum(fvec[a] * p for a, p in fdown.items() if a < size))
-            if t == n - 1:
-                break
-            new = np.zeros(size)
-            for j, p in fbulk:
-                src_lo = max(1, 1 - j)
-                src_hi = min(size - 1, size - 1 - j)
-                if src_hi >= src_lo:
-                    new[src_lo + j : src_hi + j + 1] += p * fvec[src_lo : src_hi + 1]
-            fvec = new
+    arith = _Arithmetic(model, mode)
+    out = [arith.value(0, 0)]
+
+    def record(t, vec):
+        out.append(arith.value(vec[0], t))
+        vec[0] = 0  # an arch ends at its first return to 0
+
+    _walk(model, n, arith, record)
     return out
 
 
@@ -370,8 +305,24 @@ def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 
 # ---------------------------------------------------------------------------
 # Returns to zero: number of times altitude 0 is reached again after leaving
-# the origin (the origin itself does not count).
+# the origin (the origin itself does not count). Every arrival at 0 is a
+# return, so both DPs below carry a trailing axis that the engine's at_zero
+# hook updates after each step.
 # ---------------------------------------------------------------------------
+
+
+def _count_return(row: np.ndarray) -> np.ndarray:
+    """Row of masses by return count: arriving at 0 shifts every count up by one."""
+    out = np.zeros_like(row)
+    out[1:] = row[:-1]
+    return out
+
+
+def _count_return_moments(row: np.ndarray) -> np.ndarray:
+    """Row (m0, m1, m2) of the count's moments: one more return maps it to
+    (m0, m1 + m0, m2 + 2 m1 + m0)."""
+    m0, m1, m2 = row
+    return np.array([m0, m1 + m0, m2 + 2 * m1 + m0], dtype=row.dtype)
 
 
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
@@ -382,30 +333,14 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
     if n == 0:
         one: Number = Fraction(1) if mode == "exact" else 1.0
         return ReturnsDistribution(n=0, prob={0: one})
-    if mode == "exact":
-        return _returns_exact(model, n)
-    return _returns_float(model, n)
-
-
-def _returns_exact(model: WalkModel, n: int) -> ReturnsDistribution:
-    states: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        new: dict[tuple[int, int], Fraction] = {}
-        for (alt, k), w in states.items():
-            poly = model.P0 if alt == 0 else model.P
-            for j, p in poly.terms():
-                tgt = alt + j
-                if tgt < 0:
-                    continue
-                key = (tgt, k + 1 if tgt == 0 else k)
-                new[key] = new.get(key, Fraction(0)) + w * p
-        states = new
-    masses = {k: w for (alt, k), w in states.items() if alt == 0}
-    e_n = sum(masses.values(), Fraction(0))
+    if mode == "float":
+        return _returns_float(model, n)
+    row = _walk(model, n, _Arithmetic(model, mode), _ignore,
+                trail=(n + 1,), at_zero=_count_return)[0]
+    e_n = row.sum()  # row and e_n are integers over the same D**n, which cancels
     if e_n == 0:
         raise LatticePathError(f"no excursion of length {n}")
-    prob = {k: w / e_n for k, w in sorted(masses.items())}
-    return ReturnsDistribution(n=n, prob=prob)
+    return ReturnsDistribution(n=n, prob={k: Fraction(w, e_n) for k, w in enumerate(row) if w})
 
 
 def _returns_float(model: WalkModel, n: int) -> ReturnsDistribution:
@@ -443,18 +378,15 @@ def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Num
     Runs an altitude-indexed DP carrying the zeroth, first and second moment
     of the running return count, so large n stay cheap.
     """
-    _check_mode(mode)
+    arith = _Arithmetic(model, mode)
     if n == 0:
-        z: Number = Fraction(0) if mode == "exact" else 0.0
-        return z, z
-    out: list = []
-    _returns_moment_dp(model, n, mode, lambda t, m0, m1, m2: out.append((m0[0], m1[0], m2[0])))
-    w0, w1, w2 = out[-1]
+        zero = arith.value(0, 0)
+        return zero, zero
+    w0, w1, w2 = _walk(model, n, arith, _ignore, trail=(3,), at_zero=_count_return_moments)[0]
     if not w0:
         raise LatticePathError(f"no excursion of length {n}")
-    mean = w1 / w0
-    second = w2 / w0
-    return mean, second - mean * mean
+    mean = arith.ratio(w1, w0)
+    return mean, arith.ratio(w2, w0) - mean * mean
 
 
 def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
@@ -462,111 +394,82 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
 
     Entries are None where no excursion of that length exists.
     """
-    _check_mode(mode)
-    zero: Number = Fraction(0) if mode == "exact" else 0.0
-    out: list = [zero]
-    if n == 0:
-        return out
+    arith = _Arithmetic(model, mode)
+    out: list = [arith.value(0, 0)]
 
-    def record(t, m0, m1, m2):
-        out.append(m1[0] / m0[0] if m0[0] else None)
+    def record(t, vec):
+        m0, m1, _ = vec[0]
+        out.append(arith.ratio(m1, m0) if m0 else None)
 
-    _returns_moment_dp(model, n, mode, record)
+    _walk(model, n, arith, record, trail=(3,), at_zero=_count_return_moments)
     return out
 
 
-def _returns_moment_dp(model: WalkModel, n: int, mode: Mode, on_step: Callable) -> None:
-    exact = mode == "exact"
-    size = n * _max_rise(model) + 1
-    if exact:
-        m0 = [Fraction(0)] * size
-        m1 = [Fraction(0)] * size
-        m2 = [Fraction(0)] * size
-        m0[0] = Fraction(1)
-    else:
-        m0 = np.zeros(size)
-        m1 = np.zeros(size)
-        m2 = np.zeros(size)
-        m0[0] = 1.0
-    bulk = [(j, p if exact else float(p)) for j, p in model.P.terms()]
-    boundary = [(j, p if exact else float(p)) for j, p in model.P0.terms() if j >= 0]
-    hi = 0
-    for _t in range(n):
-        if exact:
-            n0 = [Fraction(0)] * size
-            n1 = [Fraction(0)] * size
-            n2 = [Fraction(0)] * size
-        else:
-            n0 = np.zeros(size)
-            n1 = np.zeros(size)
-            n2 = np.zeros(size)
-        w0, w1, w2 = m0[0], m1[0], m2[0]
-        if w0 or w1 or w2:
-            for j, p in boundary:
-                n0[j] += p * w0
-                n1[j] += p * w1
-                n2[j] += p * w2
-                if j == 0:  # flat step on the boundary is itself a return
-                    n1[0] += p * w0
-                    n2[0] += p * (2 * w1 + w0)
-        if exact:
-            for alt in range(1, hi + 1):
-                if not (m0[alt] or m1[alt] or m2[alt]):
-                    continue
-                for j, p in bulk:
-                    tgt = alt + j
-                    if tgt < 0:
-                        continue
-                    n0[tgt] += p * m0[alt]
-                    n1[tgt] += p * m1[alt]
-                    n2[tgt] += p * m2[alt]
-                    if tgt == 0:
-                        n1[0] += p * m0[alt]
-                        n2[0] += p * (2 * m1[alt] + m0[alt])
-        else:
-            for j, p in bulk:
-                src_lo = max(1, -j)
-                if hi >= src_lo:
-                    sl_src = slice(src_lo, hi + 1)
-                    sl_tgt = slice(src_lo + j, hi + j + 1)
-                    n0[sl_tgt] += p * m0[sl_src]
-                    n1[sl_tgt] += p * m1[sl_src]
-                    n2[sl_tgt] += p * m2[sl_src]
-                if j < 0 and -j <= hi:
-                    src = -j
-                    n1[0] += p * m0[src]
-                    n2[0] += p * (2 * m1[src] + m0[src])
-        m0, m1, m2 = n0, n1, n2
-        hi = min(hi + _max_rise(model), size - 1)
-        on_step(_t + 1, m0, m1, m2)
+# ---------------------------------------------------------------------------
+# Brute force oracle and the four boundary rules of the length-4 table. The
+# oracle walks every path on its own, independently of the DP engine, with
+# integer weights over D**n.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Brute force oracle and the four boundary rules of the length-4 table.
-# ---------------------------------------------------------------------------
+def _walks(model: WalkModel, n: int, den: int, *, boundary: bool, absorbing: bool
+           ) -> Iterator[tuple[list[int], int, list[int]]]:
+    """Depth-first over every length-n walk from altitude 0.
+
+    Yields (jumps, numerator, altitudes): the walk's weight is numerator /
+    den**n. With ``boundary`` P0 applies at altitude 0, with ``absorbing``
+    walks going below 0 are dropped. The two lists are reused between
+    items, so copy what you keep.
+    """
+    if n > BRUTE_FORCE_MAX_LENGTH:
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_LENGTH}")
+    bulk = _scaled_terms(model.P, den)
+    rim = _scaled_terms(model.P0, den) if boundary else bulk
+    jumps: list[int] = []
+    alts = [0]
+    nums = [1]
+    if n == 0:
+        yield jumps, 1, alts
+        return
+    pending = [iter(rim)]  # the untried jumps at every depth
+    while pending:
+        for j, p in pending[-1]:
+            alt = alts[-1] + j
+            if absorbing and alt < 0:
+                continue
+            jumps.append(j)
+            alts.append(alt)
+            if len(jumps) == n:
+                yield jumps, nums[-1] * p, alts
+                jumps.pop()
+                alts.pop()
+                continue
+            nums.append(nums[-1] * p)
+            pending.append(iter(rim if alt == 0 else bulk))
+            break
+        else:
+            pending.pop()
+            if jumps:
+                jumps.pop()
+                alts.pop()
+                nums.pop()
+
+
+def _weighted_paths(model: WalkModel, n: int, *, boundary: bool, absorbing: bool
+                    ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    den = _denominator(model)
+    scale = den**n
+    weights: dict[int, Fraction] = {}  # one Fraction per distinct numerator
+    for jumps, num, _ in _walks(model, n, den, boundary=boundary, absorbing=absorbing):
+        w = weights.get(num)
+        if w is None:
+            w = weights[num] = Fraction(num, scale)
+        yield tuple(jumps), w
 
 
 def enumerate_meander_paths(model: WalkModel, n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield every surviving boundary walk of length n with its weight."""
-    if n > BRUTE_FORCE_MAX_LENGTH:
-        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_LENGTH}")
-
-    path: list[int] = []
-
-    def rec(alt: int, weight: Fraction, depth: int):
-        if depth == n:
-            yield tuple(path), weight
-            return
-        poly = model.P0 if alt == 0 else model.P
-        for j, p in poly.terms():
-            tgt = alt + j
-            if tgt < 0:
-                continue
-            path.append(j)
-            yield from rec(tgt, weight * p, depth + 1)
-            path.pop()
-
-    yield from rec(0, Fraction(1), 0)
+    yield from _weighted_paths(model, n, boundary=True, absorbing=True)
 
 
 def enumerate_walk_paths(model: WalkModel, n: int, *, boundary_at_zero: bool = False
@@ -577,22 +480,7 @@ def enumerate_walk_paths(model: WalkModel, n: int, *, boundary_at_zero: bool = F
     walk sits at altitude 0, which is the weighting used when folding
     bridges by absolute value.
     """
-    if n > BRUTE_FORCE_MAX_LENGTH:
-        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_MAX_LENGTH}")
-
-    path: list[int] = []
-
-    def rec(alt: int, weight: Fraction, depth: int):
-        if depth == n:
-            yield tuple(path), weight
-            return
-        poly = model.P0 if boundary_at_zero and alt == 0 else model.P
-        for j, p in poly.terms():
-            path.append(j)
-            yield from rec(alt + j, weight * p, depth + 1)
-            path.pop()
-
-    yield from rec(0, Fraction(1), 0)
+    yield from _weighted_paths(model, n, boundary=boundary_at_zero, absorbing=False)
 
 
 def path_altitudes(path: tuple[int, ...]) -> tuple[int, ...]:
@@ -627,31 +515,25 @@ class BruteForceSummary:
 
 def brute_force(model: WalkModel, n: int) -> BruteForceSummary:
     """Enumerate all surviving paths of length n and aggregate them."""
-    meander: dict[int, Fraction] = {}
-    returns: dict[int, Fraction] = {}
-    exc = Fraction(0)
-    arch = Fraction(0)
+    den = _denominator(model)
+    meander: dict[int, int] = {}
+    returns: dict[int, int] = {}
     count = 0
-    for path, weight in enumerate_meander_paths(model, n):
+    for _, num, alts in _walks(model, n, den, boundary=True, absorbing=True):
         count += 1
-        alts = path_altitudes(path)
         final = alts[-1]
-        meander[final] = meander.get(final, Fraction(0)) + weight
+        meander[final] = meander.get(final, 0) + num
         if final == 0:
-            exc += weight
-            k = sum(1 for a in alts[1:] if a == 0)
-            returns[k] = returns.get(k, Fraction(0)) + weight
-            if n >= 1 and all(a > 0 for a in alts[1:-1]):
-                arch += weight
-    meander = {k: w for k, w in sorted(meander.items()) if w}
-    returns = {k: w for k, w in sorted(returns.items()) if w}
+            k = alts.count(0) - 1  # an arch is an excursion with exactly one return
+            returns[k] = returns.get(k, 0) + num
+    scale = den**n
     return BruteForceSummary(
         n=n,
         path_count=count,
-        meander=meander,
-        excursion_mass=exc,
-        returns=returns,
-        arch_mass=arch,
+        meander={k: Fraction(w, scale) for k, w in sorted(meander.items())},
+        excursion_mass=Fraction(sum(returns.values()), scale),
+        returns={k: Fraction(w, scale) for k, w in sorted(returns.items())},
+        arch_mass=Fraction(returns.get(1, 0), scale),
     )
 
 
@@ -688,27 +570,20 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
             raise ValueError(f"bridge enumeration capped at n <= {BRUTE_FORCE_MAX_LENGTH}")
         if alts[-1] != 0:
             return Fraction(0)
-        use_boundary = rule is BoundaryRule.ABSOLUTE_VALUE
-        bridges = [
-            (p, w)
-            for p, w in enumerate_walk_paths(model, n, boundary_at_zero=use_boundary)
-            if path_altitudes(p)[-1] == 0
-        ]
-        total = sum((w for _, w in bridges), Fraction(0))
-        if total == 0:
-            return Fraction(0)
-        if rule is BoundaryRule.UNIFORM:
-            hit = sum((w for p, w in bridges if p == path), Fraction(0))
-            return hit / total
-        if any(a < 0 for a in alts):
+        folded = rule is BoundaryRule.ABSOLUTE_VALUE
+        if folded and any(a < 0 for a in alts):
             return Fraction(0)  # a folded bridge never leaves N
-        target = alts
-        hit = sum(
-            (w for p, w in bridges
-             if tuple(abs(a) for a in path_altitudes(p)) == target),
-            Fraction(0),
-        )
-        return hit / total
+        # a bridge hits the path itself, or folds onto it by absolute value
+        target = list(alts) if folded else list(path)
+        total = hit = 0
+        for jumps, num, walk_alts in _walks(model, n, _denominator(model),
+                                            boundary=folded, absorbing=False):
+            if walk_alts[-1] != 0:
+                continue
+            total += num
+            if (list(map(abs, walk_alts)) if folded else jumps) == target:
+                hit += num
+        return Fraction(hit, total) if total else Fraction(0)
     walk = _canonical_boundary(model, rule)
     if alts[-1] != 0 or any(a < 0 for a in alts):
         return Fraction(0)
@@ -727,5 +602,5 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
 
 def bridge_paths(model: WalkModel, n: int) -> list[tuple[int, ...]]:
     """All length-n jump sequences ending at altitude 0 with positive P-weight."""
-    out = [p for p, _ in enumerate_walk_paths(model, n) if path_altitudes(p)[-1] == 0]
-    return sorted(out, reverse=True)
+    walks = _walks(model, n, _denominator(model), boundary=False, absorbing=False)
+    return sorted((tuple(jumps) for jumps, _, alts in walks if alts[-1] == 0), reverse=True)

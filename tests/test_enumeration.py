@@ -23,8 +23,10 @@ from latticepaths import (
     step,
 )
 from latticepaths.enumeration import (
+    bridge_mass_series,
     bridge_paths,
     enumerate_meander_paths,
+    enumerate_walk_paths,
     returns_mean_series,
     returns_moments,
 )
@@ -46,12 +48,22 @@ def test_meander_distribution_examples(models):
     assert meander_distribution(models["dyck_absorption"], 2).mass == {0: F(1, 4), 2: F(1, 4)}
 
 
-def test_meander_matches_iterated_step(models):
-    for model in (models["motzkin_reflection"], models["two_down_reflection"]):
+def test_meander_matches_iterated_step(models, random_models):
+    # the random models put different denominators in P and P0, so the DP's
+    # integers run over the lcm of both; step() stays on plain Fractions
+    for model in [models["motzkin_reflection"], models["two_down_reflection"], *random_models]:
         dist = AltitudeDistribution(n=0, mass={0: F(1)})
-        for n in range(1, 8):
+        for n in range(1, 41):
             dist = step(model, dist)
             assert dist.mass == meander_distribution(model, n).mass
+
+
+def test_exact_series_entries_are_fractions(models, random_models):
+    for model in [*models.values(), *random_models]:
+        for series in (excursion_series(model, 30), meander_mass_series(model, 30),
+                       arch_series(model, 30), bridge_mass_series(model, 30)):
+            assert len(series) == 31
+            assert all(type(v) is Fraction for v in series)
 
 
 def test_excursion_examples(models):
@@ -123,8 +135,16 @@ def test_oracle_equivalence_random_models(random_models):
         for n in range(0, 6):
             bf = brute_force(model, n)
             assert meander_distribution(model, n).mass == bf.meander
+            if n >= 1:
+                assert arch_mass(model, n) == bf.arch_mass
             if bf.excursion_mass:
                 assert returns_to_zero_distribution(model, n).prob == bf.returns_distribution()
+            walk_total = bridge = F(0)
+            for path, w in enumerate_walk_paths(model, n):
+                walk_total += w
+                if sum(path) == 0:
+                    bridge += w
+            assert bridge_and_walk_mass(model, n) == (walk_total, bridge)
 
 
 def test_conservation_reflection(models):
