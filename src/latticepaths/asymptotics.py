@@ -27,7 +27,6 @@ from .kernel import (
     require_rho1,
     small_branch_u1,
     structural_constants,
-    _criticality_sign,
 )
 from .model import WalkModel
 
@@ -85,12 +84,11 @@ def classify(model: WalkModel, constants: StructuralConstants | None = None) -> 
     """(criticality, drift sign) for an aperiodic model."""
     require_aperiodic(model)
     sc = constants or structural_constants(model)
-    sign = _criticality_sign(model, sc.tau)
     crit = (
         Criticality.SUPERCRITICAL
-        if sign > 0
+        if sc.sign > 0
         else Criticality.CRITICAL
-        if sign == 0
+        if sc.sign == 0
         else Criticality.SUBCRITICAL
     )
     return Classification(criticality=crit, drift_sign=drift_sign(model))

@@ -14,12 +14,16 @@ array indexed by altitude. Exact mode works on integers: every weight is an
 integer over D, the lcm of the denominators in ``P`` and ``P0``, so the
 state after t steps is a vector of Python ints (an ``object`` array) over
 D**t, and a value becomes a ``Fraction`` only when it is output. Float mode
-runs the same updates on float64.
+runs the same updates on float64. Each step touches only the live window of
+rows that can be non-zero, between two reused arrays; rows that are exactly
+zero (unreachable, or underflowed in float mode) drop out of it, so the
+results are those of a full-width update, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,33 +171,51 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     shape ``trail`` that every step carries along; it starts as 1 at
     altitude 0 and trailing index 0. After each step the row at altitude 0
     becomes ``at_zero(row)``, if given, and then ``on_step(t, state)`` runs;
-    it may modify the state. With ``free`` the walk lives on Z with no
-    boundary (only P applies) and altitude 0 sits at index ``n * c``.
+    it may modify the state but must not keep a reference to it, because
+    the engine reuses the array two steps later. With ``free`` the walk
+    lives on Z with no boundary (only P applies) and altitude 0 sits at
+    index ``n * c``.
+
+    Only the live window ``[lo, hi]`` of rows that can be non-zero is
+    stepped: it widens by the largest jumps each step and is then trimmed
+    past rows that are exactly zero, which add nothing, so every state is
+    the same as a full-width update would give.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    # the bounded walk's lo falls too: trimming can lift it off row 0, which
+    # a period-2 walk leaves empty after every other step
+    fall = model.c
     if free:
-        fall, rise, first, lo = model.c, model.d, 0, n * model.c
+        rise, first, lo = model.d, 0, n * fall
     else:
-        fall, rise, first, lo = 0, _max_rise(model), 1, 0  # row 0 steps with the boundary
+        rise, first, lo = _max_rise(model), 1, 0  # row 0 steps with the boundary
     size = lo + n * rise + 1
     hi = lo
     vec = np.zeros((size,) + trail, dtype=arith.dtype)
     vec[(lo,) + (0,) * len(trail)] = 1
+    new = np.zeros_like(vec)
+    old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
+    nonzero = any if trail else bool  # per row: cheaper each step than ndarray.any() on a slice
     for t in range(1, n + 1):
-        new = np.zeros_like(vec)
-        if not free:
+        new[old_lo : old_hi + 1] = 0
+        if not free and lo == 0:
             for j, p in arith.rim:
                 new[j] += p * vec[0]
         for j, p in arith.bulk:
             src = max(lo, first, -j)
             if src <= hi:
                 new[src + j : hi + j + 1] += p * vec[src : hi + 1]
-        vec = new
+        vec, new = new, vec
+        old_lo, old_hi = lo, hi
         lo, hi = max(lo - fall, 0), min(hi + rise, size - 1)
         if at_zero is not None:
             vec[0] = at_zero(vec[0])
         on_step(t, vec)
+        while hi > lo and not nonzero(vec[hi]):
+            hi -= 1
+        while lo < hi and not nonzero(vec[lo]):
+            lo += 1
     return vec
 
 
@@ -558,6 +580,26 @@ def _canonical_boundary(model: WalkModel, rule: BoundaryRule) -> WalkModel:
     raise ValueError(f"no boundary walk model for rule {rule}")
 
 
+@functools.lru_cache(maxsize=32)
+def _bridge_tally(model: WalkModel, n: int, folded: bool) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(total, {target: numerator}) over the length-n bridges, both over D**n.
+
+    One walk over every length-n walk on Z: a bridge is keyed by its jumps,
+    or with ``folded`` (P0 applies at altitude 0) by its absolute altitudes,
+    so a table asks for every path of one rule from one enumeration. The
+    dict is shared between callers and must not be modified.
+    """
+    total = 0
+    hits: dict[tuple[int, ...], int] = {}
+    for jumps, num, alts in _walks(model, n, _denominator(model), boundary=folded, absorbing=False):
+        if alts[-1] != 0:
+            continue
+        total += num
+        key = tuple(map(abs, alts)) if folded else tuple(jumps)
+        hits[key] = hits.get(key, 0) + num
+    return total, hits
+
+
 def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]) -> Fraction:
     """Probability of one length-n path under one of the four boundary rules,
     conditioned on the rule's sample space (bridges, or excursions of that
@@ -573,16 +615,9 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
         folded = rule is BoundaryRule.ABSOLUTE_VALUE
         if folded and any(a < 0 for a in alts):
             return Fraction(0)  # a folded bridge never leaves N
+        total, hits = _bridge_tally(model, n, folded)
         # a bridge hits the path itself, or folds onto it by absolute value
-        target = list(alts) if folded else list(path)
-        total = hit = 0
-        for jumps, num, walk_alts in _walks(model, n, _denominator(model),
-                                            boundary=folded, absorbing=False):
-            if walk_alts[-1] != 0:
-                continue
-            total += num
-            if (list(map(abs, walk_alts)) if folded else jumps) == target:
-                hit += num
+        hit = hits.get(alts if folded else tuple(path), 0)
         return Fraction(hit, total) if total else Fraction(0)
     walk = _canonical_boundary(model, rule)
     if alts[-1] != 0 or any(a < 0 for a in alts):

@@ -285,11 +285,13 @@ class StructuralConstants:
     delta0geq are the drifts P'(1) and (P0geq)'(1). lam compares the
     boundary weight P0geq(tau) to P(tau): above 1 the denominator root
     rho1 < rho exists (supercritical), at 1 it is tangent at rho, below 1
-    there is none. kappa = C*rho*(P0geq)'(tau). alpha, alpha2 are the first
-    two z-derivatives of P0geq(u1(z)) at rho1 and gamma = 1/(alpha*rho1**2+1)
-    is the residue weight of the excursion pole. E_at_rho, E_at_1 are values
-    of the excursion series where finite, and r is the boundary part of the
-    altitude derivative at rho used by the negative-drift expectation cell.
+    there is none; sign (+1, 0, -1) is the sign of P0geq(tau) - P(tau)
+    that decides this, exact when tau = 1. kappa = C*rho*(P0geq)'(tau).
+    alpha, alpha2 are the first two z-derivatives of P0geq(u1(z)) at rho1
+    and gamma = 1/(alpha*rho1**2+1) is the residue weight of the excursion
+    pole. E_at_rho, E_at_1 are values of the excursion series where finite,
+    and r is the boundary part of the altitude derivative at rho used by the
+    negative-drift expectation cell.
     """
 
     tau: float
@@ -299,6 +301,7 @@ class StructuralConstants:
     delta0geq: float
     lam: float
     kappa: float
+    sign: int
     rho1: Optional[float] = None
     alpha: Optional[float] = None
     alpha2: Optional[float] = None
@@ -395,8 +398,7 @@ def _criticality_sign(model: WalkModel, tau: float) -> int:
     return 0
 
 
-def _find_rho1(model: WalkModel, tau: float, rho: float) -> Optional[float]:
-    sign = _criticality_sign(model, tau)
+def _find_rho1(model: WalkModel, rho: float, sign: int) -> Optional[float]:
     if sign < 0:
         return None
     if sign == 0:
@@ -465,7 +467,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     lam = float(model.P0geq(tau)) / p_tau
     kappa = C * rho * float(dq(tau))
     sign = _criticality_sign(model, tau)
-    rho1 = _find_rho1(model, tau, rho)
+    rho1 = _find_rho1(model, rho, sign)
     alpha = alpha2 = gamma = None
     if sign > 0 and rho1 is not None and rho1 < rho * (1.0 - 1e-10):
         alpha, alpha2 = composed_boundary_derivatives(model, rho1)
@@ -497,6 +499,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
         delta0geq=delta0,
         lam=lam,
         kappa=kappa,
+        sign=sign,
         rho1=rho1,
         alpha=alpha,
         alpha2=alpha2,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from latticepaths import enumeration
 from latticepaths.cli import run
 from conftest import MODELS_DIR
 
@@ -196,12 +197,55 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_module_entry_point():
+def fresh_process(*argv):
+    """(exit code, stdout, stderr) of the command as the first call of a new
+    interpreter, with argparse's usage text wrapped at 80 columns."""
     proc = subprocess.run(
-        [sys.executable, "-m", "latticepaths.cli", "validate", DYCK],
+        [sys.executable, "-m", "latticepaths.cli", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PATH": "/usr/bin:/bin", "COLUMNS": "80"},
     )
-    assert proc.returncode == 0
-    assert "ok\ttrue" in proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point():
+    code, out, _ = fresh_process("validate", DYCK)
+    assert code == 0
+    assert "ok\ttrue" in out
+
+
+def test_repeated_commands_match_a_fresh_process(capsys, monkeypatch):
+    # the parser is built once per process: a parse, a parse error and the
+    # usage text on stderr must not depend on the calls made before
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ("count", "--n", "12", "--what", "excursions", "--exact", MOTZ_R),
+        ("count", "--n", "12", "--what", "excursions", MOTZ_R),
+        ("count", "--n", "x", "--what", "excursions", MOTZ_R),
+    ]
+    expected = [fresh_process(*argv) for argv in commands]
+    assert expected[2][0] == 2 and "usage: latticepaths count" in expected[2][2]
+    for _ in range(2):
+        for argv, want in zip(commands, expected):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want
+
+
+def test_table2_bridge_tally_keeps_models_apart(capsys):
+    # each pair shares P and differs in P0, on which the folded
+    # (absolute-value) bridges depend; the Motzkin pair's tables differ
+    paths = (DYCK, DYCK_ABS, MOTZ_R, MOTZ_A)
+    uncached = {}
+    for path in paths:
+        enumeration._bridge_tally.cache_clear()
+        uncached[path] = invoke(capsys, "table2", path)
+    assert uncached[MOTZ_R] != uncached[MOTZ_A]
+    enumeration._bridge_tally.cache_clear()
+    for path in paths + paths:
+        assert invoke(capsys, "table2", path) == uncached[path]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latticepaths import (
@@ -30,6 +31,8 @@ from latticepaths.enumeration import (
     returns_mean_series,
     returns_moments,
 )
+from conftest import MODEL_NAMES
+
 F = Fraction
 
 
@@ -205,6 +208,72 @@ def test_float_mode_agreement(models):
         for n in range(top + 1):
             assert ef[n] == pytest.approx(float(ee[n]), rel=1e-12, abs=1e-300)
             assert mf[n] == pytest.approx(float(me[n]), rel=1e-12)
+
+
+def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_zero=None):
+    """The float DP with no live window: every row of the full width steps
+    every time, into fresh zeros, with the engine's term order (boundary
+    terms, then bulk terms)."""
+    bulk = [(j, float(p)) for j, p in model.P.terms()]
+    rim = [(j, float(p)) for j, p in model.P0.terms() if j >= 0]
+    if free:
+        start, rise, first = n * model.c, model.d, 0
+    else:
+        start, rise, first = 0, max(model.d, model.P0.hi, 1), 1
+    size = start + n * rise + 1
+    vec = np.zeros((size,) + trail)
+    vec[(start,) + (0,) * len(trail)] = 1.0
+    for t in range(1, n + 1):
+        new = np.zeros_like(vec)
+        if not free:
+            for j, p in rim:
+                new[j] += p * vec[0]
+        for j, p in bulk:
+            src, top = max(first, -j), size - 1 - max(j, 0)
+            new[src + j : top + j + 1] += p * vec[src : top + 1]
+        vec = new
+        if at_zero is not None:
+            vec[0] = at_zero(vec[0])
+        if on_step is not None:
+            on_step(t, vec)
+    return vec
+
+
+@pytest.mark.parametrize("name,n", [(name, 3000) for name in MODEL_NAMES]
+                         + [("dyck_reflection", 2999), ("dyck_absorption", 2999)])
+def test_live_window_matches_full_width_float_dp(models, name, n):
+    # the engine steps only rows that can be non-zero; dropping exact zeros
+    # must leave every float bit as the full-width DP has it, including for
+    # supercritical_drift_down, whose top rows underflow to 0, and for the
+    # period-2 Dyck models, whose row 0 is empty after every odd step
+    model = models[name]
+    excursions = [1.0]
+    final = _full_width_float_walk(model, n, lambda t, vec: excursions.append(float(vec[0])))
+    assert meander_distribution(model, n, "float").mass == {
+        k: float(w) for k, w in enumerate(final) if w}
+    assert excursion_series(model, n, "float") == excursions
+
+    arches = [0.0]
+
+    def record_arch(t, vec):
+        arches.append(float(vec[0]))
+        vec[0] = 0.0
+
+    _full_width_float_walk(model, n, record_arch)
+    assert arch_series(model, n, "float") == arches
+
+    w0, w1, w2 = _full_width_float_walk(
+        model, n, trail=(3,),
+        at_zero=lambda row: np.array([row[0], row[1] + row[0], row[2] + 2 * row[1] + row[0]]))[0]
+    if w0:
+        mean = float(w1) / float(w0)
+        assert returns_moments(model, n, "float") == (mean, float(w2) / float(w0) - mean * mean)
+    else:
+        with pytest.raises(LatticePathError):
+            returns_moments(model, n, "float")
+
+    free = _full_width_float_walk(model, n, free=True)
+    assert bridge_and_walk_mass(model, n, "float") == (float(free.sum()), float(free[n * model.c]))
 
 
 def test_returns_float_mode_agreement(models):
