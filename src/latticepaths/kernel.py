@@ -7,6 +7,12 @@ companion-matrix root solve plus Newton refinement, solves the resulting
 c x c linear system for the boundary generating functions, evaluates the
 closed product formula of the boundary-free model, and derives the
 structural constants that drive every asymptotic regime downstream.
+
+The excursion pole rho1 is found in the branch variable: on (0, rho) the
+real small branch satisfies z = 1/P(u1(z)), so the boundary denominator
+1 - z*P0geq(u1(z)) vanishes exactly where P0geq(u) = P(u). Its root u* on
+(0, tau) is a root of a Laurent polynomial, found without any branch
+solve, and rho1 = 1/P(u*).
 """
 
 from __future__ import annotations
@@ -57,15 +63,16 @@ def _kernel_coeffs(model: WalkModel, z: complex) -> np.ndarray:
     c, d = model.c, model.d
     coeffs = np.zeros(c + d + 1, dtype=complex)
     coeffs[c] += 1.0
-    for e, p in model.P.terms():
-        coeffs[e + c] -= z * float(p)
+    for e, p in model.P.float_terms:
+        coeffs[e + c] -= z * p
     return coeffs[::-1]
 
 
-def _refine_root(model: WalkModel, z: complex, u: complex) -> complex:
-    """Newton steps on f(u) = 1 - z*P(u); small branches are never 0."""
-    p_float = [(e, float(p)) for e, p in model.P.terms()]
-    dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
+def _refine_root(z: complex, u: complex, p_float, dp_float) -> complex:
+    """Newton steps on f(u) = 1 - z*P(u); small branches are never 0.
+
+    ``p_float`` and ``dp_float`` are the (exponent, weight) terms of P and P'.
+    """
 
     def f(x: complex) -> complex:
         return 1.0 - z * sum(p * x**e for e, p in p_float)
@@ -104,7 +111,9 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
     roots = np.roots(_kernel_coeffs(model, z))
-    roots = [_refine_root(model, z, complex(r)) for r in roots]
+    p_float = model.P.float_terms
+    dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
+    roots = [_refine_root(z, complex(r), p_float, dp_float) for r in roots]
     roots.sort(key=abs)
     c = model.c
     merged = False
@@ -286,7 +295,8 @@ class StructuralConstants:
     boundary weight P0geq(tau) to P(tau): above 1 the denominator root
     rho1 < rho exists (supercritical), at 1 it is tangent at rho, below 1
     there is none; sign (+1, 0, -1) is the sign of P0geq(tau) - P(tau)
-    that decides this, exact when tau = 1. kappa = C*rho*(P0geq)'(tau).
+    that decides this, exact when tau = 1. rho1 = 1/P(u*), where u* in
+    (0, tau) solves P0geq(u) = P(u). kappa = C*rho*(P0geq)'(tau).
     alpha, alpha2 are the first two z-derivatives of P0geq(u1(z)) at rho1
     and gamma = 1/(alpha*rho1**2+1) is the residue weight of the excursion
     pole. E_at_rho, E_at_1 are values of the excursion series where finite,
@@ -398,46 +408,47 @@ def _criticality_sign(model: WalkModel, tau: float) -> int:
     return 0
 
 
-def _find_rho1(model: WalkModel, rho: float, sign: int) -> Optional[float]:
+def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int) -> Optional[float]:
     if sign < 0:
         return None
     if sign == 0:
         return rho
+    if boundary_denominator(model, rho * (1.0 - 1e-12)) > 0:
+        # tangency within tolerance; treat as the critical point rho
+        return rho
+    # D(1/P(u)) = (P(u) - P0geq(u))/P(u) for u in (0, tau): same sign as h
+    P, Q = model.P, model.P0geq
+    dP, dQ = P.derivative(), Q.derivative()
 
-    def D(z: float) -> float:
-        return boundary_denominator(model, z)
+    def h(u: float) -> float:
+        return P(u) - Q(u)
 
-    hi = rho * (1.0 - 1e-12)
+    hi = tau
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if D(lo) > 0:
+        if h(lo) > 0:
             break
     else:
         raise NumericalSingularityError("failed to bracket rho1 from below")
-    if D(hi) > 0:
-        # tangency within tolerance; treat as the critical point rho
-        return rho
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECTION_REL_WIDTH * rho:
+        if hi - lo <= BISECTION_REL_WIDTH * tau:
             break
-        if D(mid) > 0:
+        if h(mid) > 0:
             lo = mid
         else:
             hi = mid
-    z = 0.5 * (lo + hi)
+    u = 0.5 * (lo + hi)
     for _ in range(6):
-        first, _ = composed_boundary_derivatives(model, z)
-        u1 = small_branch_u1(model, z)
-        dD = -float(model.P0geq(u1)) - z * first
-        if dD == 0:
+        dh = dP(u) - dQ(u)
+        if dh == 0:
             break
-        nxt = z - D(z) / dD
-        if not (0 < nxt < rho):
+        nxt = u - h(u) / dh
+        if nxt == u or not (0 < nxt < tau):
             break
-        z = nxt
-    return z
+        u = nxt
+    return 1.0 / P(u)
 
 
 def require_rho1(constants: StructuralConstants) -> float:
@@ -467,7 +478,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     lam = float(model.P0geq(tau)) / p_tau
     kappa = C * rho * float(dq(tau))
     sign = _criticality_sign(model, tau)
-    rho1 = _find_rho1(model, rho, sign)
+    rho1 = _find_rho1(model, rho, tau, sign)
     alpha = alpha2 = gamma = None
     if sign > 0 and rho1 is not None and rho1 < rho * (1.0 - 1e-10):
         alpha, alpha2 = composed_boundary_derivatives(model, rho1)

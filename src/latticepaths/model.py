@@ -15,6 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -77,15 +78,46 @@ class LaurentPolynomial:
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms())
 
+    @cached_property
+    def float_terms(self) -> tuple[tuple[int, float], ...]:
+        """(exponent, float(coefficient)) for the non-zero coefficients."""
+        return tuple((e, float(c)) for e, c in self.terms())
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in self.coeffs)
+
+    @cached_property
+    def _complex_coeffs(self) -> tuple[complex, ...]:
+        return tuple(complex(c) for c in self.coeffs)
+
     def __call__(self, x):
+        """Horner evaluation; exact for int and Fraction arguments.
+
+        Mixed ``Fraction`` arithmetic rounds each coefficient to
+        ``float(c)`` or ``complex(c)`` before it meets a float or complex
+        argument, so those conversions are cached: the result, and its type
+        for numpy scalars too, is the same as Horner on the ``Fraction``
+        coefficients.
+        """
         if self.is_zero:
             return 0 * x
+        if isinstance(x, complex):
+            coeffs = self._complex_coeffs
+        elif isinstance(x, float):
+            coeffs = self._float_coeffs
+        else:
+            coeffs = self.coeffs
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc * x**self.lo
 
     def derivative(self) -> "LaurentPolynomial":
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "LaurentPolynomial":
         return LaurentPolynomial.from_terms(
             ((e - 1, e * c) for e, c in self.terms() if e != 0),
             allow_negative_coeffs=True,
@@ -135,7 +167,7 @@ class WalkModel:
     P: LaurentPolynomial
     P0: LaurentPolynomial
 
-    @property
+    @cached_property
     def P0geq(self) -> LaurentPolynomial:
         return self.P0.nonneg_part()
 

@@ -254,3 +254,59 @@ def test_u1_expansion_residuals(models):
             raw.append(abs(u1 - (sc.tau - sc.C * math.sqrt(eps))))
         assert raw[0] > raw[1] > raw[2]
         assert u1_expansion_check(model) < 10.0
+
+
+def test_structural_constants_makes_at_most_three_branch_solves(models, random_models, monkeypatch):
+    # rho1 is found in the branch variable; only the tangency probe below
+    # rho, alpha/alpha2 at rho1 and E(1) solve for the branches
+    from latticepaths import kernel
+
+    calls = []
+    solve = kernel.small_branches
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "small_branches", counted)
+    for model in list(models.values()) + random_models:
+        calls.clear()
+        structural_constants(model)
+        assert len(calls) <= 3, (str(model.P), str(model.P0), calls)
+
+
+def _z_bisection_rho1(model, rho):
+    """Root of the boundary denominator by plain bisection in z."""
+    lo, hi = 0.5 * rho, rho * (1.0 - 1e-12)
+    while boundary_denominator(model, lo) <= 0:
+        lo *= 0.5
+    assert boundary_denominator(model, hi) <= 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if boundary_denominator(model, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_rho1_matches_z_space_bisection(models, random_models):
+    checked = 0
+    for model in list(models.values()) + random_models:
+        sc = structural_constants(model)
+        if sc.sign <= 0:
+            continue
+        checked += 1
+        assert sc.rho1 == pytest.approx(_z_bisection_rho1(model, sc.rho), rel=1e-12)
+        assert abs(boundary_denominator(model, sc.rho1)) <= 1e-11
+    assert checked >= 5
+
+
+def test_rho1_of_reflecting_negative_drift_is_one(models):
+    # a reflecting walk conserves mass, so the excursion pole sits at z = 1
+    for name in ("drift_down_reflection", "two_down_reflection"):
+        sc = structural_constants(models[name])
+        assert sc.delta < 0
+        assert sc.rho1 == pytest.approx(1.0, abs=1e-14)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latticepaths import (
@@ -118,3 +119,55 @@ def test_periodicity_values(models):
     assert models["dyck_reflection"].period == 2
     assert models["motzkin_reflection"].period == 1
     assert models["two_down_reflection"].period == 1
+
+
+def _fraction_horner(poly, x):
+    """Horner evaluation on the Fraction coefficients themselves."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc * x**poly.lo
+
+
+def _random_laurent(rng):
+    lo = rng.randint(-3, 1)
+    terms = {lo + k: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for k in range(rng.randint(1, 6))}
+    terms[lo] = Fraction(rng.randint(1, 9), rng.randint(1, 12))
+    return LaurentPolynomial.from_terms(terms, allow_negative_coeffs=True)
+
+
+def test_float_evaluation_matches_fraction_horner():
+    rng = random.Random(7)
+    for _ in range(200):
+        poly = _random_laurent(rng)
+        re, im = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        for x in (re, complex(re, im), np.float64(re), np.complex128(complex(re, im)),
+                  complex(re, 0.0), complex(-re, -0.0)):
+            got, want = poly(x), _fraction_horner(poly, x)
+            assert type(got) is type(want), (poly, x)
+            assert repr(got) == repr(want), (poly, x)
+
+
+def test_exact_evaluation_stays_exact():
+    rng = random.Random(8)
+    for _ in range(100):
+        poly = _random_laurent(rng)
+        x = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+        assert poly(x) == _fraction_horner(poly, x)
+        assert type(poly(x)) is Fraction
+        if poly.lo >= 0:
+            k = rng.randint(-5, 5)
+            assert poly(k) == _fraction_horner(poly, Fraction(k))
+            assert type(poly(k)) is Fraction
+
+
+def test_cached_views_keep_models_equal_and_hashable(models):
+    for name, model in models.items():
+        fresh = parse_model(format_model(model))
+        assert model.P0geq is model.P0geq
+        assert model.P.derivative() is model.P.derivative()
+        model.P0geq.derivative()
+        model.P(0.5), model.P0(0.3 + 0.1j)
+        assert model == fresh and hash(model) == hash(fresh), name
+        assert model.P == fresh.P and hash(model.P) == hash(fresh.P), name
+        assert {fresh: name}[model] == name
