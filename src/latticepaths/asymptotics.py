@@ -23,6 +23,7 @@ from .errors import (
 )
 from .kernel import (
     StructuralConstants,
+    _altitude_derivative_ratio,
     composed_boundary_derivatives,
     require_rho1,
     small_branch_u1,
@@ -180,15 +181,6 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     return AsymptoticEstimate(n, value, "meanders/subcritical/neg-drift")
 
 
-def _altitude_derivative_ratio(model: WalkModel, sc: StructuralConstants, z: float,
-                               u1_value: float) -> float:
-    """F_u(z,1)/E(z): the excursion factors cancel, leaving an explicit form."""
-    q1 = float(model.P0geq(Fraction(1)))
-    return sc.delta0geq * z / (1.0 - z) + sc.delta * z * z * (
-        q1 - float(model.P0geq(u1_value))
-    ) / (1.0 - z) ** 2
-
-
 def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order expected final altitude of surviving length-n walks."""
     sc, cls = _constants_and_class(model)
@@ -229,13 +221,14 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
         rho1 = require_rho1(sc)
         if abs(rho1 - 1.0) < 1e-9:
             raise NumericalSingularityError("expectation constant degenerate at rho1=1")
-        g = _altitude_derivative_ratio(model, sc, rho1, small_branch_u1(model, rho1))
+        g = _altitude_derivative_ratio(model, rho1, small_branch_u1(model, rho1), sc.delta,
+                                       sc.delta0geq)
         value = (1.0 - 1.0 / rho1) * e1 * g
         return AsymptoticEstimate(n, value, "final-altitude/absorption/supercritical")
     if cls.criticality is Criticality.CRITICAL:
         # coefficient asymptotics of the altitude derivative and of the
         # meander mass both carry 1/kappa, which cancels in the ratio
-        g = _altitude_derivative_ratio(model, sc, sc.rho, sc.tau)
+        g = _altitude_derivative_ratio(model, sc.rho, sc.tau, sc.delta, sc.delta0geq)
         value = (1.0 - 1.0 / sc.rho) * e1 * g
         return AsymptoticEstimate(n, value, "final-altitude/absorption/critical")
     assert sc.E_at_rho is not None and sc.r is not None

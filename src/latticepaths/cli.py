@@ -116,25 +116,25 @@ def _cmd_gf_eval(args) -> int:
     return EXIT_OK
 
 
+# (estimate in ``asymptotics``, exact value in ``enumeration``), looked up by
+# name at call time for the same reason as ``_COUNT_SERIES``
+_ASYM = {
+    "excursions": ("excursion_asymptotic", "excursion_mass"),
+    "arches": ("arch_asymptotic", "arch_mass"),
+    "meanders": ("meander_ratio_asymptotic", "meander_mass"),
+    "final-alt": ("final_altitude_asymptotic", "final_altitude_expectation"),
+}
+
+
 def _cmd_asym(args) -> int:
     model = load_model(args.model)
     n = args.n
-    what = args.what
-    if what == "excursions":
-        est = asymptotics.excursion_asymptotic(model, n)
-        exact = enumeration.excursion_mass(model, n, "float")
-    elif what == "arches":
-        est = asymptotics.arch_asymptotic(model, n)
-        exact = enumeration.arch_mass(model, n, "float")
-    elif what == "meanders":
-        est = asymptotics.meander_ratio_asymptotic(model, n)
-        exact = enumeration.meander_mass(model, n, "float")
-    else:
-        est = asymptotics.final_altitude_asymptotic(model, n)
-        exact = float(enumeration.final_altitude_expectation(model, n, "float"))
+    estimate, exact_value = _ASYM[args.what]
+    est = getattr(asymptotics, estimate)(model, n)
+    exact = float(getattr(enumeration, exact_value)(model, n, "float"))
     ratio = exact / est.value if est.value else None
     print("# what\tn\testimate\texact\tratio\tformula")
-    _print_row(what, n, est.value, exact, ratio, est.formula_id)
+    _print_row(args.what, n, est.value, exact, ratio, est.formula_id)
     return EXIT_OK
 
 
@@ -175,7 +175,7 @@ def _cmd_fit(args) -> int:
     )
     if args.plot:
         print("# x\texact_cdf\tlaw_cdf")
-        for x, fe, fl in laws.fit_curve(model, statistic, args.n, law=report.law, mode=mode):
+        for x, fe, fl in report.curve:
             _print_row(x, fe, fl)
     return EXIT_OK
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("asym", _cmd_asym, "asymptotic estimate vs the exact value")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", choices=["excursions", "arches", "meanders", "final-alt"], required=True)
+    p.add_argument("--what", choices=list(_ASYM), required=True)
 
     p = add("dist", _cmd_dist, "full distribution of a statistic at length n")
     p.add_argument("--n", type=int, required=True)

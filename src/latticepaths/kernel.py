@@ -29,7 +29,7 @@ from .errors import (
     NoRho1Error,
     NumericalSingularityError,
 )
-from .model import LaurentPolynomial, WalkModel
+from .model import WalkModel
 
 ROOT_RESIDUAL_TOL = 1e-12
 BISECTION_REL_WIDTH = 1e-13
@@ -148,31 +148,16 @@ def small_branch_u1(model: WalkModel, z: float) -> float:
     return small_branches(model, z).u1
 
 
-def _r_poly(model: WalkModel, k: int) -> LaurentPolynomial:
-    """The boundary-correction Laurent polynomials of the linear system."""
-    if k == 0:
-        return LaurentPolynomial.from_terms(
-            [(e, p) for e, p in model.P.terms()]
-            + [(e, -p) for e, p in model.P0geq.terms()],
-            allow_negative_coeffs=True,
-        )
-    return LaurentPolynomial.from_terms(
-        ((j + k, p) for j, p in model.P.terms() if j <= -k - 1),
-        allow_negative_coeffs=True,
-    )
-
-
 def solve_boundary_gfs(model: WalkModel, z: float) -> list[float]:
     """Values F_0(z)..F_{c-1}(z) of the boundary generating functions.
 
     Substituting each small branch into the functional equation kills the
-    left side and leaves c linear equations sum_k r_k(u_i) F_k = 1/z.
+    left side and leaves c linear equations sum_k r_k(u_i) F_k = 1/z, with
+    the r_k of ``WalkModel.boundary_corrections``.
     """
     branches = small_branches(model, z).branches
-    c = model.c
-    r_polys = [_r_poly(model, k) for k in range(c)]
-    A = np.array([[complex(r_polys[k](u)) for k in range(c)] for u in branches])
-    b = np.full(c, 1.0 / z, dtype=complex)
+    A = np.array([[complex(r(u)) for r in model.boundary_corrections] for u in branches])
+    b = np.full(model.c, 1.0 / z, dtype=complex)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -451,6 +436,16 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int) -> Optional[
     return 1.0 / P(u)
 
 
+def _altitude_derivative_ratio(model: WalkModel, z: float, u1: float, delta: float,
+                               delta0geq: float) -> float:
+    """F_u(z,1)/E(z) at a point z with small branch u1: the excursion factors
+    cancel, leaving an explicit form in the drifts delta and delta0geq."""
+    q1 = float(model.P0geq(Fraction(1)))
+    return delta0geq * z / (1.0 - z) + delta * z * z * (
+        q1 - float(model.P0geq(u1))
+    ) / (1.0 - z) ** 2
+
+
 def require_rho1(constants: StructuralConstants) -> float:
     if constants.rho1 is None:
         raise NoRho1Error("boundary denominator has no root on (0, rho] (subcritical)")
@@ -496,11 +491,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
             E_at_1 = 1.0 / den
     r = None
     if sign < 0 and rho > 1.0 + 1e-12:
-        q1 = float(model.P0geq(Fraction(1)))
-        g_rho = delta0 * rho / (1.0 - rho) + delta * rho * rho * (
-            q1 - float(model.P0geq(tau))
-        ) / (1.0 - rho) ** 2
-        f_u_rho = g_rho * E_at_rho
+        f_u_rho = _altitude_derivative_ratio(model, rho, tau, delta, delta0) * E_at_rho
         r = f_u_rho - delta * rho / (1.0 - rho) ** 2
     return StructuralConstants(
         tau=tau,

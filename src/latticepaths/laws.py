@@ -6,22 +6,22 @@ distance. Law selection follows the regime tables: returns to zero are
 Gaussian / Rayleigh / negative binomial across the supercritical, critical
 and subcritical cases, and the final altitude of surviving walks is
 discrete / half-normal-or-Rayleigh / Gaussian across drift signs.
+
+A fit walks the exact CDF once, building one (x, exact CDF, law CDF) row
+per support point; the sup distance is taken over those rows, and they are
+the rows ``fit --plot`` prints, so plotting costs no second DP. The
+discrete law has no CDF and is rejected before any DP runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .asymptotics import (
-    Criticality,
-    DriftSign,
-    classify,
-    require_aperiodic,
-    require_lukasiewicz,
-)
+from .asymptotics import Criticality, DriftSign, _constants_and_class
 from .enumeration import (
     meander_distribution,
     returns_moments,
@@ -62,6 +62,7 @@ class FitReport:
     sup_distance: float
     tolerance: float
     passed: bool
+    curve: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -100,10 +101,7 @@ def supercritical_returns_variance_rate(rho1: float, gamma: float, alpha2: float
 
 def returns_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the number of returns to zero of excursions."""
-    require_aperiodic(model)
-    require_lukasiewicz(model)
-    sc = structural_constants(model)
-    cls = classify(model, sc)
+    sc, cls = _constants_and_class(model)
     if cls.criticality is Criticality.SUPERCRITICAL:
         assert sc.rho1 is not None and sc.gamma is not None and sc.alpha2 is not None
         printed = (
@@ -144,10 +142,7 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
 
 def final_altitude_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the final altitude of surviving walks."""
-    require_aperiodic(model)
-    require_lukasiewicz(model)
-    sc = structural_constants(model)
-    cls = classify(model, sc)
+    sc, cls = _constants_and_class(model)
     ddP1 = float(model.P.derivative().derivative()(Fraction(1)))
     if cls.drift_sign is DriftSign.POSITIVE:
         return LimitLawSpec(
@@ -194,16 +189,12 @@ def _distribution_points(model: WalkModel, statistic: Statistic, n: int, mode: s
     return [(k, float(p)) for k, p in sorted(dist.prob.items())]
 
 
-def _continuous_cdf(law: LimitLawSpec) -> Callable[[float], float]:
-    if law.family == "gaussian":
-        return std_normal_cdf
-    if law.family == "rayleigh":
-        scale = float(law.params.get("scale", 1.0))
-        return lambda x: rayleigh_cdf(x, scale)
-    if law.family == "half-normal":
-        scale = float(law.params.get("scale", 1.0))
-        return lambda x: half_normal_cdf(x, scale)
-    raise LatticePathError(f"no continuous CDF for law family {law.family!r}")
+# the continuous families, as (x, scale) -> CDF at x
+_CONTINUOUS_CDF: dict[str, Callable[[float, float], float]] = {
+    "gaussian": lambda x, scale: std_normal_cdf(x),
+    "rayleigh": rayleigh_cdf,
+    "half-normal": half_normal_cdf,
+}
 
 
 def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
@@ -228,63 +219,74 @@ def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
     return lambda k: float(k)
 
 
-def kolmogorov_distance(points: list[tuple[int, float]], law: LimitLawSpec, n: int) -> float:
-    """Sup distance between the distribution's CDF and the law's CDF.
-
-    Continuous laws are compared at both sides of every jump of the exact
-    CDF; discrete laws are compared pointwise on the integer support.
-    """
-    if not points:
-        raise LatticePathError("empty distribution")
+def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
+            ) -> Callable[[int], tuple[float, float]]:
+    """k -> (x, law CDF at x) for a support point k of the distribution."""
     if law.family == "negbin2":
         lam = float(law.params["lam"])
         shift = 1 if law.normalization == NORM_SHIFT_ONE else 0
-        cum = 0.0
-        worst = 0.0
-        for k, p in points:
-            cum += p
-            worst = max(worst, abs(cum - negbin2_cdf(lam, k - shift)))
-        return worst
+        return lambda k: (float(k - shift), negbin2_cdf(lam, k - shift))
     if law.family == "empirical":
         table = sorted(law.params["cdf_points"])
+        keys = [k for k, _ in table]
 
-        def emp_cdf(k: int) -> float:
-            val = 0.0
-            for kk, f in table:
-                if kk > k:
-                    break
-                val = f
-            return val
+        def empirical_at(k: int) -> tuple[float, float]:
+            i = bisect.bisect_right(keys, k)
+            return float(k), table[i - 1][1] if i else 0.0
 
-        cum = 0.0
-        worst = 0.0
-        for k, p in points:
-            cum += p
-            worst = max(worst, abs(cum - emp_cdf(k)))
-        for k, f in table:
-            worst = max(worst, abs(_cdf_at(points, k) - f))
-        return worst
-    if law.family == "discrete":
-        raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
-    cdf = _continuous_cdf(law)
+        return empirical_at
+    cdf = _CONTINUOUS_CDF.get(law.family)
+    if cdf is None:
+        raise LatticePathError(f"no continuous CDF for law family {law.family!r}")
+    scale = float(law.params.get("scale", 1.0))
     x_of = _normalizer(law, n, points)
-    cum = 0.0
-    worst = 0.0
-    for k, p in points:
+
+    def continuous_at(k: int) -> tuple[float, float]:
         x = x_of(k)
-        worst = max(worst, abs(cum - cdf(x)))
-        cum += p
-        worst = max(worst, abs(cum - cdf(x)))
-    return worst
+        return x, cdf(x, scale)
+
+    return continuous_at
 
 
-def _cdf_at(points: list[tuple[int, float]], k: int) -> float:
+def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int
+              ) -> list[tuple[float, float, float]]:
+    """(x, exact CDF, law CDF) at every support point, in order of k.
+
+    An empirical law's rows run over the union of the distribution's
+    support and the table's, so both step functions are compared at every
+    jump of either.
+    """
+    if not points:
+        raise LatticePathError("empty distribution")
+    at = _law_at(law, n, points)
+    if law.family == "empirical":
+        extra = {k for k, _ in law.params["cdf_points"]} - {k for k, _ in points}
+        points = sorted([*points, *((k, 0.0) for k in extra)])
+    rows = []
     cum = 0.0
-    for kk, p in points:
-        if kk > k:
-            break
+    for k, p in points:
         cum += p
-    return cum
+        x, law_cdf = at(k)
+        rows.append((x, cum, law_cdf))
+    return rows
+
+
+def kolmogorov_distance(rows: list[tuple[float, float, float]], law: LimitLawSpec) -> float:
+    """Sup distance between the exact CDF and the law's CDF over the rows.
+
+    A continuous law is compared at both sides of every jump of the exact
+    CDF: the left limit is the previous row's exact CDF. Step laws are
+    compared at the rows only.
+    """
+    continuous = law.family in _CONTINUOUS_CDF
+    worst = 0.0
+    left = 0.0
+    for _, exact, at_law in rows:
+        if continuous:
+            worst = max(worst, abs(left - at_law))
+        worst = max(worst, abs(exact - at_law))
+        left = exact
+    return worst
 
 
 def fit(
@@ -295,15 +297,21 @@ def fit(
     mode: str = "float",
     tolerance: float = 0.05,
 ) -> FitReport:
-    """Measure the exact length-n distribution against a limit law."""
+    """Measure the exact length-n distribution against a limit law.
+
+    The law defaults to the regime's law for the statistic; the discrete
+    law has no CDF and is rejected before the DP runs.
+    """
     if law is None:
         law = (
             returns_law(model)
             if statistic is Statistic.RETURNS_TO_ZERO
             else final_altitude_law(model)
         )
-    points = _distribution_points(model, statistic, n, mode)
-    distance = kolmogorov_distance(points, law, n)
+    if law.family == "discrete":
+        raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
+    rows = _cdf_rows(_distribution_points(model, statistic, n, mode), law, n)
+    distance = kolmogorov_distance(rows, law)
     return FitReport(
         statistic=statistic,
         n=n,
@@ -311,6 +319,7 @@ def fit(
         sup_distance=distance,
         tolerance=tolerance,
         passed=distance <= tolerance,
+        curve=tuple(rows),
     )
 
 
@@ -321,32 +330,11 @@ def fit_curve(
     law: Optional[LimitLawSpec] = None,
     mode: str = "float",
 ) -> list[tuple[float, float, float]]:
-    """(x, exact CDF, law CDF) rows at the support points, for plotting."""
-    if law is None:
-        law = (
-            returns_law(model)
-            if statistic is Statistic.RETURNS_TO_ZERO
-            else final_altitude_law(model)
-        )
-    points = _distribution_points(model, statistic, n, mode)
-    if law.family == "negbin2":
-        lam = float(law.params["lam"])
-        shift = 1 if law.normalization == NORM_SHIFT_ONE else 0
-        rows = []
-        cum = 0.0
-        for k, p in points:
-            cum += p
-            rows.append((float(k - shift), cum, negbin2_cdf(lam, k - shift)))
-        return rows
-    cdf = _continuous_cdf(law)
-    x_of = _normalizer(law, n, points)
-    rows = []
-    cum = 0.0
-    for k, p in points:
-        cum += p
-        x = x_of(k)
-        rows.append((x, cum, cdf(x)))
-    return rows
+    """(x, exact CDF, law CDF) rows at the support points, for plotting.
+
+    These are the rows whose sup distance ``fit`` reports.
+    """
+    return list(fit(model, statistic, n, law, mode).curve)
 
 
 def moment_summary(model: WalkModel, statistic: Statistic, n: int, mode: str = "float"):

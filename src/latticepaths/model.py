@@ -124,6 +124,10 @@ class LaurentPolynomial:
         )
 
     def nonneg_part(self) -> "LaurentPolynomial":
+        return self._nonneg_part
+
+    @cached_property
+    def _nonneg_part(self) -> "LaurentPolynomial":
         return LaurentPolynomial.from_terms(
             ((e, c) for e, c in self.terms() if e >= 0),
             allow_negative_coeffs=True,
@@ -170,6 +174,24 @@ class WalkModel:
     @cached_property
     def P0geq(self) -> LaurentPolynomial:
         return self.P0.nonneg_part()
+
+    @cached_property
+    def boundary_corrections(self) -> tuple[LaurentPolynomial, ...]:
+        """r_0..r_{c-1}: a small branch u of the kernel turns the functional
+        equation into sum_k r_k(u) F_k = 1/z, with r_0 = P - P0geq and
+        r_k = sum over j <= -k-1 of p_j u**(j+k)."""
+        r0 = LaurentPolynomial.from_terms(
+            [(e, p) for e, p in self.P.terms()]
+            + [(e, -p) for e, p in self.P0geq.terms()],
+            allow_negative_coeffs=True,
+        )
+        return (r0,) + tuple(
+            LaurentPolynomial.from_terms(
+                ((j + k, p) for j, p in self.P.terms() if j <= -k - 1),
+                allow_negative_coeffs=True,
+            )
+            for k in range(1, self.c)
+        )
 
     @property
     def c(self) -> int:

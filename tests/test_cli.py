@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from latticepaths import enumeration
-from latticepaths.cli import run
+from latticepaths import enumeration, laws
+from latticepaths.cli import fmt, run
 from conftest import MODELS_DIR
 
 DYCK = str(MODELS_DIR / "dyck_reflection.model")
@@ -158,6 +158,21 @@ def test_fit_output_and_plot(capsys):
     )
     assert code == 0
     assert "# x\texact_cdf\tlaw_cdf" in out
+
+
+def test_fit_plot_prints_the_measured_rows_from_one_dp(capsys, models, monkeypatch):
+    argv = ["fit", "--n", "300", "--what", "final-alt", MOTZ_A]
+    _, fit_out, _ = invoke(capsys, *argv)
+    calls = []
+    dp = laws.meander_distribution
+    monkeypatch.setattr(laws, "meander_distribution",
+                        lambda *a, **k: calls.append(a) or dp(*a, **k))
+    code, out, _ = invoke(capsys, *argv, "--plot")
+    assert code == 0
+    assert len(calls) == 1
+    rows = laws.fit_curve(models["motzkin_absorption"], laws.Statistic.FINAL_ALTITUDE, 300)
+    plot = "".join("\t".join(fmt(c) for c in row) + "\n" for row in rows)
+    assert out == fit_out + "# x\texact_cdf\tlaw_cdf\n" + plot
 
 
 def test_table2_dyck(capsys):

@@ -310,3 +310,22 @@ def test_rho1_of_reflecting_negative_drift_is_one(models):
         sc = structural_constants(models[name])
         assert sc.delta < 0
         assert sc.rho1 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_boundary_polynomials_are_built_once_per_model(models, monkeypatch):
+    from latticepaths.model import LaurentPolynomial
+
+    from_terms = LaurentPolynomial.from_terms.__func__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return from_terms(cls, *args, **kwargs)
+
+    for model in models.values():
+        first = (solve_boundary_gfs(model, 0.2), perturbation_identity_residual(model, 0.2))
+        monkeypatch.setattr(LaurentPolynomial, "from_terms", classmethod(counted))
+        again = (solve_boundary_gfs(model, 0.2), perturbation_identity_residual(model, 0.2))
+        monkeypatch.undo()
+        assert again == first
+        assert built == [], str(model.P)

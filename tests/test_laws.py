@@ -6,6 +6,7 @@ import pytest
 
 from latticepaths import (
     InconsistentCaseError,
+    LatticePathError,
     LimitLawSpec,
     PeriodicModelError,
     Statistic,
@@ -17,8 +18,10 @@ from latticepaths import (
     returns_law,
     returns_to_zero_distribution,
 )
+from latticepaths import laws
 from latticepaths.laws import (
     NORM_RETURNS_CRITICAL,
+    NORM_SHIFT_ONE,
     fit_curve,
     half_normal_cdf,
     negbin2_cdf,
@@ -28,6 +31,108 @@ from latticepaths.laws import (
     supercritical_returns_variance_rate,
 )
 from latticepaths.enumeration import returns_moments
+from conftest import MODEL_NAMES
+
+
+def reference_kolmogorov_distance(points, law, n):
+    """The three-branch sup distance that ``laws.fit`` must reproduce exactly."""
+    if not points:
+        raise LatticePathError("empty distribution")
+    if law.family == "negbin2":
+        lam = float(law.params["lam"])
+        shift = 1 if law.normalization == NORM_SHIFT_ONE else 0
+        cum = 0.0
+        worst = 0.0
+        for k, p in points:
+            cum += p
+            worst = max(worst, abs(cum - negbin2_cdf(lam, k - shift)))
+        return worst
+    if law.family == "empirical":
+        table = sorted(law.params["cdf_points"])
+
+        def emp_cdf(k):
+            val = 0.0
+            for kk, f in table:
+                if kk > k:
+                    break
+                val = f
+            return val
+
+        def cdf_at(k):
+            cum = 0.0
+            for kk, p in points:
+                if kk > k:
+                    break
+                cum += p
+            return cum
+
+        cum = 0.0
+        worst = 0.0
+        for k, p in points:
+            cum += p
+            worst = max(worst, abs(cum - emp_cdf(k)))
+        for k, f in table:
+            worst = max(worst, abs(cdf_at(k) - f))
+        return worst
+    if law.family == "discrete":
+        raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
+    scale = float(law.params.get("scale", 1.0))
+    cdf = {
+        "gaussian": std_normal_cdf,
+        "rayleigh": lambda x: rayleigh_cdf(x, scale),
+        "half-normal": lambda x: half_normal_cdf(x, scale),
+    }[law.family]
+    x_of = laws._normalizer(law, n, points)
+    cum = 0.0
+    worst = 0.0
+    for k, p in points:
+        x = x_of(k)
+        worst = max(worst, abs(cum - cdf(x)))
+        cum += p
+        worst = max(worst, abs(cum - cdf(x)))
+    return worst
+
+
+def _regime_law(model, statistic):
+    if statistic is Statistic.RETURNS_TO_ZERO:
+        return returns_law(model)
+    return final_altitude_law(model)
+
+
+def test_fit_matches_reference_distance(models):
+    checked = 0
+    for name in MODEL_NAMES:
+        model = models[name]
+        for statistic in Statistic:
+            try:
+                law = _regime_law(model, statistic)
+            except LatticePathError:
+                continue  # periodic or multi-down: no regime law
+            if law.family == "discrete":
+                continue
+            for n, mode in ((250, "float"), (2000, "float"), (24, "exact")):
+                points = laws._distribution_points(model, statistic, n, mode)
+                report = fit(model, statistic, n, mode=mode)
+                assert report.sup_distance == reference_kolmogorov_distance(points, law, n)
+                checked += 1
+    assert checked == 11 * 3
+
+
+def test_empirical_fit_matches_reference_distance(models):
+    for name in MODEL_NAMES:
+        model = models[name]
+        for statistic in Statistic:
+            for n, mode in ((60, "float"), (16, "exact")):
+                points = laws._distribution_points(model, statistic, n, mode)
+                tables = (
+                    dict(points),
+                    {k + 1: p for k, p in points},
+                    dict(points[::2]),
+                )
+                for table in tables:
+                    law = empirical_law(table)
+                    report = fit(model, statistic, n, law=law, mode=mode)
+                    assert report.sup_distance == reference_kolmogorov_distance(points, law, n)
 
 
 def test_law_selection(models):
@@ -134,9 +239,16 @@ def test_fit_distances_shrink(models):
         assert distances[-1] < distances[0]
 
 
-def test_fit_discrete_law_has_no_cdf(models):
-    with pytest.raises(InconsistentCaseError):
-        fit(models["supercritical_drift_down"], Statistic.FINAL_ALTITUDE, 200)
+def test_fit_discrete_law_has_no_cdf(models, monkeypatch):
+    calls = []
+    for name in ("meander_distribution", "returns_to_zero_distribution"):
+        dp = getattr(laws, name)
+        monkeypatch.setattr(laws, name, lambda *a, dp=dp, **k: calls.append(a) or dp(*a, **k))
+    for measure in (fit, fit_curve):
+        with pytest.raises(InconsistentCaseError, match="no closed-form CDF"):
+            measure(models["supercritical_drift_down"], Statistic.FINAL_ALTITUDE, 200)
+    # rejected before any DP runs
+    assert calls == []
 
 
 def test_fit_curve_rows(models):
@@ -145,6 +257,18 @@ def test_fit_curve_rows(models):
     assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
     xs = [x for x, _, _ in rows]
     assert xs == sorted(xs)
+
+
+def test_fit_curve_accepts_empirical_law(models):
+    model = models["motzkin_reflection"]
+    dist = returns_to_zero_distribution(model, 30, "float")
+    law = empirical_law({k + 1: p for k, p in dist.prob.items()})
+    rows = fit_curve(model, Statistic.RETURNS_TO_ZERO, 30, law=law)
+    report = fit(model, Statistic.RETURNS_TO_ZERO, 30, law=law)
+    assert rows == list(report.curve)
+    assert laws.kolmogorov_distance(rows, law) == report.sup_distance > 0.0
+    # the rows run over the union of both supports
+    assert [x for x, _, _ in rows] == sorted(set(dist.prob) | {k + 1 for k in dist.prob})
 
 
 def test_moment_summary_examples(models):
