@@ -41,8 +41,14 @@ def fmt(value) -> str:
     return str(value)
 
 
+# ``fmt`` for the cell types of nearly every row, keyed on the exact type, so
+# that bools and other int subclasses still go through ``fmt``, and a float
+# or int row skips its isinstance checks against the Fraction ABC
+_FORMAT_BY_TYPE = {float: lambda value: f"{value:.12g}", int: str}
+
+
 def _print_row(*cells) -> None:
-    print("\t".join(fmt(c) for c in cells))
+    print("\t".join(_FORMAT_BY_TYPE.get(type(c), fmt)(c) for c in cells))
 
 
 def _cmd_validate(args) -> int:

@@ -18,6 +18,14 @@ runs the same updates on float64. Each step touches only the live window of
 rows that can be non-zero, between two reused arrays; rows that are exactly
 zero (unreachable, or underflowed in float mode) drop out of it, so the
 results are those of a full-width update, bit for bit.
+
+A step is a fixed number of numpy calls, whatever the number of jumps: a
+read-only strided view of the zero-padded state stacks the source rows of
+every jump, one multiply by the dense jump weights fills one term row per
+jump, and one reduce along the rows adds them into the new state. The
+reduce adds the boundary row first and then the jumps in ascending order,
+the order of a term-by-term update, and the zeros it adds besides (padding,
+absent jumps) are exact, so float results keep every bit.
 """
 
 from __future__ import annotations
@@ -118,28 +126,31 @@ def _scaled_terms(poly: LaurentPolynomial, den: int) -> list[tuple[int, int]]:
 
 
 class _Arithmetic:
-    """The number system one DP runs in.
+    """The number system one DP runs in, and the model's weights in it.
 
     Exact: weights are Python ints over ``den`` held in ``object`` arrays,
     so a mass accumulated over t steps is an integer over den**t. Float:
-    float64 weights and arrays, with den = 1.
+    float64 weights and arrays, with den = 1. ``stencil`` holds the bulk
+    weights of jumps -c..d in ascending order and ``rim`` the boundary
+    weights of jumps 0..P0geq.hi (negative boundary jumps are absorbed),
+    both dense, with 0 for an absent jump.
     """
 
     def __init__(self, model: WalkModel, mode: Mode):
         _check_mode(mode)
         self.exact = mode == "exact"
+        self.den = _denominator(model) if self.exact else 1
+        self.dtype: type = object if self.exact else float
+        self.stencil = self._dense(model.P, min(model.P.lo, 0))
+        self.rim = self._dense(model.P0geq, 0)
+
+    def _dense(self, poly: LaurentPolynomial, lo: int) -> np.ndarray:
+        """The weights of the jumps lo..poly.hi, for lo <= poly.lo."""
+        coeffs = (Fraction(0),) * (poly.lo - lo) + poly.coeffs
         if self.exact:
-            self.den = _denominator(model)
-            self.dtype: type = object
-            bulk = _scaled_terms(model.P, self.den)
-            rim = _scaled_terms(model.P0, self.den)
-        else:
-            self.den = 1
-            self.dtype = float
-            bulk = [(j, float(p)) for j, p in model.P.terms()]
-            rim = [(j, float(p)) for j, p in model.P0.terms()]
-        self.bulk = bulk
-        self.rim = [(j, p) for j, p in rim if j >= 0]  # negative boundary jumps are absorbed
+            scaled = [p.numerator * (self.den // p.denominator) for p in coeffs]
+            return np.array(scaled, dtype=object)
+        return np.array([float(p) for p in coeffs])
 
     def value(self, x, t: int) -> Number:
         """A mass accumulated over t steps, in the mode's output type."""
@@ -163,54 +174,95 @@ def _ignore(t: int, vec: np.ndarray) -> None:
 
 
 def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, np.ndarray], None],
-          *, free: bool = False, trail: tuple[int, ...] = (),
-          at_zero: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+          *, free: bool = False, start=1,
+          at_zero: Optional[Callable[[np.ndarray], None]] = None) -> np.ndarray:
     """Run n steps from altitude 0 and return the final state.
 
-    The state is indexed by altitude, with an optional trailing axis of
-    shape ``trail`` that every step carries along; it starts as 1 at
-    altitude 0 and trailing index 0. After each step the row at altitude 0
-    becomes ``at_zero(row)``, if given, and then ``on_step(t, state)`` runs;
-    it may modify the state but must not keep a reference to it, because
-    the engine reuses the array two steps later. With ``free`` the walk
-    lives on Z with no boundary (only P applies) and altitude 0 sits at
-    index ``n * c``.
+    The state is indexed by altitude. Row 0 starts as ``start``, a scalar
+    or a row whose shape is a trailing axis that every step carries along;
+    every other row starts at 0. After each step ``at_zero(row)``, if
+    given, updates the row at altitude 0 in place, and then
+    ``on_step(t, state)`` runs; it may modify the state but must not keep a
+    reference to it, because the engine reuses the array two steps later.
+    With ``free`` the walk lives on Z with no boundary (only P applies) and
+    altitude 0 sits at index ``n * c``.
 
     Only the live window ``[lo, hi]`` of rows that can be non-zero is
     stepped: it widens by the largest jumps each step and is then trimmed
-    past rows that are exactly zero, which add nothing, so every state is
-    the same as a full-width update would give.
+    past rows that are exactly zero. A step is a fixed number of numpy
+    calls, whatever the number of jumps. Each state buffer has d zero rows
+    below and c above, so a read-only strided view ``S[k, i] = state[i -
+    j_k]`` stacks the sources of every jump j_k = -c..d; one multiply by
+    the dense stencil fills one term row per jump, and one reduce over the
+    rows adds them into the new window. On the bounded walk row 0 steps
+    with P0 instead: its boundary terms go in a term row of their own, put
+    first, and row 0 of the source is zeroed before the bulk multiply.
+
+    Every float state is bit for bit the full-width, term-by-term update
+    (boundary terms, then the jumps in ascending order, each added to a
+    zeroed row): a reduce along the leading axis adds the rows in that
+    order, and padding rows, absent jumps, the zeroed row 0 and rows
+    outside the window add an exact +0.0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    start = np.asarray(start, dtype=arith.dtype)
+    trail = start.shape
     # the bounded walk's lo falls too: trimming can lift it off row 0, which
     # a period-2 walk leaves empty after every other step
-    fall = model.c
+    fall = max(model.c, 0)
     if free:
-        rise, first, lo = model.d, 0, n * fall
+        if model.c < 0 or model.d < 0:
+            # altitude 0 sits at index n * c, after the n * c rows below it
+            raise InvalidModelError("the walk on Z needs P to have a jump <= 0 and a jump >= 0")
+        rise, lo = model.d, n * fall
     else:
-        rise, first, lo = _max_rise(model), 1, 0  # row 0 steps with the boundary
+        rise, lo = _max_rise(model), 0
     size = lo + n * rise + 1
+    top = size - 1
+    below = max(model.d, 0)  # zero rows that the top jump reads below row 0
+    pair = np.zeros((2, below + size + fall) + trail, dtype=arith.dtype)
+    row = pair.strides[1]
+    stacks = np.lib.stride_tricks.as_strided(
+        pair[:, below + fall:], shape=(2, len(arith.stencil), size) + trail,
+        strides=(pair.strides[0], -row, row) + pair.strides[2:], writeable=False)
+    vec, new = pair[:, below : below + size]
+    stack, spare = stacks
+    # rows 1.. are written before they are read, so only row 0 (zero past
+    # the rim) is cleared: pages outside the windows are never touched
+    terms = np.empty((len(arith.stencil) + 1, size) + trail, dtype=arith.dtype)
+    terms[0] = 0
+    bulk_terms = terms[1:]
+    rim_terms = terms[0, : len(arith.rim)]
+    ones = (1,) * len(trail)
+    stencil = arith.stencil.reshape((-1, 1) + ones)
+    rim = arith.rim.reshape((-1,) + ones)
+    vec[lo, ...] = start
     hi = lo
-    vec = np.zeros((size,) + trail, dtype=arith.dtype)
-    vec[(lo,) + (0,) * len(trail)] = 1
-    new = np.zeros_like(vec)
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
     nonzero = any if trail else bool  # per row: cheaper each step than ndarray.any() on a slice
     for t in range(1, n + 1):
-        new[old_lo : old_hi + 1] = 0
-        if not free and lo == 0:
-            for j, p in arith.rim:
-                new[j] += p * vec[0]
-        for j, p in arith.bulk:
-            src = max(lo, first, -j)
-            if src <= hi:
-                new[src + j : hi + j + 1] += p * vec[src : hi + 1]
+        wlo = lo - fall if lo > fall else 0  # max() and min() calls cost more
+        whi = hi + rise if hi + rise < top else top
+        if old_lo < wlo:
+            new[old_lo:wlo] = 0
+        if old_hi > whi:
+            new[whi + 1 : old_hi + 1] = 0
+        rows = bulk_terms
+        if lo == 0 and not free:  # row 0 steps with the boundary
+            np.multiply(rim, vec[0], rim_terms)
+            vec[0] = 0
+            rows = terms
+        # out (and the reduce's axis and dtype) passed by position: keywords
+        # cost more per call
+        np.multiply(stack[:, wlo : whi + 1], stencil, bulk_terms[:, wlo : whi + 1])
+        np.add.reduce(rows[:, wlo : whi + 1], 0, None, new[wlo : whi + 1])
         vec, new = new, vec
+        stack, spare = spare, stack
         old_lo, old_hi = lo, hi
-        lo, hi = max(lo - fall, 0), min(hi + rise, size - 1)
+        lo, hi = wlo, whi
         if at_zero is not None:
-            vec[0] = at_zero(vec[0])
+            at_zero(vec[0])
         on_step(t, vec)
         while hi > lo and not nonzero(vec[hi]):
             hi -= 1
@@ -260,7 +312,8 @@ def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 
 
 def meander_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
-    return meander_mass_series(model, n, mode)[n]
+    arith = _Arithmetic(model, mode)
+    return arith.value(_walk(model, n, arith, _ignore).sum(), n)
 
 
 def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
@@ -333,18 +386,21 @@ def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 # ---------------------------------------------------------------------------
 
 
-def _count_return(row: np.ndarray) -> np.ndarray:
+def _count_return(row: np.ndarray) -> None:
     """Row of masses by return count: arriving at 0 shifts every count up by one."""
-    out = np.zeros_like(row)
-    out[1:] = row[:-1]
-    return out
+    row[1:] = row[:-1]
+    row[0] = 0
 
 
-def _count_return_moments(row: np.ndarray) -> np.ndarray:
+def _count_return_moments(row: np.ndarray) -> None:
     """Row (m0, m1, m2) of the count's moments: one more return maps it to
     (m0, m1 + m0, m2 + 2 m1 + m0)."""
     m0, m1, m2 = row
-    return np.array([m0, m1 + m0, m2 + 2 * m1 + m0], dtype=row.dtype)
+    row[1] = m1 + m0
+    row[2] = m2 + 2 * m1 + m0
+
+
+_MOMENTS_START = (1, 0, 0)  # one excursion of length 0, with no return
 
 
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
@@ -358,7 +414,7 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
     if mode == "float":
         return _returns_float(model, n)
     row = _walk(model, n, _Arithmetic(model, mode), _ignore,
-                trail=(n + 1,), at_zero=_count_return)[0]
+                start=[1] + [0] * n, at_zero=_count_return)[0]
     e_n = row.sum()  # row and e_n are integers over the same D**n, which cancels
     if e_n == 0:
         raise LatticePathError(f"no excursion of length {n}")
@@ -366,16 +422,29 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
 
 
 def _returns_float(model: WalkModel, n: int) -> ReturnsDistribution:
-    # An excursion with exactly k returns is a k-sequence of arches, so the
-    # unnormalized weight of k returns is the nth coefficient of the kth
-    # convolution power of the arch series.
-    arch = np.array(arch_series(model, n, "float"), dtype=float)
-    e = excursion_series(model, n, "float")
-    e_n = float(e[n])
+    # one walk carries two columns: the excursions, and the arches, whose
+    # row 0 is recorded and cleared as in ``arch_series``
+    arch = [0.0]
+
+    def record(t, vec):
+        arch.append(float(vec[0, 1]))
+        vec[0, 1] = 0.0
+
+    e_n = float(_walk(model, n, _Arithmetic(model, "float"), record, start=(1, 1))[0, 0])
+    return _returns_from_arches(arch, e_n, n)
+
+
+def _returns_from_arches(arch: list[float], e_n: float, n: int) -> ReturnsDistribution:
+    """The float returns law from the arch series a_0..a_n and the mass e_n.
+
+    An excursion with exactly k returns is a k-sequence of arches, so the
+    unnormalized weight of k returns is the nth coefficient of the kth
+    convolution power of the arch series.
+    """
     if e_n <= 0.0:
         raise LatticePathError(f"no excursion of length {n}")
     size = 1 << (2 * (n + 1) - 1).bit_length()
-    fa = np.fft.rfft(arch, size)
+    fa = np.fft.rfft(np.array(arch), size)
     w = np.zeros(n + 1)
     w[0] = 1.0
     prob: dict[int, float] = {}
@@ -404,7 +473,8 @@ def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Num
     if n == 0:
         zero = arith.value(0, 0)
         return zero, zero
-    w0, w1, w2 = _walk(model, n, arith, _ignore, trail=(3,), at_zero=_count_return_moments)[0]
+    w0, w1, w2 = _walk(model, n, arith, _ignore, start=_MOMENTS_START,
+                       at_zero=_count_return_moments)[0]
     if not w0:
         raise LatticePathError(f"no excursion of length {n}")
     mean = arith.ratio(w1, w0)
@@ -423,7 +493,7 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
         m0, m1, _ = vec[0]
         out.append(arith.ratio(m1, m0) if m0 else None)
 
-    _walk(model, n, arith, record, trail=(3,), at_zero=_count_return_moments)
+    _walk(model, n, arith, record, start=_MOMENTS_START, at_zero=_count_return_moments)
     return out
 
 

@@ -12,7 +12,8 @@ The excursion pole rho1 is found in the branch variable: on (0, rho) the
 real small branch satisfies z = 1/P(u1(z)), so the boundary denominator
 1 - z*P0geq(u1(z)) vanishes exactly where P0geq(u) = P(u). Its root u* on
 (0, tau) is a root of a Laurent polynomial, found without any branch
-solve, and rho1 = 1/P(u*).
+solve, and rho1 = 1/P(u*); u* is also the small branch at rho1 from which
+alpha and alpha2 are derived, so the branch is not solved again there.
 """
 
 from __future__ import annotations
@@ -282,9 +283,9 @@ class StructuralConstants:
     there is none; sign (+1, 0, -1) is the sign of P0geq(tau) - P(tau)
     that decides this, exact when tau = 1. rho1 = 1/P(u*), where u* in
     (0, tau) solves P0geq(u) = P(u). kappa = C*rho*(P0geq)'(tau).
-    alpha, alpha2 are the first two z-derivatives of P0geq(u1(z)) at rho1
-    and gamma = 1/(alpha*rho1**2+1) is the residue weight of the excursion
-    pole. E_at_rho, E_at_1 are values of the excursion series where finite,
+    alpha, alpha2 are the first two z-derivatives of P0geq(u1(z)) at rho1,
+    taken at u1 = u*, and gamma = 1/(alpha*rho1**2+1) is the residue
+    weight of the excursion pole. E_at_rho, E_at_1 are values of the excursion series where finite,
     and r is the boundary part of the altitude derivative at rho used by the
     negative-drift expectation cell.
     """
@@ -355,9 +356,14 @@ def boundary_denominator(model: WalkModel, z: float) -> float:
     return 1.0 - z * float(model.P0geq(u1))
 
 
-def u1_derivatives(model: WalkModel, z: float) -> tuple[float, float, float]:
-    """(u1, u1', u1'') from implicit differentiation of 1 = z*P(u1)."""
-    u1 = small_branch_u1(model, z)
+def u1_derivatives(model: WalkModel, z: float, u1: Optional[float] = None
+                   ) -> tuple[float, float, float]:
+    """(u1, u1', u1'') from implicit differentiation of 1 = z*P(u1).
+
+    ``u1``, if given, is the small branch at z, which is then not solved again.
+    """
+    if u1 is None:
+        u1 = small_branch_u1(model, z)
     dP = model.P.derivative()
     ddP = dP.derivative()
     d1 = float(dP(u1))
@@ -368,9 +374,10 @@ def u1_derivatives(model: WalkModel, z: float) -> tuple[float, float, float]:
     return u1, du1, ddu1
 
 
-def composed_boundary_derivatives(model: WalkModel, z: float) -> tuple[float, float]:
-    """First and second z-derivative of P0geq(u1(z))."""
-    u1, du1, ddu1 = u1_derivatives(model, z)
+def composed_boundary_derivatives(model: WalkModel, z: float, u1: Optional[float] = None
+                                  ) -> tuple[float, float]:
+    """First and second z-derivative of P0geq(u1(z)); ``u1`` as in ``u1_derivatives``."""
+    u1, du1, ddu1 = u1_derivatives(model, z, u1)
     dq = model.P0geq.derivative()
     ddq = dq.derivative()
     first = float(dq(u1)) * du1
@@ -393,14 +400,17 @@ def _criticality_sign(model: WalkModel, tau: float) -> int:
     return 0
 
 
-def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int) -> Optional[float]:
+def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
+               ) -> tuple[Optional[float], Optional[float]]:
+    """(rho1, u*) with rho1 = 1/P(u*) and u* the small branch there; u* is
+    None when rho1 is rho or does not exist."""
     if sign < 0:
-        return None
+        return None, None
     if sign == 0:
-        return rho
+        return rho, None
     if boundary_denominator(model, rho * (1.0 - 1e-12)) > 0:
         # tangency within tolerance; treat as the critical point rho
-        return rho
+        return rho, None
     # D(1/P(u)) = (P(u) - P0geq(u))/P(u) for u in (0, tau): same sign as h
     P, Q = model.P, model.P0geq
     dP, dQ = P.derivative(), Q.derivative()
@@ -433,7 +443,7 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int) -> Optional[
         if nxt == u or not (0 < nxt < tau):
             break
         u = nxt
-    return 1.0 / P(u)
+    return 1.0 / P(u), u
 
 
 def _altitude_derivative_ratio(model: WalkModel, z: float, u1: float, delta: float,
@@ -473,10 +483,10 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     lam = float(model.P0geq(tau)) / p_tau
     kappa = C * rho * float(dq(tau))
     sign = _criticality_sign(model, tau)
-    rho1 = _find_rho1(model, rho, tau, sign)
+    rho1, u_star = _find_rho1(model, rho, tau, sign)
     alpha = alpha2 = gamma = None
-    if sign > 0 and rho1 is not None and rho1 < rho * (1.0 - 1e-10):
-        alpha, alpha2 = composed_boundary_derivatives(model, rho1)
+    if u_star is not None and rho1 < rho * (1.0 - 1e-10):
+        alpha, alpha2 = composed_boundary_derivatives(model, rho1, u_star)
         gamma = 1.0 / (alpha * rho1 * rho1 + 1.0)
     E_at_rho = 1.0 / (1.0 - lam) if sign < 0 else None
     E_at_1 = None

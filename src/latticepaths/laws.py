@@ -27,7 +27,7 @@ from .enumeration import (
     returns_moments,
     returns_to_zero_distribution,
 )
-from .errors import InconsistentCaseError, LatticePathError
+from .errors import InconsistentCaseError, LatticePathError, NumericalSingularityError
 from .kernel import structural_constants
 from .model import WalkModel
 from fractions import Fraction
@@ -197,7 +197,7 @@ _CONTINUOUS_CDF: dict[str, Callable[[float, float], float]] = {
 }
 
 
-def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
+def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: str = "float"
                 ) -> Callable[[int], float]:
     if law.normalization == NORM_SQRT_N:
         root = math.sqrt(n)
@@ -211,7 +211,10 @@ def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
         mean = sum(k * p for k, p in points)
         var = sum(k * k * p for k, p in points) - mean * mean
         if var <= 0.0:
-            raise LatticePathError("degenerate distribution: zero variance")
+            # an exact point mass is the model's; a float one is a float DP
+            # that lost the distribution
+            error = LatticePathError if mode == "exact" else NumericalSingularityError
+            raise error("degenerate distribution: zero variance")
         sd = math.sqrt(var)
         return lambda k: (k - mean) / sd
     if law.normalization == NORM_SHIFT_ONE:
@@ -219,7 +222,7 @@ def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
     return lambda k: float(k)
 
 
-def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
+def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: str
             ) -> Callable[[int], tuple[float, float]]:
     """k -> (x, law CDF at x) for a support point k of the distribution."""
     if law.family == "negbin2":
@@ -239,7 +242,7 @@ def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
     if cdf is None:
         raise LatticePathError(f"no continuous CDF for law family {law.family!r}")
     scale = float(law.params.get("scale", 1.0))
-    x_of = _normalizer(law, n, points)
+    x_of = _normalizer(law, n, points, mode)
 
     def continuous_at(k: int) -> tuple[float, float]:
         x = x_of(k)
@@ -248,7 +251,7 @@ def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]]
     return continuous_at
 
 
-def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int
+def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int, mode: str
               ) -> list[tuple[float, float, float]]:
     """(x, exact CDF, law CDF) at every support point, in order of k.
 
@@ -258,7 +261,7 @@ def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int
     """
     if not points:
         raise LatticePathError("empty distribution")
-    at = _law_at(law, n, points)
+    at = _law_at(law, n, points, mode)
     if law.family == "empirical":
         extra = {k for k, _ in law.params["cdf_points"]} - {k for k, _ in points}
         points = sorted([*points, *((k, 0.0) for k in extra)])
@@ -310,7 +313,7 @@ def fit(
         )
     if law.family == "discrete":
         raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
-    rows = _cdf_rows(_distribution_points(model, statistic, n, mode), law, n)
+    rows = _cdf_rows(_distribution_points(model, statistic, n, mode), law, n, mode)
     distance = kolmogorov_distance(rows, law)
     return FitReport(
         statistic=statistic,

@@ -119,6 +119,19 @@ def test_gf_eval_beyond_rho_exits_two(capsys):
     assert "numerical" in err
 
 
+def test_fit_zero_variance_exit_code_follows_mode(capsys):
+    # at n = 3000 the float returns law collapses to one point, a numerical
+    # failure; at n = 2 every exact excursion has one return, which is the
+    # model's own point mass
+    drift_down = str(MODELS_DIR / "supercritical_drift_down.model")
+    code, _, err = invoke(capsys, "fit", "--n", "3000", "--what", "returns", drift_down)
+    assert code == 2
+    assert "zero variance" in err
+    code, _, err = invoke(capsys, "fit", "--n", "2", "--what", "returns", "--exact", drift_down)
+    assert code == 1
+    assert "zero variance" in err
+
+
 def test_asym_output(capsys):
     code, out, _ = invoke(capsys, "asym", "--n", "2000", "--what", "excursions", MOTZ_R)
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from latticepaths import (
     AltitudeDistribution,
     BoundaryRule,
+    InvalidModelError,
     LatticePathError,
     arch_mass,
     arch_series,
@@ -19,11 +20,13 @@ from latticepaths import (
     meander_distribution,
     meander_mass,
     meander_mass_series,
+    parse_model,
     path_probability,
     returns_to_zero_distribution,
     step,
 )
 from latticepaths.enumeration import (
+    _returns_from_arches,
     bridge_mass_series,
     bridge_paths,
     enumerate_meander_paths,
@@ -85,6 +88,11 @@ def test_bridge_examples(models):
     assert bridge_and_walk_mass(models["dyck_reflection"], 4) == (1, F(3, 8))
     assert bridge_and_walk_mass(models["dyck_reflection"], 0) == (1, 1)
     assert bridge_and_walk_mass(models["motzkin_reflection"], 2) == (1, F(1, 3))
+    # a walk that only rises has no altitude 0 among its rows on Z
+    rising = parse_model("P: 1:1/2 2:1/2\nP0: 1:1\n")
+    for mode in ("exact", "float"):
+        with pytest.raises(InvalidModelError):
+            bridge_mass_series(rising, 4, mode)
 
 
 def test_returns_examples(models):
@@ -240,18 +248,21 @@ def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_z
 
 
 @pytest.mark.parametrize("name,n", [(name, 3000) for name in MODEL_NAMES]
-                         + [("dyck_reflection", 2999), ("dyck_absorption", 2999)])
-def test_live_window_matches_full_width_float_dp(models, name, n):
+                         + [("dyck_reflection", 2999), ("dyck_absorption", 2999)]
+                         + [(f"random{i}", 1000) for i in range(12)])
+def test_live_window_matches_full_width_float_dp(models, random_models, name, n):
     # the engine steps only rows that can be non-zero; dropping exact zeros
     # must leave every float bit as the full-width DP has it, including for
-    # supercritical_drift_down, whose top rows underflow to 0, and for the
-    # period-2 Dyck models, whose row 0 is empty after every odd step
-    model = models[name]
+    # supercritical_drift_down, whose top rows underflow to 0, for the
+    # period-2 Dyck models, whose row 0 is empty after every odd step, and
+    # for the random models, with up to 7 jumps and absent jumps between
+    model = random_models[int(name[6:])] if name.startswith("random") else models[name]
     excursions = [1.0]
     final = _full_width_float_walk(model, n, lambda t, vec: excursions.append(float(vec[0])))
     assert meander_distribution(model, n, "float").mass == {
         k: float(w) for k, w in enumerate(final) if w}
     assert excursion_series(model, n, "float") == excursions
+    assert meander_mass(model, n, "float") == float(final.sum())
 
     arches = [0.0]
 
@@ -261,10 +272,24 @@ def test_live_window_matches_full_width_float_dp(models, name, n):
 
     _full_width_float_walk(model, n, record_arch)
     assert arch_series(model, n, "float") == arches
+    # the float returns law is the arch convolution powers over e_n
+    if excursions[n] > 0.0:
+        assert returns_to_zero_distribution(model, n, "float") == _returns_from_arches(
+            arches, excursions[n], n)
+    else:
+        with pytest.raises(LatticePathError):
+            returns_to_zero_distribution(model, n, "float")
+
+    means = [0.0]
+
+    def record_mean(t, vec):
+        m0, m1, _ = vec[0]
+        means.append(float(m1) / float(m0) if m0 else None)
 
     w0, w1, w2 = _full_width_float_walk(
-        model, n, trail=(3,),
+        model, n, record_mean, trail=(3,),
         at_zero=lambda row: np.array([row[0], row[1] + row[0], row[2] + 2 * row[1] + row[0]]))[0]
+    assert returns_mean_series(model, n, "float") == means
     if w0:
         mean = float(w1) / float(w0)
         assert returns_moments(model, n, "float") == (mean, float(w2) / float(w0) - mean * mean)

@@ -256,9 +256,10 @@ def test_u1_expansion_residuals(models):
         assert u1_expansion_check(model) < 10.0
 
 
-def test_structural_constants_makes_at_most_three_branch_solves(models, random_models, monkeypatch):
-    # rho1 is found in the branch variable; only the tangency probe below
-    # rho, alpha/alpha2 at rho1 and E(1) solve for the branches
+def test_structural_constants_makes_at_most_two_branch_solves(models, random_models, monkeypatch):
+    # rho1 is found in the branch variable, and alpha/alpha2 are taken at
+    # its root u*; only the tangency probe below rho and E(1) solve for the
+    # branches
     from latticepaths import kernel
 
     calls = []
@@ -272,7 +273,7 @@ def test_structural_constants_makes_at_most_three_branch_solves(models, random_m
     for model in list(models.values()) + random_models:
         calls.clear()
         structural_constants(model)
-        assert len(calls) <= 3, (str(model.P), str(model.P0), calls)
+        assert len(calls) <= 2, (str(model.P), str(model.P0), calls)
 
 
 def _z_bisection_rho1(model, rho):
@@ -302,6 +303,34 @@ def test_rho1_matches_z_space_bisection(models, random_models):
         assert sc.rho1 == pytest.approx(_z_bisection_rho1(model, sc.rho), rel=1e-12)
         assert abs(boundary_denominator(model, sc.rho1)) <= 1e-11
     assert checked >= 5
+
+
+def test_alpha2_near_tangency_matches_high_precision_reference():
+    # u* = 1.0346 sits next to tau = 1.0407, where alpha2 = 7.6e5 is badly
+    # conditioned: with u1 solved again at rho1 it is 1.3e-11 (relative) off
+    # the 50-digit value, at u* about 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    model = parse_model("P: -3:9/34 -1:7/34 0:2/17 1:2/17 2:3/17 3:2/17\nP0: -1:1/10 3:9/10\n")
+    sc = structural_constants(model)
+
+    def derivatives(poly):
+        terms = [(e, mpmath.mpf(c.numerator) / c.denominator) for e, c in poly.terms()]
+        return [lambda u, k=k: mpmath.fsum(c * mpmath.ff(e, k) * u ** (e - k) for e, c in terms)
+                for k in range(3)]
+
+    with mpmath.workdps(50):
+        (P, dP, ddP), (Q, dQ, ddQ) = derivatives(model.P), derivatives(model.P0geq)
+        lo, hi = mpmath.mpf(0.5), mpmath.findroot(dP, sc.tau)  # P > P0geq at 1/2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if P(mid) > Q(mid) else (lo, mid)
+        u = (lo + hi) / 2
+        z = 1 / P(u)
+        du = -1 / (z * z * dP(u))
+        ddu = -(2 * dP(u) * du + z * ddP(u) * du * du) / (z * dP(u))
+        alpha2 = ddQ(u) * du * du + dQ(u) * ddu
+        assert abs(sc.rho1 - z) <= 1e-15 * z
+        assert abs(sc.alpha2 - alpha2) <= 1e-12 * abs(alpha2)
 
 
 def test_rho1_of_reflecting_negative_drift_is_one(models):
