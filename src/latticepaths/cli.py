@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import asymptotics, enumeration, kernel, laws
 from .errors import (
@@ -32,8 +31,6 @@ EXIT_VERIFY_FAILED = 3
 def fmt(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, bool):
@@ -41,14 +38,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-# ``fmt`` for the cell types of nearly every row, keyed on the exact type, so
-# that bools and other int subclasses still go through ``fmt``, and a float
-# or int row skips its isinstance checks against the Fraction ABC
-_FORMAT_BY_TYPE = {float: lambda value: f"{value:.12g}", int: str}
-
-
 def _print_row(*cells) -> None:
-    print("\t".join(_FORMAT_BY_TYPE.get(type(c), fmt)(c) for c in cells))
+    print("\t".join(fmt(c) for c in cells))
 
 
 def _cmd_validate(args) -> int:

@@ -25,7 +25,9 @@ every jump, one multiply by the dense jump weights fills one term row per
 jump, and one reduce along the rows adds them into the new state. The
 reduce adds the boundary row first and then the jumps in ascending order,
 the order of a term-by-term update, and the zeros it adds besides (padding,
-absent jumps) are exact, so float results keep every bit.
+absent jumps) are exact, so float results keep every bit. Exact mode makes
+the same calls on blocks of columns in turn, so that only one block of
+big-int products is alive at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ Mode = str  # "exact" | "float"
 Number = Union[Fraction, float]
 
 BRUTE_FORCE_MAX_LENGTH = 12
+
+# entries (columns times the trailing size) per multiply and reduce in an
+# exact DP step: the products are big ints, so only one block of them is
+# alive at a time. A block keeps at least 32 columns, below which the numpy
+# calls cost more than the products.
+_EXACT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -194,7 +202,10 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     below and c above, so a read-only strided view ``S[k, i] = state[i -
     j_k]`` stacks the sources of every jump j_k = -c..d; one multiply by
     the dense stencil fills one term row per jump, and one reduce over the
-    rows adds them into the new window. On the bounded walk row 0 steps
+    rows adds them into the new window. Exact mode does that for one block
+    of columns after another, reusing a term array one block wide, which
+    bounds the big-int products alive at once; float mode takes the whole
+    window as one block. On the bounded walk row 0 steps
     with P0 instead: its boundary terms go in a term row of their own, put
     first, and row 0 of the source is zeroed before the bulk multiply.
 
@@ -228,9 +239,12 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
         strides=(pair.strides[0], -row, row) + pair.strides[2:], writeable=False)
     vec, new = pair[:, below : below + size]
     stack, spare = stacks
+    # exact mode steps the window a block of columns at a time, float mode
+    # all at once; the rim fits in the first block
+    width = max(len(arith.rim), 32, _EXACT_BLOCK // math.prod(trail)) if arith.exact else size
     # rows 1.. are written before they are read, so only row 0 (zero past
-    # the rim) is cleared: pages outside the windows are never touched
-    terms = np.empty((len(arith.stencil) + 1, size) + trail, dtype=arith.dtype)
+    # the rim) is cleared: pages past the widest window are never touched
+    terms = np.empty((len(arith.stencil) + 1, width) + trail, dtype=arith.dtype)
     terms[0] = 0
     bulk_terms = terms[1:]
     rim_terms = terms[0, : len(arith.rim)]
@@ -253,10 +267,14 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
             np.multiply(rim, vec[0], rim_terms)
             vec[0] = 0
             rows = terms
-        # out (and the reduce's axis and dtype) passed by position: keywords
-        # cost more per call
-        np.multiply(stack[:, wlo : whi + 1], stencil, bulk_terms[:, wlo : whi + 1])
-        np.add.reduce(rows[:, wlo : whi + 1], 0, None, new[wlo : whi + 1])
+        # the term columns are relative to the block, which starts at wlo =
+        # 0 when the rim row is in; out (and the reduce's axis and dtype)
+        # passed by position: keywords cost more per call
+        for b in range(wlo, whi + 1, width):
+            e = b + width if b + width <= whi else whi + 1
+            np.multiply(stack[:, b:e], stencil, bulk_terms[:, : e - b])
+            np.add.reduce(rows[:, : e - b], 0, None, new[b:e])
+            rows = bulk_terms
         vec, new = new, vec
         stack, spare = spare, stack
         old_lo, old_hi = lo, hi

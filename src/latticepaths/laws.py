@@ -197,7 +197,7 @@ _CONTINUOUS_CDF: dict[str, Callable[[float, float], float]] = {
 }
 
 
-def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: str = "float"
+def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: str
                 ) -> Callable[[int], float]:
     if law.normalization == NORM_SQRT_N:
         root = math.sqrt(n)

@@ -34,7 +34,7 @@ from latticepaths.enumeration import returns_moments
 from conftest import MODEL_NAMES
 
 
-def reference_kolmogorov_distance(points, law, n):
+def reference_kolmogorov_distance(points, law, n, mode):
     """The three-branch sup distance that ``laws.fit`` must reproduce exactly."""
     if not points:
         raise LatticePathError("empty distribution")
@@ -82,7 +82,7 @@ def reference_kolmogorov_distance(points, law, n):
         "rayleigh": lambda x: rayleigh_cdf(x, scale),
         "half-normal": lambda x: half_normal_cdf(x, scale),
     }[law.family]
-    x_of = laws._normalizer(law, n, points)
+    x_of = laws._normalizer(law, n, points, mode)
     cum = 0.0
     worst = 0.0
     for k, p in points:
@@ -113,7 +113,7 @@ def test_fit_matches_reference_distance(models):
             for n, mode in ((250, "float"), (2000, "float"), (24, "exact")):
                 points = laws._distribution_points(model, statistic, n, mode)
                 report = fit(model, statistic, n, mode=mode)
-                assert report.sup_distance == reference_kolmogorov_distance(points, law, n)
+                assert report.sup_distance == reference_kolmogorov_distance(points, law, n, mode)
                 checked += 1
     assert checked == 11 * 3
 
@@ -132,7 +132,7 @@ def test_empirical_fit_matches_reference_distance(models):
                 for table in tables:
                     law = empirical_law(table)
                     report = fit(model, statistic, n, law=law, mode=mode)
-                    assert report.sup_distance == reference_kolmogorov_distance(points, law, n)
+                    assert report.sup_distance == reference_kolmogorov_distance(points, law, n, mode)
 
 
 def test_law_selection(models):
