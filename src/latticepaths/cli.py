@@ -38,42 +38,52 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _print_row(*cells) -> None:
-    print("\t".join(fmt(c) for c in cells))
+def _write_rows(rows) -> None:
+    """Write one tab-separated line per row of cells, all in one write.
+
+    A header is a row of strings whose first cell starts with ``#``. If
+    ``rows`` raises part way, the rows made so far are still written.
+    """
+    lines = []
+    try:
+        for row in rows:
+            lines.append("\t".join(map(fmt, row)) + "\n")
+    finally:
+        sys.stdout.write("".join(lines))
 
 
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     report = validate(model)
-    print("# field\tvalue")
-    _print_row("ok", report.ok)
-    _print_row("kind", report.kind.value)
-    _print_row("lukasiewicz", report.lukasiewicz)
-    _print_row("period", report.period)
-    for v in report.violations:
-        _print_row("violation", v)
+    _write_rows([
+        ("# field", "value"),
+        ("ok", report.ok),
+        ("kind", report.kind.value),
+        ("lukasiewicz", report.lukasiewicz),
+        ("period", report.period),
+        *(("violation", v) for v in report.violations),
+    ])
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
     cls = asymptotics.classify(model)
-    print("# field\tvalue")
-    _print_row("criticality", cls.criticality.value)
-    _print_row("drift", cls.drift_sign.value)
-    _print_row("kind", model.kind().value)
+    _write_rows([
+        ("# field", "value"),
+        ("criticality", cls.criticality.value),
+        ("drift", cls.drift_sign.value),
+        ("kind", model.kind().value),
+    ])
     return EXIT_OK
 
 
 def _cmd_constants(args) -> int:
     model = load_model(args.model)
     sc = kernel.structural_constants(model)
-    print("# constant\tvalue")
-    for name in (
-        "tau", "rho", "C", "delta", "delta0geq", "lam", "kappa",
-        "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1", "r",
-    ):
-        _print_row(name, getattr(sc, name))
+    names = ("tau", "rho", "C", "delta", "delta0geq", "lam", "kappa",
+             "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1", "r")
+    _write_rows([("# constant", "value"), *((name, getattr(sc, name)) for name in names)])
     return EXIT_OK
 
 
@@ -93,9 +103,7 @@ def _cmd_count(args) -> int:
     model = load_model(args.model)
     mode = "exact" if args.exact else "float"
     series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, mode)
-    print(f"# n\t{args.what}")
-    for n, value in enumerate(series):
-        _print_row(n, value)
+    _write_rows([("# n", args.what), *enumerate(series)])
     return EXIT_OK
 
 
@@ -103,13 +111,17 @@ def _cmd_gf_eval(args) -> int:
     model = load_model(args.model)
     z = args.z
     values = kernel.solve_boundary_gfs(model, z)
-    print("# quantity\tvalue")
-    for k, v in enumerate(values):
-        _print_row(f"F_{k}", v)
-    if model.c >= 2:
-        _print_row("F_0_vandermonde", kernel.excursion_gf_vandermonde(model, z))
-    _print_row("E_free", kernel.excursion_gf_bf(model, z))
-    _print_row("perturbation_residual", kernel.perturbation_identity_residual(model, z))
+
+    def rows():
+        yield "# quantity", "value"
+        for k, v in enumerate(values):
+            yield f"F_{k}", v
+        if model.c >= 2:
+            yield "F_0_vandermonde", kernel.excursion_gf_vandermonde(model, z)
+        yield "E_free", kernel.excursion_gf_bf(model, z)
+        yield "perturbation_residual", kernel.perturbation_identity_residual(model, z)
+
+    _write_rows(rows())
     return EXIT_OK
 
 
@@ -130,8 +142,8 @@ def _cmd_asym(args) -> int:
     est = getattr(asymptotics, estimate)(model, n)
     exact = float(getattr(enumeration, exact_value)(model, n, "float"))
     ratio = exact / est.value if est.value else None
-    print("# what\tn\testimate\texact\tratio\tformula")
-    _print_row(args.what, n, est.value, exact, ratio, est.formula_id)
+    _write_rows([("# what", "n", "estimate", "exact", "ratio", "formula"),
+                 (args.what, n, est.value, exact, ratio, est.formula_id)])
     return EXIT_OK
 
 
@@ -141,16 +153,16 @@ def _cmd_dist(args) -> int:
     n = args.n
     if args.what == "final-alt":
         dist = enumeration.meander_distribution(model, n, mode)
-        total = dist.total()
-        print(f"# meander_mass\t{fmt(total)}")
-        print("# altitude\tprobability")
-        for k, p in sorted(dist.conditional().items()):
-            _print_row(k, p)
+
+        def rows():  # the mass goes out even when no walk survives
+            yield "# meander_mass", dist.total()
+            yield "# altitude", "probability"
+            yield from sorted(dist.conditional().items())
+
+        _write_rows(rows())
     else:
         dist = enumeration.returns_to_zero_distribution(model, n, mode)
-        print("# returns\tprobability")
-        for k, p in sorted(dist.prob.items()):
-            _print_row(k, p)
+        _write_rows([("# returns", "probability"), *sorted(dist.prob.items())])
     return EXIT_OK
 
 
@@ -161,19 +173,14 @@ def _cmd_fit(args) -> int:
     )
     mode = "exact" if args.exact else "float"
     report = laws.fit(model, statistic, args.n, mode=mode, tolerance=args.tolerance)
-    print("# statistic\tn\tlaw\tnormalization\tsup_distance\tpassed")
-    _print_row(
-        statistic.value,
-        report.n,
-        report.law.family,
-        report.law.normalization,
-        report.sup_distance,
-        report.passed,
-    )
+    rows = [
+        ("# statistic", "n", "law", "normalization", "sup_distance", "passed"),
+        (statistic.value, report.n, report.law.family, report.law.normalization,
+         report.sup_distance, report.passed),
+    ]
     if args.plot:
-        print("# x\texact_cdf\tlaw_cdf")
-        for x, fe, fl in report.curve:
-            _print_row(x, fe, fl)
+        rows += [("# x", "exact_cdf", "law_cdf"), *report.curve]
+    _write_rows(rows)
     return EXIT_OK
 
 
@@ -187,23 +194,31 @@ def _cmd_table2(args) -> int:
         enumeration.BoundaryRule.REFLECTION,
         enumeration.BoundaryRule.ABSORPTION,
     )
-    print("# path\tuniform\tabsolute-value\treflection\tabsorption")
-    for path in paths:
-        probs = [enumeration.path_probability(rule, model, path) for rule in rules]
-        _print_row(" ".join(str(j) for j in path), *probs)
+
+    def rows():
+        yield "# path", "uniform", "absolute-value", "reflection", "absorption"
+        for path in paths:
+            probs = [enumeration.path_probability(rule, model, path) for rule in rules]
+            yield " ".join(str(j) for j in path), *probs
+
+    _write_rows(rows())
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
-    ok = True
-    for name, passed, detail in run_verification(model):
-        if passed:
-            _print_row("PASS", name)
-        else:
-            ok = False
-            _print_row("FAIL", name, detail)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    failed = []
+
+    def rows():
+        for name, passed, detail in run_verification(model):
+            if passed:
+                yield "PASS", name
+            else:
+                failed.append(name)
+                yield "FAIL", name, detail
+
+    _write_rows(rows())
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

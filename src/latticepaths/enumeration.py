@@ -28,6 +28,14 @@ the order of a term-by-term update, and the zeros it adds besides (padding,
 absent jumps) are exact, so float results keep every bit. Exact mode makes
 the same calls on blocks of columns in turn, so that only one block of
 big-int products is alive at a time.
+
+The returns-to-zero law needs no count axis: an excursion is a sequence of
+arches, so the weight of k returns is w_k = [z^n] A(z)^k, where A is the
+arch series. One two-column walk gives A and the excursion mass e_n, and
+baby steps (A^1..A^B, B about sqrt(n)/2) with giant steps (A^(qB)) give
+every w_k from about 2 sqrt(K) truncated products for a law ending at K
+returns: integer dot products in exact mode, where the numerators of A^k
+are over D**n like e_n's, and FFT products in float mode.
 """
 
 from __future__ import annotations
@@ -398,85 +406,141 @@ def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 
 # ---------------------------------------------------------------------------
 # Returns to zero: number of times altitude 0 is reached again after leaving
-# the origin (the origin itself does not count). Every arrival at 0 is a
-# return, so both DPs below carry a trailing axis that the engine's at_zero
-# hook updates after each step.
+# the origin (the origin itself does not count). An excursion is a sequence
+# of arches, so the law comes from powers of the arch series, in either
+# mode. The moment DPs instead carry a trailing axis of the running count's
+# moments, which the engine's at_zero hook updates at every arrival at 0.
 # ---------------------------------------------------------------------------
 
 
-def _count_return(row: np.ndarray) -> None:
-    """Row of masses by return count: arriving at 0 shifts every count up by one."""
-    row[1:] = row[:-1]
-    row[0] = 0
-
-
 def _count_return_moments(row: np.ndarray) -> None:
-    """Row (m0, m1, m2) of the count's moments: one more return maps it to
-    (m0, m1 + m0, m2 + 2 m1 + m0)."""
-    m0, m1, m2 = row
+    """Row (m0, m1) or (m0, m1, m2) of the count's moments: one more return
+    maps it to (m0, m1 + m0, m2 + 2 m1 + m0)."""
+    # Python ints or floats: cheaper per step than numpy scalars, and the
+    # same IEEE double arithmetic
+    m0, m1, *m2 = row.tolist()
     row[1] = m1 + m0
-    row[2] = m2 + 2 * m1 + m0
+    if m2:
+        row[2] = m2[0] + 2 * m1 + m0
 
 
 _MOMENTS_START = (1, 0, 0)  # one excursion of length 0, with no return
 
 
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
-    """Distribution of the number of returns to 0 among excursions of length n."""
-    _check_mode(mode)
+    """Distribution of the number of returns to 0 among excursions of length n.
+
+    One walk carries two columns: the excursions, and the arches, whose row
+    0 is recorded and cleared as in ``arch_series``. The law comes from the
+    arch series' powers (``_returns_from_arches``).
+    """
+    arith = _Arithmetic(model, mode)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        one: Number = Fraction(1) if mode == "exact" else 1.0
-        return ReturnsDistribution(n=0, prob={0: one})
-    if mode == "float":
-        return _returns_float(model, n)
-    row = _walk(model, n, _Arithmetic(model, mode), _ignore,
-                start=[1] + [0] * n, at_zero=_count_return)[0]
-    e_n = row.sum()  # row and e_n are integers over the same D**n, which cancels
-    if e_n == 0:
-        raise LatticePathError(f"no excursion of length {n}")
-    return ReturnsDistribution(n=n, prob={k: Fraction(w, e_n) for k, w in enumerate(row) if w})
-
-
-def _returns_float(model: WalkModel, n: int) -> ReturnsDistribution:
-    # one walk carries two columns: the excursions, and the arches, whose
-    # row 0 is recorded and cleared as in ``arch_series``
-    arch = [0.0]
+        return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
+    arch = [0]
 
     def record(t, vec):
-        arch.append(float(vec[0, 1]))
-        vec[0, 1] = 0.0
+        arch.append(vec[0, 1])
+        vec[0, 1] = 0
 
-    e_n = float(_walk(model, n, _Arithmetic(model, "float"), record, start=(1, 1))[0, 0])
-    return _returns_from_arches(arch, e_n, n)
+    e_n = _walk(model, n, arith, record, start=(1, 1))[0, 0]
+    return _returns_from_arches(arch, e_n, n, mode)
 
 
-def _returns_from_arches(arch: list[float], e_n: float, n: int) -> ReturnsDistribution:
-    """The float returns law from the arch series a_0..a_n and the mass e_n.
+def _first_nonzero(x: np.ndarray) -> int:
+    """Index of the first non-zero entry of x, len(x) if there is none."""
+    nz = np.flatnonzero(x)
+    return int(nz[0]) if len(nz) else len(x)
+
+
+def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> coefficients 0..n of the product of the series x and factor.
+
+    Exact: one integer dot product per degree, over the terms that reach
+    it, so the terms past degree n, which hold the largest ints, are never
+    formed. Float: an FFT product with the factor's transform made once;
+    round-off can leave a coefficient slightly negative, which is clipped
+    to 0.
+    """
+    if exact:
+        rev_factor = factor[::-1]  # rev_factor[n - j] = factor[j]
+        lf = _first_nonzero(factor)
+
+        def times(x):
+            # degree m adds x[i] * factor[m - i] for lx <= i <= m - lf
+            out = np.zeros(n + 1, dtype=object)
+            lx = _first_nonzero(x)
+            for m in range(lx + lf, n + 1):
+                out[m] = x[lx : m - lf + 1] @ rev_factor[n - m + lx : n - lf + 1]
+            return out
+
+        return times
+    size = 1 << (2 * (n + 1) - 1).bit_length()
+    f = np.fft.rfft(factor, size)
+
+    def times(x):
+        w = np.fft.irfft(np.fft.rfft(x, size) * f, size)[: n + 1]
+        np.maximum(w, 0.0, out=w)
+        return w
+
+    return times
+
+
+def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
+    """w_1, w_2, ...: the nth coefficients of A, A^2, ..., the powers of the
+    arch series A, by baby steps and giant steps.
+
+    Baby steps make A^1..A^B one product at a time, with B about sqrt(n)/2,
+    and keep each reversed, in one array. Giant steps make A^(qB), and
+    w_(qB+r) = sum_m A^(qB)[m] * A^r[n-m], so one product of the reversed
+    baby powers with A^(qB) gives the B weights after it. The weights stop
+    when a power underflows (every coefficient below 1e-320: in exact
+    mode, when it is 0).
+    """
+    baby = max(1, math.isqrt(n) // 2)
+    rev = np.empty((baby, n + 1), dtype=arch.dtype)  # row r - 1: A^r, reversed
+    step_baby = _truncated_product(arch, n, exact)
+    power = arch
+    for r in range(baby):
+        if r:
+            power = step_baby(rev[r - 1, ::-1])
+        rev[r] = power[::-1]
+        yield power[n]
+        if power.max() < 1e-320:
+            return
+    step_giant = _truncated_product(power, n, exact)  # times A^B
+    giant = power
+    while True:
+        yield from rev @ giant
+        giant = step_giant(giant)
+        if giant.max() < 1e-320:
+            return
+
+
+def _returns_from_arches(arch: list, e_n: Union[int, float], n: int, mode: Mode) -> ReturnsDistribution:
+    """The returns law from the arch series a_0..a_n and the excursion mass
+    e_n, both as a DP of that mode holds them: exact numerators of a_m over
+    D**m, whose products are numerators over D**n like e_n, or floats.
 
     An excursion with exactly k returns is a k-sequence of arches, so the
-    unnormalized weight of k returns is the nth coefficient of the kth
-    convolution power of the arch series.
+    unnormalized weight w_k of k returns is the nth coefficient of the kth
+    power of the arch series. The weights are taken in ascending k until
+    they add up to e_n, or to e_n * (1 - 1e-13) in float mode.
     """
-    if e_n <= 0.0:
+    exact = mode == "exact"
+    if e_n <= 0:
         raise LatticePathError(f"no excursion of length {n}")
-    size = 1 << (2 * (n + 1) - 1).bit_length()
-    fa = np.fft.rfft(np.array(arch), size)
-    w = np.zeros(n + 1)
-    w[0] = 1.0
-    prob: dict[int, float] = {}
-    cum = 0.0
-    for k in range(1, n + 1):
-        w = np.fft.irfft(np.fft.rfft(w, size) * fa, size)[: n + 1]
-        np.maximum(w, 0.0, out=w)
-        pk = float(w[n])
-        if pk > 0.0:
-            prob[k] = pk / e_n
-            cum += pk
-        if cum >= e_n * (1.0 - 1e-13):
-            break
-        if w.max() < 1e-320:
+    target = e_n if exact else e_n * (1.0 - 1e-13)
+    weights = _arch_power_weights(np.array(arch, dtype=object if exact else float), n, exact)
+    prob: dict[int, Number] = {}
+    cum = 0
+    for k, w in zip(range(1, n + 1), weights):
+        if w > 0:
+            prob[k] = Fraction(w, e_n) if exact else float(w) / float(e_n)
+            cum += w
+        if cum >= target:
             break
     return ReturnsDistribution(n=n, prob=prob)
 
@@ -508,10 +572,11 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     out: list = [arith.value(0, 0)]
 
     def record(t, vec):
-        m0, m1, _ = vec[0]
+        m0, m1 = vec[0]
         out.append(arith.ratio(m1, m0) if m0 else None)
 
-    _walk(model, n, arith, record, start=_MOMENTS_START, at_zero=_count_return_moments)
+    # the mean needs only m0 and m1, which never read m2
+    _walk(model, n, arith, record, start=_MOMENTS_START[:2], at_zero=_count_return_moments)
     return out
 
 
@@ -688,6 +753,14 @@ def _bridge_tally(model: WalkModel, n: int, folded: bool) -> tuple[int, dict[tup
     return total, hits
 
 
+@functools.lru_cache(maxsize=32)
+def _rule_walk(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[WalkModel, Fraction]:
+    """The boundary walk of the reflection or absorption rule, with its
+    excursion mass at length n: one DP for all the paths of a table."""
+    walk = _canonical_boundary(model, rule)
+    return walk, excursion_mass(walk, n, "exact")
+
+
 def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]) -> Fraction:
     """Probability of one length-n path under one of the four boundary rules,
     conditioned on the rule's sample space (bridges, or excursions of that
@@ -707,7 +780,7 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
         # a bridge hits the path itself, or folds onto it by absolute value
         hit = hits.get(alts if folded else tuple(path), 0)
         return Fraction(hit, total) if total else Fraction(0)
-    walk = _canonical_boundary(model, rule)
+    walk, e_n = _rule_walk(model, rule, n)
     if alts[-1] != 0 or any(a < 0 for a in alts):
         return Fraction(0)
     weight = Fraction(1)
@@ -717,7 +790,6 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
         if coeff == 0:
             return Fraction(0)
         weight *= coeff
-    e_n = excursion_mass(walk, n, "exact")
     if e_n == 0:
         return Fraction(0)
     return weight / e_n

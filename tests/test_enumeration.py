@@ -1,5 +1,6 @@
 """Exact counting: recurrences against the brute-force oracle and identities."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_brute_force_guard(models):
         brute_force(models["dyck_reflection"], 13)
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_oracle_equivalence_fixed_models(models, n):
     for model in models.values():
         bf = brute_force(model, n)
@@ -277,7 +278,7 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
     # the float returns law is the arch convolution powers over e_n
     if excursions[n] > 0.0:
         assert returns_to_zero_distribution(model, n, "float") == _returns_from_arches(
-            arches, excursions[n], n)
+            arches, excursions[n], n, "float")
     else:
         with pytest.raises(LatticePathError):
             returns_to_zero_distribution(model, n, "float")
@@ -313,6 +314,76 @@ def test_returns_float_mode_agreement(models):
     assert dropped <= 1e-12
     for k, p in flt.prob.items():
         assert p == pytest.approx(float(exact.prob[k]), rel=1e-9)
+
+
+def _count_axis_laws(model, top):
+    """The exact returns law at every length 1..top (None where there is no
+    excursion), from a DP over (altitude, returns so far) on integers over
+    D**t: an independent reference for the arch-power law."""
+    den = math.lcm(*(p.denominator for poly in (model.P, model.P0) for _, p in poly.terms()))
+    bulk = [(j, int(p * den)) for j, p in model.P.terms()]
+    rim = [(j, int(p * den)) for j, p in model.P0.terms()]
+    state = {(0, 0): 1}
+    laws = {}
+    for t in range(1, top + 1):
+        new = {}
+        for (alt, k), w in state.items():
+            for j, p in rim if alt == 0 else bulk:
+                a = alt + j
+                # a walk above (top - t) * c cannot be back at 0 by length top
+                if 0 <= a <= (top - t) * model.c:
+                    key = (a, k + (a == 0))
+                    new[key] = new.get(key, 0) + w * p
+        state = new
+        row = {k: w for (a, k), w in state.items() if a == 0}
+        total = sum(row.values())
+        laws[t] = {k: Fraction(w, total) for k, w in row.items()} if total else None
+    return laws
+
+
+def test_returns_law_matches_count_axis_reference(models, random_models):
+    for model in [*models.values(), *random_models]:
+        for n, law in _count_axis_laws(model, 40).items():
+            if law is None:
+                with pytest.raises(LatticePathError):
+                    returns_to_zero_distribution(model, n)
+            else:
+                assert returns_to_zero_distribution(model, n).prob == law, n
+
+
+# the models whose float law is sound: excursion masses that do not decay
+# exponentially, or decay slowly enough for FFT round-off at these n
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in ("drift_down_reflection", "dyck_absorption", "dyck_reflection",
+                           "motzkin_absorption", "motzkin_reflection") for n in (400, 2000)
+] + [("supercritical_drift_down", 400)])
+def test_returns_float_law_matches_moments(models, name, n):
+    model = models[name]
+    law = returns_to_zero_distribution(model, n, "float")
+    mean, var = returns_moments(model, n, "float")
+    assert sum(law.prob.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert law.mean() == pytest.approx(mean, rel=1e-10)
+    assert law.variance() == pytest.approx(var, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_returns_law_edge_cases(models, mode):
+    for name in ("dyck_reflection", "dyck_absorption"):
+        for n in (1, 3, 41):
+            with pytest.raises(LatticePathError):
+                returns_to_zero_distribution(models[name], n, mode)
+    # arches of this walk have length >= 13, so at n = 36 there are at most
+    # 2 returns, fewer than the 3 baby steps of the arch-power law
+    model = parse_model("P: -1:1/2 0:1/4 1:1/4\nP0: 12:1\n")
+    law = _count_axis_laws(model, 36)[36]
+    assert set(law) == {1, 2}
+    got = returns_to_zero_distribution(model, 36, mode).prob
+    if mode == "exact":
+        assert got == law
+    else:
+        assert got.keys() == law.keys()
+        for k, p in got.items():
+            assert p == pytest.approx(float(law[k]), rel=1e-12)
 
 
 def test_returns_moments_match_distribution(models, random_models):
