@@ -120,9 +120,10 @@ def test_gf_eval_beyond_rho_exits_two(capsys):
 
 
 def test_fit_zero_variance_exit_code_follows_mode(capsys):
-    # at n = 3000 the float returns law collapses to one point, a numerical
-    # failure; at n = 2 every exact excursion has one return, which is the
-    # model's own point mass
+    # at n = 3000 round-off swamps the float returns law (a mass of 446.6 on
+    # 2 returns), whose variance comes out <= 0, a numerical failure; at
+    # n = 2 every exact excursion has one return, which is the model's own
+    # point mass
     drift_down = str(MODELS_DIR / "supercritical_drift_down.model")
     code, _, err = invoke(capsys, "fit", "--n", "3000", "--what", "returns", drift_down)
     assert code == 2
