@@ -29,13 +29,15 @@ absent jumps) are exact, so float results keep every bit. Exact mode makes
 the same calls on blocks of columns in turn, so that only one block of
 big-int products is alive at a time.
 
-The returns-to-zero law needs no count axis: an excursion is a sequence of
-arches, so the weight of k returns is w_k = [z^n] A(z)^k, where A is the
-arch series. One two-column walk gives A and the excursion mass e_n, and
-baby steps (A^1..A^B, B about sqrt(n)/2) with giant steps (A^(qB)) give
-every w_k from about 2 sqrt(K) truncated products for a law ending at K
-returns: integer dot products in exact mode, where the numerators of A^k
-are over D**n like e_n's, and FFT products in float mode.
+Every walk carries one column. The returns-to-zero statistics need no
+count axis: an excursion is a sequence of arches, E = 1/(1 - A) with A the
+arch series, so the weight of k returns is w_k = [z^n] A(z)^k. One arch
+walk gives A; baby steps (A^1..A^B, B about sqrt(n)/2) with giant steps
+(A^(qB)) give every w_k from about 2 sqrt(K) truncated products for a law
+ending at K returns: integer dot products in exact mode, where the
+numerators of A^k are over D**n, and FFT products in float mode. The mean
+and variance come from the excursion series alone: (E - 1)·E and
+(E - 1)^2·E sum k·w_k and k(k - 1)·w_k with non-negative terms.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -57,10 +59,8 @@ Number = Union[Fraction, float]
 
 BRUTE_FORCE_MAX_LENGTH = 12
 
-# entries (columns times the trailing size) per multiply and reduce in an
-# exact DP step: the products are big ints, so only one block of them is
-# alive at a time. A block keeps at least 32 columns, below which the numpy
-# calls cost more than the products.
+# columns per multiply and reduce in an exact DP step: the products are big
+# ints, so only one block of them is alive at a time
 _EXACT_BLOCK = 128
 
 
@@ -190,18 +190,15 @@ def _ignore(t: int, vec: np.ndarray) -> None:
 
 
 def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, np.ndarray], None],
-          *, free: bool = False, start=1,
-          at_zero: Optional[Callable[[np.ndarray], None]] = None) -> np.ndarray:
+          *, free: bool = False) -> np.ndarray:
     """Run n steps from altitude 0 and return the final state.
 
-    The state is indexed by altitude. Row 0 starts as ``start``, a scalar
-    or a row whose shape is a trailing axis that every step carries along;
-    every other row starts at 0. After each step ``at_zero(row)``, if
-    given, updates the row at altitude 0 in place, and then
-    ``on_step(t, state)`` runs; it may modify the state but must not keep a
-    reference to it, because the engine reuses the array two steps later.
-    With ``free`` the walk lives on Z with no boundary (only P applies) and
-    altitude 0 sits at index ``n * c``.
+    The state is a column indexed by altitude, 1 at row 0 and 0 elsewhere
+    at the start. After each step ``on_step(t, state)`` runs; it may modify
+    the state but must not keep a reference to it, because the engine
+    reuses the array two steps later. With ``free`` the walk lives on Z
+    with no boundary (only P applies) and altitude 0 sits at index
+    ``n * c``.
 
     Only the live window ``[lo, hi]`` of rows that can be non-zero is
     stepped: it widens by the largest jumps each step and is then trimmed
@@ -225,8 +222,6 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    start = np.asarray(start, dtype=arith.dtype)
-    trail = start.shape
     # the bounded walk's lo falls too: trimming can lift it off row 0, which
     # a period-2 walk leaves empty after every other step
     fall = max(model.c, 0)
@@ -240,29 +235,26 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     size = lo + n * rise + 1
     top = size - 1
     below = max(model.d, 0)  # zero rows that the top jump reads below row 0
-    pair = np.zeros((2, below + size + fall) + trail, dtype=arith.dtype)
+    pair = np.zeros((2, below + size + fall), dtype=arith.dtype)
     row = pair.strides[1]
     stacks = np.lib.stride_tricks.as_strided(
-        pair[:, below + fall:], shape=(2, len(arith.stencil), size) + trail,
-        strides=(pair.strides[0], -row, row) + pair.strides[2:], writeable=False)
+        pair[:, below + fall:], shape=(2, len(arith.stencil), size),
+        strides=(pair.strides[0], -row, row), writeable=False)
     vec, new = pair[:, below : below + size]
     stack, spare = stacks
     # exact mode steps the window a block of columns at a time, float mode
     # all at once; the rim fits in the first block
-    width = max(len(arith.rim), 32, _EXACT_BLOCK // math.prod(trail)) if arith.exact else size
+    width = max(len(arith.rim), _EXACT_BLOCK) if arith.exact else size
     # rows 1.. are written before they are read, so only row 0 (zero past
     # the rim) is cleared: pages past the widest window are never touched
-    terms = np.empty((len(arith.stencil) + 1, width) + trail, dtype=arith.dtype)
+    terms = np.empty((len(arith.stencil) + 1, width), dtype=arith.dtype)
     terms[0] = 0
     bulk_terms = terms[1:]
     rim_terms = terms[0, : len(arith.rim)]
-    ones = (1,) * len(trail)
-    stencil = arith.stencil.reshape((-1, 1) + ones)
-    rim = arith.rim.reshape((-1,) + ones)
-    vec[lo, ...] = start
+    stencil = arith.stencil.reshape(-1, 1)
+    vec[lo] = 1
     hi = lo
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
-    nonzero = any if trail else bool  # per row: cheaper each step than ndarray.any() on a slice
     for t in range(1, n + 1):
         wlo = lo - fall if lo > fall else 0  # max() and min() calls cost more
         whi = hi + rise if hi + rise < top else top
@@ -272,7 +264,7 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
             new[whi + 1 : old_hi + 1] = 0
         rows = bulk_terms
         if lo == 0 and not free:  # row 0 steps with the boundary
-            np.multiply(rim, vec[0], rim_terms)
+            np.multiply(arith.rim, vec[0], rim_terms)
             vec[0] = 0
             rows = terms
         # the term columns are relative to the block, which starts at wlo =
@@ -287,12 +279,10 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
         stack, spare = spare, stack
         old_lo, old_hi = lo, hi
         lo, hi = wlo, whi
-        if at_zero is not None:
-            at_zero(vec[0])
         on_step(t, vec)
-        while hi > lo and not nonzero(vec[hi]):
+        while hi > lo and not vec[hi]:
             hi -= 1
-        while lo < hi and not nonzero(vec[lo]):
+        while lo < hi and not vec[lo]:
             lo += 1
     return vec
 
@@ -317,16 +307,30 @@ def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") ->
     return out
 
 
+def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False) -> np.ndarray:
+    """Row 0 after every length 0..n, unscaled: the excursion numerators
+    e_0..e_n (e_t over den**t in exact mode), or with ``arches`` the arch
+    numerators a_0..a_n, row 0 being cleared after every step."""
+    out = [0 if arches else 1]
+
+    def record(t, vec):
+        out.append(vec[0])
+        if arches:
+            vec[0] = 0  # an arch ends at its first return to 0
+
+    _walk(model, n, arith, record)
+    return np.array(out, dtype=arith.dtype)
+
+
 def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
     arith = _Arithmetic(model, mode)
-    out = [arith.value(1, 0)]
-    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec[0], t)))
-    return out
+    return [arith.value(x, t) for t, x in enumerate(_row0(model, n, arith))]
 
 
 def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
-    return meander_distribution(model, n, mode).mass.get(0, Fraction(0) if mode == "exact" else 0.0)
+    arith = _Arithmetic(model, mode)
+    return arith.value(_row0(model, n, arith)[n], n)
 
 
 def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
@@ -388,65 +392,34 @@ def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
     arith = _Arithmetic(model, mode)
-    out = [arith.value(0, 0)]
-
-    def record(t, vec):
-        out.append(arith.value(vec[0], t))
-        vec[0] = 0  # an arch ends at its first return to 0
-
-    _walk(model, n, arith, record)
-    return out
+    return [arith.value(x, t) for t, x in enumerate(_row0(model, n, arith, arches=True))]
 
 
 def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     if n < 1:
         raise ValueError("arches have length >= 1")
-    return arch_series(model, n, mode)[n]
+    arith = _Arithmetic(model, mode)
+    return arith.value(_row0(model, n, arith, arches=True)[n], n)
 
 
 # ---------------------------------------------------------------------------
 # Returns to zero: number of times altitude 0 is reached again after leaving
 # the origin (the origin itself does not count). An excursion is a sequence
-# of arches, so the law comes from powers of the arch series, in either
-# mode. The moment DPs instead carry a trailing axis of the running count's
-# moments, which the engine's at_zero hook updates at every arrival at 0.
+# of arches, E = 1/(1 - A), so every returns statistic comes from the
+# one-column series: the law from the powers of A, and the moments from
+# products of E with itself.
 # ---------------------------------------------------------------------------
 
 
-def _count_return_moments(row: np.ndarray) -> None:
-    """Row (m0, m1) or (m0, m1, m2) of the count's moments: one more return
-    maps it to (m0, m1 + m0, m2 + 2 m1 + m0)."""
-    # Python ints or floats: cheaper per step than numpy scalars, and the
-    # same IEEE double arithmetic
-    m0, m1, *m2 = row.tolist()
-    row[1] = m1 + m0
-    if m2:
-        row[2] = m2[0] + 2 * m1 + m0
-
-
-_MOMENTS_START = (1, 0, 0)  # one excursion of length 0, with no return
-
-
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
-    """Distribution of the number of returns to 0 among excursions of length n.
-
-    One walk carries two columns: the excursions, and the arches, whose row
-    0 is recorded and cleared as in ``arch_series``. The law comes from the
-    arch series' powers (``_returns_from_arches``).
-    """
+    """Distribution of the number of returns to 0 among excursions of length
+    n, from the powers of the arch series (``_returns_from_arches``)."""
     arith = _Arithmetic(model, mode)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
-    arch = [0]
-
-    def record(t, vec):
-        arch.append(vec[0, 1])
-        vec[0, 1] = 0
-
-    e_n = _walk(model, n, arith, record, start=(1, 1))[0, 0]
-    return _returns_from_arches(arch, e_n, n, mode)
+    return _returns_from_arches(_row0(model, n, arith, arches=True), n, mode)
 
 
 def _first_nonzero(x: np.ndarray) -> int:
@@ -519,21 +492,34 @@ def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
             return
 
 
-def _returns_from_arches(arch: list, e_n: Union[int, float], n: int, mode: Mode) -> ReturnsDistribution:
-    """The returns law from the arch series a_0..a_n and the excursion mass
-    e_n, both as a DP of that mode holds them: exact numerators of a_m over
-    D**m, whose products are numerators over D**n like e_n, or floats.
+def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
+    """e_0..e_n from the arch series a_0..a_n: E = 1 + A·E, so e_t is the
+    sum of a_m·e_(t-m) over m = 1..t, a sum of non-negative terms. Exact
+    numerators a_m over D**m give numerators e_t over D**t."""
+    e = np.zeros(len(arch), dtype=arch.dtype)
+    e[0] = 1
+    for t in range(1, len(arch)):
+        e[t] = e[:t] @ arch[t:0:-1]
+    return e
+
+
+def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
+    """The returns law from the arch series a_0..a_n as a DP of that mode
+    holds it: exact numerators of a_m over D**m, or floats.
 
     An excursion with exactly k returns is a k-sequence of arches, so the
     unnormalized weight w_k of k returns is the nth coefficient of the kth
-    power of the arch series. The weights are taken in ascending k until
-    they add up to e_n, or to e_n * (1 - 1e-13) in float mode.
+    power of the arch series; the excursion mass e_n comes from the arches
+    too (``_excursions_from_arches``). The weights are taken in ascending
+    k until they add up to e_n, or to e_n * (1 - 1e-13) in float mode.
     """
     exact = mode == "exact"
+    arch = np.array(arch, dtype=object if exact else float)
+    e_n = _excursions_from_arches(arch)[n]
     if e_n <= 0:
         raise LatticePathError(f"no excursion of length {n}")
     target = e_n if exact else e_n * (1.0 - 1e-13)
-    weights = _arch_power_weights(np.array(arch, dtype=object if exact else float), n, exact)
+    weights = _arch_power_weights(arch, n, exact)
     prob: dict[int, Number] = {}
     cum = 0
     for k, w in zip(range(1, n + 1), weights):
@@ -545,22 +531,38 @@ def _returns_from_arches(arch: list, e_n: Union[int, float], n: int, mode: Mode)
     return ReturnsDistribution(n=n, prob=prob)
 
 
-def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Number, Number]:
-    """(mean, variance) of the number of returns among length-n excursions.
+def _return_totals(e: np.ndarray, exact: bool) -> np.ndarray:
+    """Coefficients 0..n of (E - 1)·E from the excursion series e_0..e_n:
+    the tth, sum_k k·w_k, totals the returns of the excursions of length t.
+    Float mode takes the direct product: an FFT's round-off is relative to
+    the largest coefficient."""
+    n = len(e) - 1
+    tail = e.copy()
+    tail[0] = 0
+    if exact:
+        return _truncated_product(e, n, True)(tail)
+    return np.convolve(tail, e)[: n + 1]
 
-    Runs an altitude-indexed DP carrying the zeroth, first and second moment
-    of the running return count, so large n stay cheap.
-    """
+
+def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
+    """(mean, variance) of the returns at length n = len(e) - 1 >= 1: with
+    s = (E - 1)·E, sum k(k - 1)·w_k = 2·[z^n] s·(E - 1)."""
+    n = len(e) - 1
+    if not e[n]:
+        raise LatticePathError(f"no excursion of length {n}")
+    s = _return_totals(e, arith.exact)
+    mean = arith.ratio(s[n], e[n])
+    return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
+
+
+def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Number, Number]:
+    """(mean, variance) of the number of returns among length-n excursions,
+    from products of the excursion series, so large n stay cheap."""
     arith = _Arithmetic(model, mode)
     if n == 0:
         zero = arith.value(0, 0)
         return zero, zero
-    w0, w1, w2 = _walk(model, n, arith, _ignore, start=_MOMENTS_START,
-                       at_zero=_count_return_moments)[0]
-    if not w0:
-        raise LatticePathError(f"no excursion of length {n}")
-    mean = arith.ratio(w1, w0)
-    return mean, arith.ratio(w2, w0) - mean * mean
+    return _moments_from_excursions(_row0(model, n, arith), arith)
 
 
 def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
@@ -569,15 +571,9 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     Entries are None where no excursion of that length exists.
     """
     arith = _Arithmetic(model, mode)
-    out: list = [arith.value(0, 0)]
-
-    def record(t, vec):
-        m0, m1 = vec[0]
-        out.append(arith.ratio(m1, m0) if m0 else None)
-
-    # the mean needs only m0 and m1, which never read m2
-    _walk(model, n, arith, record, start=_MOMENTS_START[:2], at_zero=_count_return_moments)
-    return out
+    e = _row0(model, n, arith)
+    s = _return_totals(e, arith.exact)
+    return [arith.value(0, 0)] + [arith.ratio(x, y) if y else None for x, y in zip(s[1:], e[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -347,10 +347,7 @@ def moment_summary(model: WalkModel, statistic: Statistic, n: int, mode: str = "
         mean = sum(k * p for k, p in cond.items())
         var = sum(k * k * p for k, p in cond.items()) - mean * mean
         return mean, var
-    if mode == "exact":
-        dist = returns_to_zero_distribution(model, n, "exact")
-        return dist.mean(), dist.variance()
-    return returns_moments(model, n, "float")
+    return returns_moments(model, n, mode)
 
 
 def calibrated_returns_scaling(model: WalkModel, n: int) -> float:

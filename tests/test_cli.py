@@ -8,7 +8,7 @@ import pytest
 
 from latticepaths import enumeration, laws
 from latticepaths.cli import fmt, run
-from conftest import MODELS_DIR
+from conftest import MODEL_NAMES, MODELS_DIR
 
 DYCK = str(MODELS_DIR / "dyck_reflection.model")
 DYCK_ABS = str(MODELS_DIR / "dyck_absorption.model")
@@ -202,8 +202,9 @@ def test_table2_dyck(capsys):
         assert len(lines) == 7
 
 
-def test_verify_passes(capsys):
-    code, out, _ = invoke(capsys, "verify", MOTZ_R)
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_verify_passes(capsys, name):
+    code, out, _ = invoke(capsys, "verify", str(MODELS_DIR / f"{name}.model"))
     assert code == 0
     assert "FAIL" not in out
     assert "PASS\tmodel-valid" in out

@@ -11,6 +11,7 @@ from latticepaths import (
     BoundaryRule,
     InvalidModelError,
     LatticePathError,
+    ReturnsDistribution,
     arch_mass,
     arch_series,
     bridge_and_walk_mass,
@@ -27,7 +28,12 @@ from latticepaths import (
     step,
 )
 from latticepaths.enumeration import (
+    _Arithmetic,
+    _excursions_from_arches,
+    _moments_from_excursions,
+    _return_totals,
     _returns_from_arches,
+    _row0,
     bridge_mass_series,
     bridge_paths,
     enumerate_meander_paths,
@@ -187,13 +193,18 @@ def test_mass_monotone_for_two_down(models):
     assert all(m[i + 1] <= m[i] for i in range(60))
 
 
-def test_excursions_are_arch_sequences(models):
+def test_excursions_are_arch_sequences(models, random_models):
     for model in models.values():
         e = excursion_series(model, 100)
         a = arch_series(model, 100)
         for n in range(1, 101):
             conv = sum((a[m] * e[n - m] for m in range(1, n + 1)), F(0))
             assert conv == e[n], f"{n}"
+    # the returns law takes e_n from the arch numerators this way
+    for model in [*models.values(), *random_models]:
+        arith = _Arithmetic(model, "exact")
+        arches = _row0(model, 120, arith, arches=True)
+        assert list(_excursions_from_arches(arches)) == list(_row0(model, 120, arith))
 
 
 def test_returns_row_sums(models):
@@ -275,30 +286,51 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
 
     _full_width_float_walk(model, n, record_arch)
     assert arch_series(model, n, "float") == arches
-    # the float returns law is the arch convolution powers over e_n
+    # the returns law takes e_n from the arches, E = 1 + A·E: zero where the
+    # walk's e_n is, and close to it wherever that is a normal float
+    e = np.array(excursions)
+    from_arches = _excursions_from_arches(np.array(arches))
+    assert np.array_equal(from_arches == 0, e == 0)
+    normal = e >= np.finfo(float).tiny
+    assert np.all(np.abs(from_arches - e)[normal] <= 1e-11 * e[normal])
+    # the float returns law is the arch series' powers over that e_n
     if excursions[n] > 0.0:
         assert returns_to_zero_distribution(model, n, "float") == _returns_from_arches(
-            arches, excursions[n], n, "float")
+            arches, n, "float")
     else:
         with pytest.raises(LatticePathError):
             returns_to_zero_distribution(model, n, "float")
 
-    means = [0.0]
+    # the float moments and mean series are products of the excursion series
+    means = [0.0] + [float(s) / float(x) if x else None
+                     for s, x in zip(_return_totals(e, False)[1:], e[1:])]
+    assert returns_mean_series(model, n, "float") == means
+    if excursions[n]:
+        moments = _moments_from_excursions(e, _Arithmetic(model, "float"))
+        assert returns_moments(model, n, "float") == moments
+    else:
+        with pytest.raises(LatticePathError):
+            returns_moments(model, n, "float")
+
+    # a full-width DP of the count's moments adds the same non-negative
+    # terms in another order
+    dp_means = [0.0]
 
     def record_mean(t, vec):
         m0, m1, _ = vec[0]
-        means.append(float(m1) / float(m0) if m0 else None)
+        dp_means.append(float(m1) / float(m0) if m0 else None)
 
     w0, w1, w2 = _full_width_float_walk(
         model, n, record_mean, trail=(3,),
         at_zero=lambda row: np.array([row[0], row[1] + row[0], row[2] + 2 * row[1] + row[0]]))[0]
-    assert returns_mean_series(model, n, "float") == means
+    assert [m is None for m in means] == [m is None for m in dp_means]
+    for got, want in zip(means, dp_means):
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
     if w0:
         mean = float(w1) / float(w0)
-        assert returns_moments(model, n, "float") == (mean, float(w2) / float(w0) - mean * mean)
-    else:
-        with pytest.raises(LatticePathError):
-            returns_moments(model, n, "float")
+        assert moments[0] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert moments[1] == pytest.approx(float(w2) / float(w0) - mean * mean, rel=1e-9, abs=0)
 
     free = _full_width_float_walk(model, n, free=True)
     assert bridge_and_walk_mass(model, n, "float") == (float(free.sum()), float(free[n * model.c]))
@@ -342,13 +374,20 @@ def _count_axis_laws(model, top):
 
 
 def test_returns_law_matches_count_axis_reference(models, random_models):
+    # the exact law, moments and mean series at every n <= 40
     for model in [*models.values(), *random_models]:
+        means = returns_mean_series(model, 40, "exact")
         for n, law in _count_axis_laws(model, 40).items():
             if law is None:
-                with pytest.raises(LatticePathError):
-                    returns_to_zero_distribution(model, n)
+                assert means[n] is None
+                for stat in (returns_to_zero_distribution, returns_moments):
+                    with pytest.raises(LatticePathError):
+                        stat(model, n, "exact")
             else:
+                ref = ReturnsDistribution(n=n, prob=law)
                 assert returns_to_zero_distribution(model, n).prob == law, n
+                assert returns_moments(model, n, "exact") == (ref.mean(), ref.variance()), n
+                assert means[n] == ref.mean(), n
 
 
 # the models whose float law is sound: excursion masses that do not decay
@@ -388,7 +427,7 @@ def test_returns_law_edge_cases(models, mode):
 
 def test_returns_moments_match_distribution(models, random_models):
     # n = 30 fits one exact block; at n = 60 the rise-3 random model steps
-    # the two walks in 6 and 5 blocks of columns
+    # the walks in 2 blocks of columns
     for model, n in ((models["motzkin_reflection"], 30), (models["motzkin_absorption"], 30),
                      (random_models[0], 60)):
         dist = returns_to_zero_distribution(model, n)
