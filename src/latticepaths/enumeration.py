@@ -15,9 +15,20 @@ integer over D, the lcm of the denominators in ``P`` and ``P0``, so the
 state after t steps is a vector of Python ints (an ``object`` array) over
 D**t, and a value becomes a ``Fraction`` only when it is output. Float mode
 runs the same updates on float64. Each step touches only the live window of
-rows that can be non-zero, between two reused arrays; rows that are exactly
-zero (unreachable, or underflowed in float mode) drop out of it, so the
-results are those of a full-width update, bit for bit.
+rows that can be non-zero, between two reused arrays. After every step the
+edge rows below the smallest normal float (``np.finfo(float).tiny``, about
+2.2e-308) are set to 0 and drop out of it. In exact mode those are the rows
+that are exactly 0. In float mode they are also the subnormal dust that
+exponentially decaying masses leave at the window's edges: wrong by orders
+of magnitude, more than ten times slower to multiply than normal floats,
+and sticky, since 0.6 * 4.9e-324 rounds back to 4.9e-324. So float results
+are bit for bit those of a full-width update that applies the same flush
+after every step, and they equal the unflushed DP wherever its mass is at
+least about 1e-280.
+A float state with no row left at or above tiny has underflowed as a whole,
+and the walk raises ``NumericalSingularityError`` (the CLI exits 2) instead
+of returning zeros; a state that is exactly 0, because nothing survives, is
+a result.
 
 A step is a fixed number of numpy calls, whatever the number of jumps: a
 read-only strided view of the zero-padded state stacks the source rows of
@@ -51,7 +62,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .errors import InvalidModelError, LatticePathError
+from .errors import InvalidModelError, LatticePathError, NumericalSingularityError
 from .model import LaurentPolynomial, WalkModel
 
 Mode = str  # "exact" | "float"
@@ -62,6 +73,10 @@ BRUTE_FORCE_MAX_LENGTH = 12
 # columns per multiply and reduce in an exact DP step: the products are big
 # ints, so only one block of them is alive at a time
 _EXACT_BLOCK = 128
+
+# rows below the smallest normal float leave the walk's window as 0 (a
+# non-negative int is below it only when it is 0)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -201,24 +216,29 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     ``n * c``.
 
     Only the live window ``[lo, hi]`` of rows that can be non-zero is
-    stepped: it widens by the largest jumps each step and is then trimmed
-    past rows that are exactly zero. A step is a fixed number of numpy
-    calls, whatever the number of jumps. Each state buffer has d zero rows
-    below and c above, so a read-only strided view ``S[k, i] = state[i -
-    j_k]`` stacks the sources of every jump j_k = -c..d; one multiply by
-    the dense stencil fills one term row per jump, and one reduce over the
-    rows adds them into the new window. Exact mode does that for one block
-    of columns after another, reusing a term array one block wide, which
-    bounds the big-int products alive at once; float mode takes the whole
-    window as one block. On the bounded walk row 0 steps
-    with P0 instead: its boundary terms go in a term row of their own, put
-    first, and row 0 of the source is zeroed before the bulk multiply.
+    stepped: it widens by the largest jumps each step and, after
+    ``on_step``, is trimmed past the edge rows below ``_TINY``, which are
+    set to 0 (in exact mode: the rows that are 0). If that leaves no row at
+    or above ``_TINY`` while some row is not 0, the float state has
+    underflowed and ``NumericalSingularityError`` is raised.
+
+    A step is a fixed number of numpy calls, whatever the number of jumps.
+    Each state buffer has d zero rows below and c above, so a read-only
+    strided view ``S[k, i] = state[i - j_k]`` stacks the sources of every
+    jump j_k = -c..d; one multiply by the dense stencil fills one term row
+    per jump, and one reduce over the rows adds them into the new window.
+    Exact mode does that for one block of columns after another, reusing a
+    term array one block wide, which bounds the big-int products alive at
+    once; float mode takes the whole window as one block. On the bounded
+    walk row 0 steps with P0 instead: its boundary terms go in a term row
+    of their own, put first, and row 0 of the source is zeroed before the
+    bulk multiply.
 
     Every float state is bit for bit the full-width, term-by-term update
     (boundary terms, then the jumps in ascending order, each added to a
-    zeroed row): a reduce along the leading axis adds the rows in that
-    order, and padding rows, absent jumps, the zeroed row 0 and rows
-    outside the window add an exact +0.0.
+    zeroed row) with the same edge flush after every step: a reduce along
+    the leading axis adds the rows in that order, and padding rows, absent
+    jumps, the zeroed row 0 and rows outside the window add an exact +0.0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -252,6 +272,7 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     bulk_terms = terms[1:]
     rim_terms = terms[0, : len(arith.rim)]
     stencil = arith.stencil.reshape(-1, 1)
+    rim = arith.rim.tolist()
     vec[lo] = 1
     hi = lo
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
@@ -264,7 +285,10 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
             new[whi + 1 : old_hi + 1] = 0
         rows = bulk_terms
         if lo == 0 and not free:  # row 0 steps with the boundary
-            np.multiply(arith.rim, vec[0], rim_terms)
+            # a few scalar products round as the ufunc would, and cost less
+            v0 = vec[0]
+            for j, r in enumerate(rim):
+                rim_terms[j] = r * v0
             vec[0] = 0
             rows = terms
         # the term columns are relative to the block, which starts at wlo =
@@ -280,10 +304,17 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
         old_lo, old_hi = lo, hi
         lo, hi = wlo, whi
         on_step(t, vec)
-        while hi > lo and not vec[hi]:
+        while hi > lo and vec[hi] < _TINY:
             hi -= 1
-        while lo < hi and not vec[lo]:
+        while lo < hi and vec[lo] < _TINY:
             lo += 1
+        if vec[lo] < _TINY and vec[wlo : whi + 1].any():
+            raise NumericalSingularityError(
+                f"float DP underflowed at step {t} of {n}: every mass is below {_TINY:.3g}")
+        if hi < whi:
+            vec[hi + 1 : whi + 1] = 0
+        if lo > wlo:
+            vec[wlo:lo] = 0
     return vec
 
 

@@ -11,6 +11,7 @@ from latticepaths import (
     BoundaryRule,
     InvalidModelError,
     LatticePathError,
+    NumericalSingularityError,
     ReturnsDistribution,
     arch_mass,
     arch_series,
@@ -44,6 +45,7 @@ from latticepaths.enumeration import (
 from conftest import MODEL_NAMES
 
 F = Fraction
+TINY = np.finfo(float).tiny
 
 
 def test_step_examples(models):
@@ -232,10 +234,27 @@ def test_float_mode_agreement(models):
             assert mf[n] == pytest.approx(float(me[n]), rel=1e-12)
 
 
-def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_zero=None):
+def _flush_edges(vec):
+    """Zero the leading and trailing runs of rows whose mass (the first
+    column, if there are more) is below the smallest normal float; raise if
+    that leaves no such row in a non-zero state."""
+    small = (vec if vec.ndim == 1 else vec[:, 0]) < TINY
+    first = small.argmin()  # the first normal row, 0 if there is none
+    if small[first]:
+        if vec.any():
+            raise NumericalSingularityError("every mass is below tiny")
+        return
+    vec[:first] = 0
+    vec[len(vec) - small[::-1].argmin() :] = 0
+
+
+def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_zero=None,
+                           flush=True):
     """The float DP with no live window: every row of the full width steps
-    every time, into fresh zeros, with the engine's term order (boundary
-    terms, then bulk terms)."""
+    every time, into zeroed rows, with the engine's term order (boundary
+    terms, then bulk terms). After ``on_step`` the edge runs of rows below
+    the smallest normal float are flushed to 0, as the engine does, unless
+    ``flush`` is false (the raw DP)."""
     bulk = [(j, float(p)) for j, p in model.P.terms()]
     rim = [(j, float(p)) for j, p in model.P0.terms() if j >= 0]
     if free:
@@ -243,21 +262,27 @@ def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_z
     else:
         start, rise, first = 0, max(model.d, model.P0.hi, 1), 1
     size = start + n * rise + 1
-    vec = np.zeros((size,) + trail)
+    # (weight, source rows, target rows) of every bulk jump
+    jumps = [(p, slice(max(first, -j), size - max(j, 0)),
+              slice(max(first, -j) + j, size + min(j, 0))) for j, p in bulk]
+    vec, new, term = np.zeros((3, size) + trail)
     vec[(start,) + (0,) * len(trail)] = 1.0
     for t in range(1, n + 1):
-        new = np.zeros_like(vec)
+        new.fill(0.0)
         if not free:
             for j, p in rim:
                 new[j] += p * vec[0]
-        for j, p in bulk:
-            src, top = max(first, -j), size - 1 - max(j, 0)
-            new[src + j : top + j + 1] += p * vec[src : top + 1]
-        vec = new
+        for p, src, dst in jumps:
+            product = term[: dst.stop - dst.start]
+            np.multiply(vec[src], p, product)
+            new[dst] += product
+        vec, new = new, vec
         if at_zero is not None:
             vec[0] = at_zero(vec[0])
         if on_step is not None:
             on_step(t, vec)
+        if flush:
+            _flush_edges(vec)
     return vec
 
 
@@ -266,17 +291,27 @@ def _full_width_float_walk(model, n, on_step=None, *, free=False, trail=(), at_z
                          + [(f"random{i}", 1000) for i in range(12)])
 def test_live_window_matches_full_width_float_dp(models, random_models, name, n):
     # the engine steps only rows that can be non-zero; dropping exact zeros
-    # must leave every float bit as the full-width DP has it, including for
-    # supercritical_drift_down, whose top rows underflow to 0, for the
+    # and flushing edge rows below tiny must leave every float bit as the
+    # full-width DP with the same flush has it, including for
+    # supercritical_drift_down, whose top rows go subnormal, for the
     # period-2 Dyck models, whose row 0 is empty after every odd step, and
     # for the random models, with up to 7 jumps and absent jumps between
     model = random_models[int(name[6:])] if name.startswith("random") else models[name]
     excursions = [1.0]
     final = _full_width_float_walk(model, n, lambda t, vec: excursions.append(float(vec[0])))
-    assert meander_distribution(model, n, "float").mass == {
-        k: float(w) for k, w in enumerate(final) if w}
+    mass = meander_distribution(model, n, "float").mass
+    assert mass == {k: float(w) for k, w in enumerate(final) if w}
     assert excursion_series(model, n, "float") == excursions
     assert meander_mass(model, n, "float") == float(final.sum())
+    # the flush touches only masses far below 1e-280 in the raw DP, which
+    # holds subnormal dust at its edges
+    raw_excursions = [1.0]
+    raw = _full_width_float_walk(
+        model, n, lambda t, vec: raw_excursions.append(float(vec[0])), flush=False)
+    for got, want in ((np.array([mass.get(k, 0.0) for k in range(len(raw))]), raw),
+                      (np.array(excursions), np.array(raw_excursions))):
+        kept = want >= 1e-280
+        assert np.array_equal(got[kept], want[kept])
 
     arches = [0.0]
 
@@ -334,6 +369,14 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
 
     free = _full_width_float_walk(model, n, free=True)
     assert bridge_and_walk_mass(model, n, "float") == (float(free.sum()), float(free[n * model.c]))
+
+
+def test_float_meander_holds_no_subnormal_dust(models):
+    # edge rows below the smallest normal float are flushed after every
+    # step, so no subnormal survives to the final state
+    for name in MODEL_NAMES:
+        mass = meander_distribution(models[name], 3000, "float").mass
+        assert min(mass.values()) >= TINY
 
 
 def test_returns_float_mode_agreement(models):
