@@ -141,9 +141,14 @@ def _cmd_asym(args) -> int:
     estimate, exact_value = _ASYM[args.what]
     est = getattr(asymptotics, estimate)(model, n)
     exact = float(getattr(enumeration, exact_value)(model, n, "float"))
-    ratio = exact / est.value if est.value else None
+    # a float below the smallest normal one has lost its digits, or has
+    # underflowed to 0; an exact 0 beside a normal estimate is a length
+    # with no such walk
+    if est.value < sys.float_info.min or 0 < exact < sys.float_info.min:
+        raise NumericalSingularityError(
+            f"estimate {est.value:.3g} or exact {exact:.3g} below the smallest normal float")
     _write_rows([("# what", "n", "estimate", "exact", "ratio", "formula"),
-                 (args.what, n, est.value, exact, ratio, est.formula_id)])
+                 (args.what, n, est.value, exact, exact / est.value, est.formula_id)])
     return EXIT_OK
 
 

@@ -28,7 +28,9 @@ least about 1e-280.
 A float state with no row left at or above tiny has underflowed as a whole,
 and the walk raises ``NumericalSingularityError`` (the CLI exits 2) instead
 of returning zeros; a state that is exactly 0, because nothing survives, is
-a result.
+a result. The returns law alone reads on: its arch walk holds the walks that
+have not returned yet, which can underflow as a whole while e_n stays
+normal, and the arches after that step are taken as 0.
 
 A step is a fixed number of numpy calls, whatever the number of jumps: a
 read-only strided view of the zero-padded state stacks the source rows of
@@ -272,7 +274,6 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
     bulk_terms = terms[1:]
     rim_terms = terms[0, : len(arith.rim)]
     stencil = arith.stencil.reshape(-1, 1)
-    rim = arith.rim.tolist()
     vec[lo] = 1
     hi = lo
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
@@ -285,10 +286,7 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, 
             new[whi + 1 : old_hi + 1] = 0
         rows = bulk_terms
         if lo == 0 and not free:  # row 0 steps with the boundary
-            # a few scalar products round as the ufunc would, and cost less
-            v0 = vec[0]
-            for j, r in enumerate(rim):
-                rim_terms[j] = r * v0
+            np.multiply(arith.rim, vec[0], rim_terms)
             vec[0] = 0
             rows = terms
         # the term columns are relative to the block, which starts at wlo =
@@ -338,10 +336,13 @@ def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") ->
     return out
 
 
-def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False) -> np.ndarray:
+def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
+          underflow_ends: bool = False) -> np.ndarray:
     """Row 0 after every length 0..n, unscaled: the excursion numerators
     e_0..e_n (e_t over den**t in exact mode), or with ``arches`` the arch
-    numerators a_0..a_n, row 0 being cleared after every step."""
+    numerators a_0..a_n, row 0 being cleared after every step. With
+    ``underflow_ends`` a float state that underflows as a whole ends the
+    series, whose later entries are 0, instead of raising."""
     out = [0 if arches else 1]
 
     def record(t, vec):
@@ -349,7 +350,12 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False)
         if arches:
             vec[0] = 0  # an arch ends at its first return to 0
 
-    _walk(model, n, arith, record)
+    try:
+        _walk(model, n, arith, record)
+    except NumericalSingularityError:
+        if not underflow_ends:
+            raise
+        out += [0] * (n + 1 - len(out))
     return np.array(out, dtype=arith.dtype)
 
 
@@ -450,7 +456,12 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
         raise ValueError("n must be >= 0")
     if n == 0:
         return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
-    return _returns_from_arches(_row0(model, n, arith, arches=True), n, mode)
+    # the arch state holds the walks that have not returned yet; on a walk
+    # that comes back to 0 it can underflow as a whole while e_n stays
+    # normal, and the arches still in it, every row below tiny, are far
+    # below what a law divided by e_n resolves
+    arch = _row0(model, n, arith, arches=True, underflow_ends=True)
+    return _returns_from_arches(arch, n, mode)
 
 
 def _first_nonzero(x: np.ndarray) -> int:

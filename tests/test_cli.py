@@ -142,10 +142,13 @@ def test_asym_output(capsys):
 
 
 @pytest.mark.parametrize("name,what,n", [("critical_drift_down", "excursions", 8000),
-                                         ("supercritical_drift_down", "final-alt", 60000)])
+                                         ("supercritical_drift_down", "final-alt", 60000),
+                                         ("drift_up_absorption", "excursions", 8000),
+                                         ("drift_up_reflection", "arches", 8000)])
 def test_asym_at_large_n_exits_two_or_keeps_its_ratio(capsys, name, what, n):
-    # the raw float masses underflow long before n: the whole state goes
-    # subnormal, which must exit 2, never print 0 / 0 or a drifted ratio
+    # the float masses behind these underflow long before n, the whole walk
+    # state on the drift-down models and row 0 alone on the drift-up ones:
+    # that must exit 2, never print 0, a subnormal or a drifted ratio
     model = str(MODELS_DIR / f"{name}.model")
     code, out, err = invoke(capsys, "asym", "--n", str(n), "--what", what, model)
     if code == 2:
@@ -154,7 +157,6 @@ def test_asym_at_large_n_exits_two_or_keeps_its_ratio(capsys, name, what, n):
     assert code == 0
     _, ref, _ = invoke(capsys, "asym", "--n", "2000", "--what", what, model)
     ratio, ref_ratio = (lines.splitlines()[1].split("\t")[4] for lines in (out, ref))
-    assert ratio != "None"
     assert float(ratio) == pytest.approx(float(ref_ratio), rel=1e-3)
 
 
@@ -184,17 +186,6 @@ def test_dist_final_alt_reports_mass(capsys):
     assert code == 0
     assert out.splitlines()[0] == "# meander_mass\t1/2"
     assert "0\t1/2" in out and "2\t1/2" in out
-
-
-def test_dist_final_alt_prints_no_subnormal_dust(capsys):
-    # the raw float DP carries rows of 4.94e-324 here, where the exact
-    # masses are about 1e-444 and smaller
-    model = str(MODELS_DIR / "drift_up_absorption.model")
-    code, out, _ = invoke(capsys, "dist", "--n", "2000", "--what", "final-alt", model)
-    assert code == 0
-    probs = [float(line.split("\t")[1]) for line in out.splitlines() if not line.startswith("#")]
-    assert len(probs) > 1000
-    assert min(probs) >= sys.float_info.min
 
 
 def test_fit_output_and_plot(capsys):

@@ -379,6 +379,18 @@ def test_float_meander_holds_no_subnormal_dust(models):
         assert min(mass.values()) >= TINY
 
 
+def test_arch_walk_underflow_ends_only_the_returns_arches(models):
+    # walks that have not yet returned to 0 decay like 0.89**t here, so the
+    # float arch state underflows as a whole near t = 6300: the returns law
+    # reads the arches after it as 0 (the n = 8000 case of
+    # test_returns_float_law_matches_moments), while an arch mass of that
+    # length has no float value
+    model = models["drift_down_reflection"]
+    with pytest.raises(NumericalSingularityError):
+        arch_mass(model, 8000, "float")
+    assert arch_mass(model, 2000, "float") > 0
+
+
 def test_returns_float_mode_agreement(models):
     # float mode may drop a trailing tail of total mass <= 1e-13
     model = models["motzkin_absorption"]
@@ -438,7 +450,7 @@ def test_returns_law_matches_count_axis_reference(models, random_models):
 @pytest.mark.parametrize("name,n", [
     (name, n) for name in ("drift_down_reflection", "dyck_absorption", "dyck_reflection",
                            "motzkin_absorption", "motzkin_reflection") for n in (400, 2000)
-] + [("supercritical_drift_down", 400)])
+] + [("supercritical_drift_down", 400), ("drift_down_reflection", 8000)])
 def test_returns_float_law_matches_moments(models, name, n):
     model = models[name]
     law = returns_to_zero_distribution(model, n, "float")
