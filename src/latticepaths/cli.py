@@ -110,16 +110,18 @@ def _cmd_count(args) -> int:
 def _cmd_gf_eval(args) -> int:
     model = load_model(args.model)
     z = args.z
-    values = kernel.solve_boundary_gfs(model, z)
+    # one branch solve at z serves every quantity below
+    branches = kernel.small_branches(model, z)
+    values = kernel.solve_boundary_gfs(model, z, branches)
 
     def rows():
         yield "# quantity", "value"
         for k, v in enumerate(values):
             yield f"F_{k}", v
         if model.c >= 2:
-            yield "F_0_vandermonde", kernel.excursion_gf_vandermonde(model, z)
-        yield "E_free", kernel.excursion_gf_bf(model, z)
-        yield "perturbation_residual", kernel.perturbation_identity_residual(model, z)
+            yield "F_0_vandermonde", kernel.excursion_gf_vandermonde(model, z, branches)
+        yield "E_free", kernel.excursion_gf_bf(model, z, branches)
+        yield "perturbation_residual", kernel.perturbation_identity_residual(model, z, branches)
 
     _write_rows(rows())
     return EXIT_OK

@@ -28,7 +28,9 @@ least about 1e-280.
 A float state with no row left at or above tiny has underflowed as a whole,
 and the walk raises ``NumericalSingularityError`` (the CLI exits 2) instead
 of returning zeros; a state that is exactly 0, because nothing survives, is
-a result. The returns law alone reads on: its arch walk holds the walks that
+a result. Row 0 can also fall below tiny on its own while the mass above it
+stays normal; a float excursion or arch series holding such an entry raises
+too. The returns law alone reads on: its arch walk holds the walks that
 have not returned yet, which can underflow as a whole while e_n stays
 normal, and the arches after that step are taken as 0.
 
@@ -340,9 +342,15 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
           underflow_ends: bool = False) -> np.ndarray:
     """Row 0 after every length 0..n, unscaled: the excursion numerators
     e_0..e_n (e_t over den**t in exact mode), or with ``arches`` the arch
-    numerators a_0..a_n, row 0 being cleared after every step. With
-    ``underflow_ends`` a float state that underflows as a whole ends the
-    series, whose later entries are 0, instead of raising."""
+    numerators a_0..a_n, row 0 being cleared after every step.
+
+    A float entry between 0 and the smallest normal float is row 0
+    underflowing on its own while the mass above it stays normal (a state
+    that underflows as a whole raises in ``_walk``); the entries after it
+    fall to 0, so such a series raises ``NumericalSingularityError``. With
+    ``underflow_ends`` (the returns law's arches) the series is kept as it
+    is, and a float state that underflows as a whole ends it, its later
+    entries being 0, instead of raising."""
     out = [0 if arches else 1]
 
     def record(t, vec):
@@ -356,7 +364,14 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
         if not underflow_ends:
             raise
         out += [0] * (n + 1 - len(out))
-    return np.array(out, dtype=arith.dtype)
+    series = np.array(out, dtype=arith.dtype)
+    if not (arith.exact or underflow_ends):
+        dust = np.flatnonzero((series > 0) & (series < _TINY))
+        if len(dust):
+            raise NumericalSingularityError(
+                f"float series underflowed at length {dust[0]} of {n}: "
+                f"{series[dust[0]]:.3g} is below {_TINY:.3g}")
+    return series
 
 
 def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:

@@ -2,11 +2,17 @@
 
 The kernel equation 1 - z*P(u) = 0 has c+d roots; the c of smallest modulus
 (the small branches, all vanishing as z -> 0) eliminate the unknown boundary
-series from the functional equation. This module finds the branches with a
-companion-matrix root solve plus Newton refinement, solves the resulting
-c x c linear system for the boundary generating functions, evaluates the
-closed product formula of the boundary-free model, and derives the
-structural constants that drive every asymptotic regime downstream.
+series from the functional equation. This module finds the branches with
+one eigenvalue solve of the kernel polynomial's companion matrix plus Newton
+refinement, solves the resulting c x c linear system for the boundary
+generating functions, evaluates the closed product formula of the
+boundary-free model, and derives the structural constants that drive every
+asymptotic regime downstream.
+
+Every boundary quantity at z (the c x c system, E(z), the boundary-free
+product, the Vandermonde form and the perturbation identity) reads the same
+c branches, so each takes an optional ``BranchSet`` solved at that z and
+then makes no solve of its own: one companion solve per z serves them all.
 
 The excursion pole rho1 is found in the branch variable: on (0, rho) the
 real small branch satisfies z = 1/P(u1(z)), so the boundary denominator
@@ -69,6 +75,26 @@ def _kernel_coeffs(model: WalkModel, z: complex) -> np.ndarray:
     return coeffs[::-1]
 
 
+def _companion_roots(coeffs: np.ndarray) -> list[complex]:
+    """Roots of the polynomial with descending coefficients ``coeffs``.
+
+    The companion matrix and the trimming of zero end coefficients are those
+    of ``np.roots`` (a trailing zero is a root at 0), so the roots are the
+    same to the last bit; only the wrapper around the eigenvalue call is
+    skipped. The end coefficients are -z times the weights of the deepest
+    and highest jumps, 0 only when that product underflows.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    p = coeffs[first : last + 1]
+    roots: list[complex] = []
+    if len(p) > 1:
+        companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+        companion[0, :] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion).tolist()
+    return roots + [0j] * (len(coeffs) - 1 - last)
+
+
 def _refine_root(z: complex, u: complex, p_float, dp_float) -> complex:
     """Newton steps on f(u) = 1 - z*P(u); small branches are never 0.
 
@@ -111,10 +137,10 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     """
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
-    roots = np.roots(_kernel_coeffs(model, z))
     p_float = model.P.float_terms
     dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
-    roots = [_refine_root(z, complex(r), p_float, dp_float) for r in roots]
+    roots = [_refine_root(z, r, p_float, dp_float)
+             for r in _companion_roots(_kernel_coeffs(model, z))]
     roots.sort(key=abs)
     c = model.c
     merged = False
@@ -149,15 +175,27 @@ def small_branch_u1(model: WalkModel, z: float) -> float:
     return small_branches(model, z).u1
 
 
-def solve_boundary_gfs(model: WalkModel, z: float) -> list[float]:
+def _branches_at(model: WalkModel, z: complex, branches: Optional[BranchSet]) -> BranchSet:
+    """``branches`` if it was solved at z, else the branches solved now."""
+    if branches is None:
+        return small_branches(model, z)
+    if branches.z != complex(z):
+        raise ValueError(f"branches were solved at z={branches.z}, not at z={z}")
+    return branches
+
+
+def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet] = None
+                       ) -> list[float]:
     """Values F_0(z)..F_{c-1}(z) of the boundary generating functions.
 
     Substituting each small branch into the functional equation kills the
     left side and leaves c linear equations sum_k r_k(u_i) F_k = 1/z, with
-    the r_k of ``WalkModel.boundary_corrections``.
+    the r_k of ``WalkModel.boundary_corrections``. ``branches``, if given,
+    is the ``BranchSet`` at z, which is then not solved again; this holds
+    for every boundary quantity below.
     """
-    branches = small_branches(model, z).branches
-    A = np.array([[complex(r(u)) for r in model.boundary_corrections] for u in branches])
+    u = _branches_at(model, z, branches).branches
+    A = np.array([[complex(r(ui)) for r in model.boundary_corrections] for ui in u])
     b = np.full(model.c, 1.0 / z, dtype=complex)
     try:
         x = np.linalg.solve(A, b)
@@ -174,26 +212,27 @@ def solve_boundary_gfs(model: WalkModel, z: float) -> list[float]:
     return out
 
 
-def excursion_gf(model: WalkModel, z: float) -> float:
+def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
     """E(z) for the boundary model; closed form when c=1, system solve otherwise."""
     if model.is_lukasiewicz:
-        u1 = small_branch_u1(model, z)
+        u1 = _branches_at(model, z, branches).u1
         den = 1.0 - z * float(model.P0geq(u1))
         if abs(den) < 1e-14:
             raise NumericalSingularityError(f"excursion series pole at z={z}")
         return 1.0 / den
-    return solve_boundary_gfs(model, z)[0]
+    return solve_boundary_gfs(model, z, branches)[0]
 
 
-def excursion_gf_vandermonde(model: WalkModel, z: float) -> float:
+def excursion_gf_vandermonde(model: WalkModel, z: float, branches: Optional[BranchSet] = None
+                             ) -> float:
     """E(z) through the alternating Vandermonde-minor form over the branches.
 
     For c=1 the minors are empty products and the expression collapses to
     the closed single-branch form, so this delegates there.
     """
     if model.is_lukasiewicz:
-        return excursion_gf(model, z)
-    u = small_branches(model, z).branches
+        return excursion_gf(model, z, branches)
+    u = _branches_at(model, z, branches).branches
     c = model.c
 
     def minor(ell: int) -> complex:
@@ -219,10 +258,10 @@ def excursion_gf_vandermonde(model: WalkModel, z: float) -> float:
     return float(val.real)
 
 
-def excursion_gf_bf(model: WalkModel, z: float) -> float:
+def excursion_gf_bf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
     """Boundary-free excursion series: the signed product of the small branches
     over z times the deepest down weight."""
-    u = small_branches(model, z).branches
+    u = _branches_at(model, z, branches).branches
     c = model.c
     prod = 1.0 + 0j
     for b in u:
@@ -234,7 +273,8 @@ def excursion_gf_bf(model: WalkModel, z: float) -> float:
     return float(val.real)
 
 
-def perturbation_identity_residual(model: WalkModel, z: float) -> float:
+def perturbation_identity_residual(model: WalkModel, z: float,
+                                   branches: Optional[BranchSet] = None) -> float:
     """How far the boundary perturbation identity is from holding at z.
 
     The boundary excursion series is the boundary-free one divided by
@@ -242,27 +282,29 @@ def perturbation_identity_residual(model: WalkModel, z: float) -> float:
     sum_i g(u_i) u_i**(c-1) / prod_{m != i}(u_i - u_m) applied to
     g = P0geq - Pgeq. The factor vanishes exactly when P0 = P, which is
     what makes it a measure of the boundary's perturbation. Contract:
-    residual <= 1e-9 well inside the disk of analyticity.
+    residual <= 1e-9 well inside the disk of analyticity. One branch solve
+    serves both sides.
     """
-    branches = small_branches(model, z).branches
+    branches = _branches_at(model, z, branches)
+    u = branches.branches
     c = model.c
     p_geq = model.P.nonneg_part()
     lam_sum = 0j
-    for i, ui in enumerate(branches):
+    for i, ui in enumerate(u):
         denom = 1.0 + 0j
-        for m, um in enumerate(branches):
+        for m, um in enumerate(u):
             if m != i:
                 denom *= ui - um
         g = complex(model.P0geq(ui)) - complex(p_geq(ui))
         lam_sum += g * ui ** (c - 1) / denom
-    e_free = excursion_gf_bf(model, z)
+    e_free = excursion_gf_bf(model, z, branches)
     denominator = 1.0 - z * e_free * lam_sum
     if denominator == 0:
         raise NumericalSingularityError(f"perturbation denominator vanished at z={z}")
     predicted = e_free / denominator
     if abs(predicted.imag) > 1e-8 * (1.0 + abs(predicted.real)):
         raise NumericalSingularityError(f"non-real perturbation value at z={z}")
-    return abs(excursion_gf(model, z) - predicted.real)
+    return abs(excursion_gf(model, z, branches) - predicted.real)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +564,16 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     )
 
 
-def u1_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4)) -> float:
+def u1_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
+                       constants: Optional[StructuralConstants] = None) -> float:
     """Max scaled residual of u1(rho(1-eps)) against tau - C*sqrt(eps).
 
     The remainder of the branch expansion is linear in eps, so the residual
     divided by eps stays bounded; the largest such ratio is returned.
+    ``constants``, if given, are the model's structural constants, which are
+    then not computed again.
     """
-    sc = structural_constants(model)
+    sc = structural_constants(model) if constants is None else constants
     worst = 0.0
     for eps in epsilons:
         z = sc.rho * (1.0 - eps)

@@ -9,6 +9,7 @@ enough to run on every model file.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -80,9 +81,11 @@ def _series_identity_checks(model: WalkModel) -> Iterator[Check]:
         yield "conservation/reflection-mass-one", ok, ""
     elif model.is_lukasiewicz:
         loss = Fraction(1) - model.P0geq.total_weight()
+        # m_{n+1} = 1 - loss * (e_0 + ... + e_n), with the prefix sums kept
+        # running
         ok = all(
-            m_series[n + 1] == 1 - loss * sum(e_series[: n + 1], Fraction(0))
-            for n in range(n_cons)
+            m == 1 - loss * prefix
+            for m, prefix in zip(m_series[1:], itertools.accumulate(e_series[:n_cons]))
         )
         yield "conservation/absorption-identity", ok, ""
     else:
@@ -130,10 +133,11 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
     rho = sc.rho
     zs = [rho * t for t in (0.05, 0.15, 0.25, 0.35, 0.45)]
 
+    # one branch solve per z of zs, read by every check at those z
+    branch_sets = [kernel.small_branches(model, z) for z in zs]
     ok = True
     detail = ""
-    for z in zs:
-        branches = kernel.small_branches(model, z)
+    for z, branches in zip(zs, branch_sets):
         if max(branches.residuals) > 1e-12:
             ok = False
             detail = f"z={z:.6g}"
@@ -162,8 +166,8 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
 
     ok = True
     detail = ""
-    for z in zs:
-        res = kernel.perturbation_identity_residual(model, z)
+    for z, branches in zip(zs, branch_sets):
+        res = kernel.perturbation_identity_residual(model, z, branches)
         if res > 1e-9:
             ok = False
             detail = f"z={z:.6g} residual={res:.3g}"
@@ -172,15 +176,15 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
     if model.c >= 2:
         ok = True
         detail = ""
-        for z in zs:
-            a = kernel.excursion_gf_vandermonde(model, z)
-            b = kernel.solve_boundary_gfs(model, z)[0]
+        for z, branches in zip(zs, branch_sets):
+            a = kernel.excursion_gf_vandermonde(model, z, branches)
+            b = kernel.solve_boundary_gfs(model, z, branches)[0]
             if abs(a - b) > 1e-9:
                 ok = False
                 detail = f"z={z:.6g}"
         yield "kernel/vandermonde-matches-system", ok, detail
 
-    worst = kernel.u1_expansion_check(model)
+    worst = kernel.u1_expansion_check(model, constants=sc)
     yield "kernel/u1-expansion-bounded", math.isfinite(worst), f"max scaled residual {worst:.3g}"
 
     lam = sc.lam

@@ -160,6 +160,19 @@ def test_asym_at_large_n_exits_two_or_keeps_its_ratio(capsys, name, what, n):
     assert float(ratio) == pytest.approx(float(ref_ratio), rel=1e-3)
 
 
+@pytest.mark.parametrize("name", ["drift_up_absorption", "drift_up_reflection"])
+@pytest.mark.parametrize("what", ["excursions", "arches"])
+def test_count_series_with_an_underflowed_row_exits_two(capsys, name, what):
+    # row 0 falls below the smallest normal float near t = 6120-6146 while
+    # the mass above it stays normal; the series must not print subnormal
+    # rows and then zeros
+    model = str(MODELS_DIR / f"{name}.model")
+    code, out, err = invoke(capsys, "count", "--n", "8000", "--what", what, model)
+    assert code == 2
+    assert out == ""
+    assert "underflowed" in err
+
+
 def test_float_walk_with_no_surviving_mass_exits_one(capsys, tmp_path):
     # an exactly zero float state is a model property, not an underflow
     p = tmp_path / "dead.model"

@@ -320,7 +320,16 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
         vec[0] = 0.0
 
     _full_width_float_walk(model, n, record_arch)
-    assert arch_series(model, n, "float") == arches
+    # an entry below the smallest normal float beside a normal state has
+    # underflowed on its own, and the float series raises instead of
+    # returning it: random11's arches hold one at t = 962
+    dust = [t for t, a in enumerate(arches) if 0.0 < a < TINY]
+    if dust:
+        assert (name, dust[0]) == ("random11", 962)
+        with pytest.raises(NumericalSingularityError):
+            arch_series(model, n, "float")
+    else:
+        assert arch_series(model, n, "float") == arches
     # the returns law takes e_n from the arches, E = 1 + A·E: zero where the
     # walk's e_n is, and close to it wherever that is a normal float
     e = np.array(excursions)

@@ -256,10 +256,8 @@ def test_u1_expansion_residuals(models):
         assert u1_expansion_check(model) < 10.0
 
 
-def test_structural_constants_makes_at_most_two_branch_solves(models, random_models, monkeypatch):
-    # rho1 is found in the branch variable, and alpha/alpha2 are taken at
-    # its root u*; only the tangency probe below rho and E(1) solve for the
-    # branches
+def _count_solves(monkeypatch):
+    """The z of every ``small_branches`` call from now on, in order."""
     from latticepaths import kernel
 
     calls = []
@@ -270,6 +268,14 @@ def test_structural_constants_makes_at_most_two_branch_solves(models, random_mod
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "small_branches", counted)
+    return calls
+
+
+def test_structural_constants_makes_at_most_two_branch_solves(models, random_models, monkeypatch):
+    # rho1 is found in the branch variable, and alpha/alpha2 are taken at
+    # its root u*; only the tangency probe below rho and E(1) solve for the
+    # branches
+    calls = _count_solves(monkeypatch)
     for model in list(models.values()) + random_models:
         calls.clear()
         structural_constants(model)
@@ -358,3 +364,87 @@ def test_boundary_polynomials_are_built_once_per_model(models, monkeypatch):
         monkeypatch.undo()
         assert again == first
         assert built == [], str(model.P)
+
+
+BOUNDARY_QUANTITIES = (solve_boundary_gfs, excursion_gf, excursion_gf_bf,
+                       excursion_gf_vandermonde, perturbation_identity_residual)
+
+
+def _outcome(call):
+    """repr of what call() returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # the comparison covers failures too
+        return type(exc), str(exc)
+
+
+def _z_points(model):
+    """A grid in (0, rho), complex z on |z| = rho/2, and a z so small that
+    the kernel polynomial's end coefficients underflow to 0."""
+    rho = structural_constants(model).rho
+    grid = [rho * t for t in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    circle = [0.5 * rho * complex(math.cos(a), math.sin(a)) for a in (0.4, 1.3, 2.2, 3.1)]
+    return grid + circle + [5e-324]
+
+
+def test_branches_and_boundary_quantities_repr_identical_to_np_roots(models, random_models,
+                                                                    monkeypatch):
+    # the companion solve finds the same roots as np.roots, and a quantity
+    # handed the BranchSet at z gives what it gives when it solves on its own
+    from latticepaths import kernel
+
+    companion_roots = kernel._companion_roots
+    np_roots = lambda coeffs: [complex(r) for r in np.roots(coeffs)]  # noqa: E731
+    for model in list(models.values()) + random_models:
+        for z in _z_points(model):
+            coeffs = kernel._kernel_coeffs(model, z)
+            assert _outcome(lambda: companion_roots(coeffs)) == _outcome(lambda: np_roots(coeffs))
+            got = _outcome(lambda: small_branches(model, z))
+            monkeypatch.setattr(kernel, "_companion_roots", np_roots)
+            want = _outcome(lambda: small_branches(model, z))
+            monkeypatch.undo()
+            assert got == want, (str(model.P), z)
+            try:
+                branches = small_branches(model, z)
+            except Exception:
+                continue
+            for quantity in BOUNDARY_QUANTITIES:
+                assert _outcome(lambda: quantity(model, z, branches)) == _outcome(
+                    lambda: quantity(model, z)), (quantity.__name__, str(model.P), z)
+
+
+def test_boundary_quantities_make_one_solve_or_none_when_handed_branches(models, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    for model in models.values():
+        z = 0.3 * structural_constants(model).rho
+        branches = small_branches(model, z)
+        for quantity in BOUNDARY_QUANTITIES:
+            calls.clear()
+            quantity(model, z)
+            assert calls == [z], (quantity.__name__, str(model.P))
+            calls.clear()
+            quantity(model, z, branches)
+            assert calls == [], (quantity.__name__, str(model.P))
+
+
+def test_gf_eval_makes_one_solve(monkeypatch, capsys):
+    from conftest import MODELS_DIR
+    from latticepaths.cli import run
+
+    calls = _count_solves(monkeypatch)
+    # c = 1 and c = 2, which also prints the Vandermonde form
+    for name in ("motzkin_absorption", "two_down_reflection"):
+        calls.clear()
+        assert run(["gf-eval", "--z", "0.3", str(MODELS_DIR / f"{name}.model")]) == 0
+        assert calls == [0.3], name
+    capsys.readouterr()
+
+
+def test_branches_from_another_z_raise(models):
+    for name in ("motzkin_absorption", "two_down_reflection"):
+        model = models[name]
+        branches = small_branches(model, 0.2)
+        for quantity in BOUNDARY_QUANTITIES:
+            with pytest.raises(ValueError):
+                quantity(model, 0.3, branches)
+            quantity(model, 0.2, branches)
