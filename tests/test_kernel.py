@@ -394,7 +394,10 @@ def test_branches_and_boundary_quantities_repr_identical_to_np_roots(models, ran
     from latticepaths import kernel
 
     companion_roots = kernel._companion_roots
-    np_roots = lambda coeffs: [complex(r) for r in np.roots(coeffs)]  # noqa: E731
+
+    def np_roots(coeffs):
+        return [complex(r) for r in np.roots(coeffs)]
+
     for model in list(models.values()) + random_models:
         for z in _z_points(model):
             coeffs = kernel._kernel_coeffs(model, z)
@@ -427,7 +430,7 @@ def test_boundary_quantities_make_one_solve_or_none_when_handed_branches(models,
             assert calls == [], (quantity.__name__, str(model.P))
 
 
-def test_gf_eval_makes_one_solve(monkeypatch, capsys):
+def test_gf_eval_makes_one_solve(monkeypatch):
     from conftest import MODELS_DIR
     from latticepaths.cli import run
 
@@ -437,7 +440,6 @@ def test_gf_eval_makes_one_solve(monkeypatch, capsys):
         calls.clear()
         assert run(["gf-eval", "--z", "0.3", str(MODELS_DIR / f"{name}.model")]) == 0
         assert calls == [0.3], name
-    capsys.readouterr()
 
 
 def test_branches_from_another_z_raise(models):
