@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InconsistentCaseError,
@@ -72,8 +71,8 @@ def require_lukasiewicz(model: WalkModel) -> None:
 
 
 def drift_sign(model: WalkModel) -> DriftSign:
-    """Sign of P'(1), decided in exact arithmetic."""
-    delta = model.P.derivative()(Fraction(1))
+    """Sign of P'(1), decided in exact arithmetic: the coefficient sum of P'."""
+    delta = model.P.derivative().total_weight()
     if delta > 0:
         return DriftSign.POSITIVE
     if delta < 0:
@@ -145,7 +144,7 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if e1 is None:
         raise NumericalSingularityError("excursion series diverges at z=1")
     if cls.drift_sign is DriftSign.POSITIVE:
-        q1 = float(model.P0geq(Fraction(1)))
+        q1 = float(model.P0geq.total_weight())
         return AsymptoticEstimate(n, 1.0 - (1.0 - q1) * e1, "meanders/positive-drift")
     if cls.drift_sign is DriftSign.ZERO:
         if cls.criticality is not Criticality.SUBCRITICAL:
@@ -186,7 +185,7 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     sc, cls = _constants_and_class(model)
     if n < 1:
         raise ValueError("asymptotic estimates need n >= 1")
-    ddP1 = float(model.P.derivative().derivative()(Fraction(1)))
+    ddP1 = float(model.P.derivative().derivative().total_weight())
     if cls.drift_sign is DriftSign.POSITIVE:
         return AsymptoticEstimate(n, sc.delta * n, "final-altitude/positive-drift")
     if model.is_reflection:
@@ -201,7 +200,7 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
             raise InconsistentCaseError(
                 "negative drift forces the supercritical case in the reflection model"
             )
-        ddQ1 = float(model.P0geq.derivative().derivative()(Fraction(1)))
+        ddQ1 = float(model.P0geq.derivative().derivative().total_weight())
         value = (sc.delta0geq * ddP1 + sc.delta * ddQ1) / (
             2.0 * sc.delta * (sc.delta - sc.delta0geq)
         )
@@ -267,7 +266,7 @@ def boundary_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e
             residuals[eps] = res
             scaled[eps] = res / eps**3
         return BoundaryExpansionReport(case="quadratic", residuals=residuals, scaled=scaled)
-    base = float(model.P0geq(Fraction(1)))
+    base = float(model.P0geq.total_weight())
     for eps in epsilons:
         val = float(model.P0geq(small_branch_u1(model, 1.0 - eps)))
         pred = base - sc.kappa * math.sqrt(eps)

@@ -569,11 +569,22 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     power of the arch series; the excursion mass e_n comes from the arches
     too (``_excursions_from_arches``). The weights are taken in ascending
     k until they add up to e_n, or to e_n * (1 - 1e-13) in float mode.
+
+    A float e_n of 0 after an e_t between 0 and the smallest normal float
+    has underflowed, with the arch walk (the arches of a state that
+    underflows as a whole are 0), and raises ``NumericalSingularityError``;
+    an e_n of 0 otherwise means no excursion of length n.
     """
     exact = mode == "exact"
     arch = np.array(arch, dtype=object if exact else float)
-    e_n = _excursions_from_arches(arch)[n]
+    e = _excursions_from_arches(arch)
+    e_n = e[n]
     if e_n <= 0:
+        dust = [] if exact else np.flatnonzero((e > 0) & (e < _TINY))
+        if len(dust):
+            raise NumericalSingularityError(
+                f"float excursion mass underflowed: {e[dust[0]]:.3g} at length {dust[0]}, "
+                f"0 at length {n}")
         raise LatticePathError(f"no excursion of length {n}")
     target = e_n if exact else e_n * (1.0 - 1e-13)
     weights = _arch_power_weights(arch, n, exact)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
 from .model import WalkModel
 
 ROOT_RESIDUAL_TOL = 1e-12
-BISECTION_REL_WIDTH = 1e-13
+ROOT_REL_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,25 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     c-th and (c+1)-th modulus is tolerated only for real z at the point
     where the real branches merge (the square-root singularity); elsewhere
     it means z left the disk of analyticity and is reported as degenerate.
+    A z so small that the companion solve loses the small branches raises
+    ``NumericalSingularityError``.
     """
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
     p_float = model.P.float_terms
     dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
-    roots = [_refine_root(z, r, p_float, dp_float)
-             for r in _companion_roots(_kernel_coeffs(model, z))]
+    # at tiny |z| the companion matrix, with entries of size 1/z, overflows
+    # or returns the small roots, of size about z, as exactly 0
+    try:
+        roots = _companion_roots(_kernel_coeffs(model, z))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSingularityError(f"kernel companion solve failed at z={z}: {exc}") from exc
+    if 0 in roots:
+        raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
+    try:
+        roots = [_refine_root(z, r, p_float, dp_float) for r in roots]
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
     roots.sort(key=abs)
     c = model.c
     merged = False
@@ -349,47 +360,66 @@ class StructuralConstants:
     r: Optional[float] = None
 
 
+def _bracketed_newton(f, df, lo: float, hi: float) -> float:
+    """Root of f in the bracket (lo, hi), where f(lo) < 0 < f(hi).
+
+    Safeguarded Newton: each value of f moves one end of the bracket to
+    the current point; the Newton step is taken when it lands inside the
+    bracket, and the bracket is bisected otherwise. The root is returned
+    once a Newton step or the bracket is within ``ROOT_REL_WIDTH`` of the
+    point, or when f is exactly 0 there; a step below one ulp, which
+    leaves the point where it is, is within that width.
+    """
+    u = 0.5 * (lo + hi)
+    for _ in range(200):
+        fu = f(u)
+        if fu == 0:
+            return u
+        if fu < 0:
+            lo = u
+        else:
+            hi = u
+        dfu = df(u)
+        step = fu / dfu if dfu else math.inf
+        nxt = u - step
+        if abs(step) <= ROOT_REL_WIDTH * u and lo <= nxt <= hi:
+            return nxt
+        if lo < nxt < hi:
+            u = nxt
+        else:
+            u = 0.5 * (lo + hi)
+            if hi - lo <= ROOT_REL_WIDTH * u:
+                return u
+    raise NumericalSingularityError(f"root in ({lo}, {hi}) did not converge")
+
+
 def _find_tau(model: WalkModel) -> float:
-    """Unique positive root of P'(u); P is strictly convex on (0, inf)."""
+    """Unique positive root of P'(u); P is strictly convex on (0, inf).
+
+    tau is 1 when the drift P'(1), the coefficient sum of P', is exactly 0.
+    Otherwise P' has the drift's sign at 1, so 1 is the upper end of the
+    bracket when the drift is positive and the lower end when it is
+    negative; the other end is halved or doubled from 1 until P' changes
+    sign, and safeguarded Newton on P', whose derivative P'' is positive,
+    finds the root inside (``_bracketed_newton``).
+    """
     dP = model.P.derivative()
-    delta_exact = dP(Fraction(1))
-    if delta_exact == 0:
+    delta = dP.total_weight()
+    if delta == 0:
         return 1.0
-
-    def g(u: float) -> float:
-        return float(dP(u))
-
     lo = hi = 1.0
     for _ in range(200):
-        if g(lo) < 0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if g(hi) > 0:
-            break
-        hi *= 2.0
-    if not (g(lo) < 0 < g(hi)):
-        raise NumericalSingularityError("failed to bracket the minimum of P")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECTION_REL_WIDTH * mid:
-            break
-        if g(mid) < 0:
-            lo = mid
+        if delta > 0:
+            lo *= 0.5
+            if dP(lo) < 0:
+                break
         else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    ddP = dP.derivative()
-    for _ in range(6):
-        d1 = float(dP(tau))
-        d2 = float(ddP(tau))
-        if d2 == 0:
-            break
-        step_len = d1 / d2
-        if tau - step_len <= 0:
-            break
-        tau -= step_len
-    return tau
+            hi *= 2.0
+            if dP(hi) > 0:
+                break
+    else:
+        raise NumericalSingularityError("failed to bracket the minimum of P")
+    return _bracketed_newton(dP, dP.derivative(), lo, hi)
 
 
 def boundary_denominator(model: WalkModel, z: float) -> float:
@@ -429,9 +459,8 @@ def composed_boundary_derivatives(model: WalkModel, z: float, u1: Optional[float
 
 def _criticality_sign(model: WalkModel, tau: float) -> int:
     """Sign of P0geq(tau) - P(tau); decided exactly when tau = 1 exactly."""
-    dP = model.P.derivative()
-    if dP(Fraction(1)) == 0:
-        diff = model.P0geq(Fraction(1)) - model.P(Fraction(1))
+    if model.P.derivative().total_weight() == 0:
+        diff = model.P0geq.total_weight() - model.P.total_weight()
         return (diff > 0) - (diff < 0)
     diff_f = float(model.P0geq(tau)) - float(model.P(tau))
     tol = 1e-9 * max(1.0, abs(float(model.P(tau))))
@@ -445,7 +474,13 @@ def _criticality_sign(model: WalkModel, tau: float) -> int:
 def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
                ) -> tuple[Optional[float], Optional[float]]:
     """(rho1, u*) with rho1 = 1/P(u*) and u* the small branch there; u* is
-    None when rho1 is rho or does not exist."""
+    None when rho1 is rho or does not exist.
+
+    u* is the root of P0geq - P on (0, tau): tau is the upper end of its
+    bracket, the lower end is halved from tau until P0geq - P is negative,
+    and safeguarded Newton with h' = P0geq' - P' finds the root inside
+    (``_bracketed_newton``).
+    """
     if sign < 0:
         return None, None
     if sign == 0:
@@ -453,38 +488,18 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
     if boundary_denominator(model, rho * (1.0 - 1e-12)) > 0:
         # tangency within tolerance; treat as the critical point rho
         return rho, None
-    # D(1/P(u)) = (P(u) - P0geq(u))/P(u) for u in (0, tau): same sign as h
+    # D(1/P(u)) = (P(u) - P0geq(u))/P(u) for u in (0, tau): the opposite
+    # sign of f = P0geq - P, which is positive at tau
     P, Q = model.P, model.P0geq
     dP, dQ = P.derivative(), Q.derivative()
-
-    def h(u: float) -> float:
-        return P(u) - Q(u)
-
-    hi = tau
-    lo = hi
+    lo = tau
     for _ in range(200):
         lo *= 0.5
-        if h(lo) > 0:
+        if Q(lo) - P(lo) < 0:
             break
     else:
         raise NumericalSingularityError("failed to bracket rho1 from below")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECTION_REL_WIDTH * tau:
-            break
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    for _ in range(6):
-        dh = dP(u) - dQ(u)
-        if dh == 0:
-            break
-        nxt = u - h(u) / dh
-        if nxt == u or not (0 < nxt < tau):
-            break
-        u = nxt
+    u = _bracketed_newton(lambda u: Q(u) - P(u), lambda u: dQ(u) - dP(u), lo, tau)
     return 1.0 / P(u), u
 
 
@@ -492,7 +507,7 @@ def _altitude_derivative_ratio(model: WalkModel, z: float, u1: float, delta: flo
                                delta0geq: float) -> float:
     """F_u(z,1)/E(z) at a point z with small branch u1: the excursion factors
     cancel, leaving an explicit form in the drifts delta and delta0geq."""
-    q1 = float(model.P0geq(Fraction(1)))
+    q1 = float(model.P0geq.total_weight())
     return delta0geq * z / (1.0 - z) + delta * z * z * (
         q1 - float(model.P0geq(u1))
     ) / (1.0 - z) ** 2
@@ -512,6 +527,12 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     supercritical pole, E_at_rho is finite only below criticality, E_at_1
     only when the excursion series converges at z=1, and r is computed
     only in the subcritical negative-drift regime where it is used.
+
+    The exact values at u = 1 are coefficient sums (``total_weight``): the
+    drifts delta and delta0geq, and the criticality sign when tau = 1, come
+    from exact rationals without evaluating any polynomial at a
+    ``Fraction``. tau and u* are roots found by safeguarded Newton in a
+    bracket, each within about one ulp of the true root.
     """
     tau = _find_tau(model)
     p_tau = float(model.P(tau))
@@ -519,9 +540,9 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     ddP = dP.derivative()
     rho = 1.0 / p_tau
     C = math.sqrt(2.0 * p_tau / float(ddP(tau)))
-    delta = float(dP(Fraction(1)))
+    delta = float(dP.total_weight())
     dq = model.P0geq.derivative()
-    delta0 = float(dq(Fraction(1)))
+    delta0 = float(dq.total_weight())
     lam = float(model.P0geq(tau)) / p_tau
     kappa = C * rho * float(dq(tau))
     sign = _criticality_sign(model, tau)

@@ -30,7 +30,6 @@ from .enumeration import (
 from .errors import InconsistentCaseError, LatticePathError, NumericalSingularityError
 from .kernel import structural_constants
 from .model import WalkModel
-from fractions import Fraction
 
 
 class Statistic(enum.Enum):
@@ -143,7 +142,7 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
 def final_altitude_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the final altitude of surviving walks."""
     sc, cls = _constants_and_class(model)
-    ddP1 = float(model.P.derivative().derivative()(Fraction(1)))
+    ddP1 = float(model.P.derivative().derivative().total_weight())
     if cls.drift_sign is DriftSign.POSITIVE:
         return LimitLawSpec(
             family="gaussian",

@@ -134,6 +134,12 @@ class LaurentPolynomial:
         )
 
     def total_weight(self) -> Fraction:
+        """The exact value at u = 1, the sum of the coefficients: the same
+        ``Fraction`` as Horner at ``Fraction(1)``, computed once."""
+        return self._total_weight
+
+    @cached_property
+    def _total_weight(self) -> Fraction:
         return sum(self.coeffs, Fraction(0))
 
     def scaled(self, factor: Rational) -> "LaurentPolynomial":

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticepaths import enumeration, laws
@@ -171,6 +172,41 @@ def test_count_series_with_an_underflowed_row_exits_two(capsys, name, what):
     assert code == 2
     assert out == ""
     assert "underflowed" in err
+
+
+@pytest.mark.parametrize("name", ["drift_up_absorption", "drift_up_reflection",
+                                  "critical_drift_down"])
+def test_dist_returns_with_an_underflowed_excursion_mass_exits_two(capsys, name):
+    # the float arch walk underflows near t = 6100-6600, and e_n with it:
+    # a numerical failure, not a model without excursions of length 8000
+    model = str(MODELS_DIR / f"{name}.model")
+    code, out, err = invoke(capsys, "dist", "--n", "8000", "--what", "returns", model)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical error:") and "underflowed" in err
+
+
+def test_dist_returns_without_excursions_exits_one(capsys):
+    # a Dyck walk has no excursion of odd length
+    code, out, err = invoke(capsys, "dist", "--n", "7", "--what", "returns", DYCK)
+    assert code == 1
+    assert out == ""
+    assert "no excursion of length 7" in err
+
+
+@pytest.mark.parametrize("name,z", [("two_down_reflection", "1e-100"),
+                                    ("motzkin_reflection", "1e-250"),
+                                    ("two_down_reflection", "1e-320")])
+def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
+    # the companion solve returns the small branches as 0 here (at 1e-320
+    # its matrix overflows), which must not end in a traceback or in a
+    # model error
+    model = str(MODELS_DIR / f"{name}.model")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical error:") and "Traceback" not in err
 
 
 def test_float_walk_with_no_surviving_mass_exits_one(capsys, tmp_path):

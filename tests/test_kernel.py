@@ -450,3 +450,112 @@ def test_branches_from_another_z_raise(models):
             with pytest.raises(ValueError):
                 quantity(model, 0.3, branches)
             quantity(model, 0.2, branches)
+
+
+def _count_evaluations(monkeypatch):
+    """The argument of every polynomial evaluation from now on, in order."""
+    from latticepaths.model import LaurentPolynomial
+
+    args = []
+    evaluate = LaurentPolynomial.__call__
+
+    def counted(self, x):
+        args.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(LaurentPolynomial, "__call__", counted)
+    return args
+
+
+def test_constants_and_estimates_evaluate_no_polynomial_at_a_fraction(models, random_models,
+                                                                     monkeypatch):
+    # exact values at u = 1 are coefficient sums; Horner on Fractions is
+    # reserved for the exact DP's callers
+    from latticepaths import (arch_asymptotic, classify, excursion_asymptotic,
+                              final_altitude_asymptotic, meander_ratio_asymptotic)
+    from latticepaths.errors import LatticePathError
+
+    args = _count_evaluations(monkeypatch)
+    calls = [structural_constants, classify] + [
+        lambda model, estimate=estimate: estimate(model, 100)
+        for estimate in (excursion_asymptotic, arch_asymptotic, meander_ratio_asymptotic,
+                         final_altitude_asymptotic)]
+    evaluated = 0
+    for model in list(models.values()) + random_models:
+        for call in calls:
+            args.clear()
+            try:
+                call(model)
+            except LatticePathError:
+                pass
+            evaluated += len(args)
+            assert not [x for x in args if isinstance(x, Fraction)], str(model.P)
+    assert evaluated > 0
+
+
+def test_tau_and_rho1_need_few_evaluations(models, monkeypatch):
+    # safeguarded Newton inside the bracket: bisection to 1e-13 and a Newton
+    # polish took 61 evaluations for tau and 99-100 for rho1
+    from latticepaths.kernel import _find_rho1, _find_tau
+
+    constants = {name: structural_constants(model) for name, model in models.items()}
+    args = _count_evaluations(monkeypatch)
+    for name, model in models.items():
+        sc = constants[name]
+        args.clear()
+        assert _find_tau(model) == sc.tau
+        assert len(args) <= 20, (name, len(args))
+        args.clear()
+        assert _find_rho1(model, sc.rho, sc.tau, sc.sign)[0] == sc.rho1
+        assert len(args) <= 35, (name, len(args))
+
+
+def test_bracketed_newton_bisects_where_newton_leaves_the_bracket():
+    from latticepaths.kernel import ROOT_REL_WIDTH, _bracketed_newton
+
+    # no usable derivative: every step is a bisection
+    assert _bracketed_newton(lambda u: u - 0.3, lambda u: 0.0, 0.0, 1.0) == pytest.approx(
+        0.3, rel=2 * ROOT_REL_WIDTH)
+    # a Newton step from the midpoint of this flat-then-steep f overshoots
+    # the bracket
+    def f(u):
+        return math.atan(20.0 * (u - 0.9))
+
+    def df(u):
+        return 20.0 / (1.0 + (20.0 * (u - 0.9)) ** 2)
+
+    assert _bracketed_newton(f, df, 0.0, 1.0) == pytest.approx(0.9, rel=1e-15)
+
+
+def _mp_derivative(mpmath, poly, k):
+    """The kth derivative of ``poly`` as a function of an mpmath number."""
+    terms = [(e, mpmath.mpf(c.numerator) / c.denominator) for e, c in poly.terms()]
+    return lambda u: mpmath.fsum(c * mpmath.ff(e, k) * u ** (e - k) for e, c in terms)
+
+
+def test_tau_and_rho1_within_an_ulp_of_high_precision_roots(models, random_models):
+    # tau and u* may land on either float next to the true root: 2.3e-16
+    # bounds one ulp relative; bisection with a Newton polish was at worst
+    # 1.8e-16 for tau and 2.2e-16 for rho1 over 250 models
+    import random
+
+    from conftest import random_model
+    from latticepaths.kernel import _find_rho1
+
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    cases = list(models.values()) + random_models + [random_model(rng) for _ in range(40)]
+    checked = 0
+    with mpmath.workdps(40):
+        for model in cases:
+            sc = structural_constants(model)
+            tau = mpmath.findroot(_mp_derivative(mpmath, model.P, 1), mpmath.mpf(sc.tau))
+            assert abs(sc.tau - tau) <= 2.3e-16 * tau, str(model.P)
+            u_star = _find_rho1(model, sc.rho, sc.tau, sc.sign)[1]
+            if u_star is None:
+                continue
+            checked += 1
+            P, Q = _mp_derivative(mpmath, model.P, 0), _mp_derivative(mpmath, model.P0geq, 0)
+            u = mpmath.findroot(lambda u: P(u) - Q(u), mpmath.mpf(u_star))
+            assert abs(sc.rho1 - 1 / P(u)) <= 2.3e-16 / P(u), (str(model.P), str(model.P0))
+    assert checked >= 10

@@ -161,6 +161,16 @@ def test_exact_evaluation_stays_exact():
             assert type(poly(k)) is Fraction
 
 
+def test_value_at_one_is_fraction_horner_at_one(models, random_models):
+    # the exact value at u = 1 is the coefficient sum, computed once
+    for model in list(models.values()) + random_models:
+        for poly in (model.P, model.P0, model.P0geq):
+            for p in (poly, poly.derivative(), poly.derivative().derivative()):
+                got, want = p.total_weight(), _fraction_horner(p, Fraction(1))
+                assert got == want and type(got) is type(want), str(p)
+                assert p.total_weight() is got
+
+
 def test_cached_views_keep_models_equal_and_hashable(models):
     for name, model in models.items():
         fresh = parse_model(format_model(model))
