@@ -9,19 +9,28 @@ The recurrence is the obvious one. Mass sitting at altitude zero steps with
 the boundary polynomial, mass at positive altitude steps with the bulk
 polynomial, and anything landing below zero is discarded (absorbed).
 
-One engine, ``_walk``, runs every recurrence as slice updates on a numpy
-array indexed by altitude. Exact mode works on integers: every weight is an
-integer over D, the lcm of the denominators in ``P`` and ``P0``, so the
-state after t steps is a vector of Python ints (an ``object`` array) over
-D**t, and a value becomes a ``Fraction`` only when it is output. Float mode
-runs the same updates on float64. Each step touches only the live window of
-rows that can be non-zero, between two reused arrays. After every step the
-edge rows below the smallest normal float (``np.finfo(float).tiny``, about
-2.2e-308) are set to 0 and drop out of it. In exact mode those are the rows
-that are exactly 0. In float mode they are also the subnormal dust that
-exponentially decaying masses leave at the window's edges: wrong by orders
-of magnitude, more than ten times slower to multiply than normal floats,
-and sticky, since 0.6 * 4.9e-324 rounds back to 4.9e-324. So float results
+One entry point, ``_walk``, runs every recurrence and records the readout
+its caller names (row 0, the arches, the low rows, the total, the first
+moment) or returns the final rows, in either mode. Exact mode works on
+integers: every weight is an integer over D, the lcm of the denominators in
+``P`` and ``P0``, so the state after t steps holds Python ints over D**t,
+and a value becomes a ``Fraction`` only when it is output, over a running
+power of D. The exact state is one Python int with row i in bits
+[i*w, (i+1)*w) (Kronecker substitution): a step is one shift and one
+small-int multiply per jump, a small correction for row 0's boundary
+weights, and a right shift that drops the fields landing below 0. The
+field width grows, by one repack, as the numerators do. Per-step readouts
+read only the low fields; the total and the first moment come from exact
+mass balance on the rows below c.
+
+Float mode runs the same recurrence on float64 numpy arrays indexed by
+altitude. Each step touches only the live window of rows that can be
+non-zero, between two reused arrays. After every step the edge rows below
+the smallest normal float (``np.finfo(float).tiny``, about 2.2e-308) are
+set to 0 and drop out of it: the subnormal dust that exponentially
+decaying masses leave at the window's edges, wrong by orders of
+magnitude, more than ten times slower to multiply than normal floats, and
+sticky, since 0.6 * 4.9e-324 rounds back to 4.9e-324. So float results
 are bit for bit those of a full-width update that applies the same flush
 after every step, and they equal the unflushed DP wherever its mass is at
 least about 1e-280.
@@ -34,15 +43,13 @@ too. The returns law alone reads on: its arch walk holds the walks that
 have not returned yet, which can underflow as a whole while e_n stays
 normal, and the arches after that step are taken as 0.
 
-A step is a fixed number of numpy calls, whatever the number of jumps: a
-read-only strided view of the zero-padded state stacks the source rows of
-every jump, one multiply by the dense jump weights fills one term row per
-jump, and one reduce along the rows adds them into the new state. The
-reduce adds the boundary row first and then the jumps in ascending order,
-the order of a term-by-term update, and the zeros it adds besides (padding,
-absent jumps) are exact, so float results keep every bit. Exact mode makes
-the same calls on blocks of columns in turn, so that only one block of
-big-int products is alive at a time.
+A float step is a fixed number of numpy calls, whatever the number of
+jumps: a read-only strided view of the zero-padded state stacks the source
+rows of every jump, one multiply by the dense jump weights fills one term
+row per jump, and one reduce along the rows adds them into the new state.
+The reduce adds the boundary row first and then the jumps in ascending
+order, the order of a term-by-term update, and the zeros it adds besides
+(padding, absent jumps) are exact, so float results keep every bit.
 
 Every walk carries one column. The returns-to-zero statistics need no
 count axis: an excursion is a sequence of arches, E = 1/(1 - A) with A the
@@ -62,7 +69,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,12 +81,7 @@ Number = Union[Fraction, float]
 
 BRUTE_FORCE_MAX_LENGTH = 12
 
-# columns per multiply and reduce in an exact DP step: the products are big
-# ints, so only one block of them is alive at a time
-_EXACT_BLOCK = 128
-
-# rows below the smallest normal float leave the walk's window as 0 (a
-# non-negative int is below it only when it is 0)
+# rows below the smallest normal float leave the float walk's window as 0
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -145,8 +147,8 @@ def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# The DP engine. Every series below is one pass of ``_walk`` with a callback
-# that reads what it needs from the state after each step.
+# The DP engine. Every series below is one pass of ``_walk``, which records
+# the readout the series names after each step.
 # ---------------------------------------------------------------------------
 
 
@@ -163,33 +165,45 @@ def _scaled_terms(poly: LaurentPolynomial, den: int) -> list[tuple[int, int]]:
 class _Arithmetic:
     """The number system one DP runs in, and the model's weights in it.
 
-    Exact: weights are Python ints over ``den`` held in ``object`` arrays,
-    so a mass accumulated over t steps is an integer over den**t. Float:
-    float64 weights and arrays, with den = 1. ``stencil`` holds the bulk
-    weights of jumps -c..d in ascending order and ``rim`` the boundary
-    weights of jumps 0..P0geq.hi (negative boundary jumps are absorbed),
-    both dense, with 0 for an absent jump.
+    Exact: every weight is an integer over ``den``, the lcm of the weights'
+    denominators, so a mass accumulated over t steps is an integer over
+    den**t; ``bulk`` holds (jump, weight) for P and ``rim`` for P0geq
+    (negative boundary jumps are absorbed), both as those integers. Float:
+    float64, with den = 1.
     """
 
     def __init__(self, model: WalkModel, mode: Mode):
         _check_mode(mode)
         self.exact = mode == "exact"
-        self.den = _denominator(model) if self.exact else 1
         self.dtype: type = object if self.exact else float
-        self.stencil = self._dense(model.P, min(model.P.lo, 0))
-        self.rim = self._dense(model.P0geq, 0)
-
-    def _dense(self, poly: LaurentPolynomial, lo: int) -> np.ndarray:
-        """The weights of the jumps lo..poly.hi, for lo <= poly.lo."""
-        coeffs = (Fraction(0),) * (poly.lo - lo) + poly.coeffs
+        self.den = _denominator(model) if self.exact else 1
         if self.exact:
-            scaled = [p.numerator * (self.den // p.denominator) for p in coeffs]
-            return np.array(scaled, dtype=object)
-        return np.array([float(p) for p in coeffs])
+            self.bulk = _scaled_terms(model.P, self.den)
+            self.rim = _scaled_terms(model.P0geq, self.den)
 
     def value(self, x, t: int) -> Number:
         """A mass accumulated over t steps, in the mode's output type."""
         return Fraction(x, self.den**t) if self.exact else float(x)
+
+    def values(self, xs, t: int) -> list:
+        """The masses xs, each accumulated over t steps, in the mode's
+        output type."""
+        if not self.exact:
+            return [float(x) for x in xs]
+        scale = self.den**t
+        return [Fraction(x, scale) for x in xs]
+
+    def series(self, xs) -> list:
+        """The masses xs[t], each accumulated over t steps, in the mode's
+        output type: exact ones over a running power of den."""
+        if not self.exact:
+            return [float(x) for x in xs]
+        out = []
+        scale = 1
+        for x in xs:
+            out.append(Fraction(x, scale))
+            scale *= self.den
+        return out
 
     def ratio(self, x, y) -> Number:
         """x / y for two masses of the same step (the scale cancels)."""
@@ -204,138 +218,299 @@ def _max_rise(model: WalkModel) -> int:
     return max(rise, 1)
 
 
-def _ignore(t: int, vec: np.ndarray) -> None:
-    pass
+def _walk(model: WalkModel, n: int, arith: _Arithmetic, readout: Optional[str] = None, *,
+          top: int = 0, free: bool = False, underflow_ends: bool = False) -> Sequence:
+    """Run n steps from altitude 0 and return the readout at every length
+    0..n, or with no readout the rows after n steps.
+
+    The walk starts with mass 1 at altitude 0. Mass at altitude 0 steps
+    with P0, mass above it with P, and mass landing below 0 is absorbed.
+    With ``free`` the walk lives on Z with no boundary (only P applies),
+    and row n*c of the final rows is altitude 0. ``readout`` names what is
+    recorded:
+
+    - None: nothing; the final rows are returned instead;
+    - "row0": the mass at altitude 0;
+    - "arches": row 0, which is then cleared (an arch ends at its first
+      return to 0);
+    - "low": the tuple of rows 0..top-1;
+    - "total": the total mass;
+    - "moment": (first moment, total mass), the first moment being the sum
+      of altitude times mass.
+
+    Exact mode runs ``_packed_walk`` and float mode ``_float_walk``; both
+    record the same readouts, so no caller depends on the mode. With
+    ``underflow_ends``, a float state that underflows as a whole ends the
+    walk, every later readout and the final rows being 0, instead of
+    raising ``NumericalSingularityError``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if free and (model.c < 0 or model.d < 0):
+        # altitude 0 sits at row n * c, after the n * c rows below it
+        raise InvalidModelError("the walk on Z needs P to have a jump <= 0 and a jump >= 0")
+    stepper = _packed_walk if arith.exact else _float_walk
+    return stepper(model, n, arith, readout, top, free, underflow_ends)
 
 
-def _walk(model: WalkModel, n: int, arith: _Arithmetic, on_step: Callable[[int, np.ndarray], None],
-          *, free: bool = False) -> np.ndarray:
-    """Run n steps from altitude 0 and return the final state.
+def _start(readout: Optional[str], top: int) -> list:
+    """The readout list at length 0: mass 1 at altitude 0."""
+    start = {"row0": 1, "arches": 0, "total": 1, "moment": (0, 1)}
+    return [tuple(int(a == 0) for a in range(top)) if readout == "low" else start[readout]]
 
-    The state is a column indexed by altitude, 1 at row 0 and 0 elsewhere
-    at the start. After each step ``on_step(t, state)`` runs; it may modify
-    the state but must not keep a reference to it, because the engine
-    reuses the array two steps later. With ``free`` the walk lives on Z
-    with no boundary (only P applies) and altitude 0 sits at index
-    ``n * c``.
+
+def _field_bytes(grow: int, t: int) -> int:
+    """Bytes per field to hold any integer up to grow**t."""
+    return max(1, -(-(grow**t).bit_length() // 8))
+
+
+def _widen(state: int, old: int, new: int) -> int:
+    """``state`` with its fields of ``old`` bytes moved into fields of
+    ``new`` bytes."""
+    rows = -(-state.bit_length() // (8 * old))
+    fields = np.zeros((rows, new), dtype=np.uint8)
+    fields[:, :old] = np.frombuffer(state.to_bytes(rows * old, "little"), np.uint8).reshape(rows, old)
+    return int.from_bytes(fields.tobytes(), "little")
+
+
+def _unpack(state: int, rows: int, nbytes: int) -> list[int]:
+    """The first ``rows`` fields of ``nbytes`` bytes each of ``state``."""
+    buf = memoryview(state.to_bytes(rows * nbytes, "little"))
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, rows * nbytes, nbytes)]
+
+
+def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
+    """The exact walk on one Python int: row i is the integer in bits
+    [i*w, (i+1)*w) (Kronecker substitution).
+
+    A step sums the state shifted up by j + c fields times the bulk weight
+    of jump j, over the jumps j, by Horner's rule; adds row 0 times its
+    boundary weights less its bulk weights, a small correction; and shifts
+    right by c fields, which drops exactly the fields that land below 0:
+    the absorption. No carry crosses a field: the weights are
+    non-negative, so every field of every partial sum is at most grow
+    times the state's total, where grow bounds the integer weights' sums
+    (it is den for probability weights), and after t steps that total is
+    at most grow**t. When the steps outrun the width, one repack widens
+    the fields to hold grow**t for an eighth more steps, 16 at least. On
+    the walk on Z nothing shifts down: altitude a after t steps is field
+    a + t*c.
+
+    The readouts read low fields only: row 0, the rows below top, and for
+    the total and the first moment, mass balance on rows 0..c-1, the only
+    rows that lose mass or step with P0. Every row above them keeps its
+    mass times the bulk weights' sum, and moves its first moment by their
+    first moment. The final rows are unpacked once.
+    """
+    fall = max(model.c, 0)
+    size = n * (fall + model.d) + 1 if free else n * _max_rise(model) + 1
+    bulk = {j + fall: p for j, p in arith.bulk}  # field offsets before the shift
+    rim = {} if free else {j + fall: p for j, p in arith.rim}
+    grow = max(sum(bulk.values()), sum(rim.values()), 1)
+    offsets = sorted(bulk, reverse=True) or [0]
+    # Horner's rule on the weights over their gcd, which multiplies once:
+    # (fields to shift up, weight) after the first offset
+    unit = math.gcd(*bulk.values()) or 1
+    first = bulk.get(offsets[0], 0) // unit
+    horner = [(a - b, bulk[b] // unit) for a, b in zip(offsets, offsets[1:])]
+    balanced = readout in ("total", "moment")
+    if balanced:
+        s0 = sum(bulk.values())
+        s1 = sum((k - fall) * p for k, p in bulk.items())
+        # per row i below max(c, 1): its mass and first moment after a
+        # step, less those of a row above, which are s0 and i*s0 + s1
+        balance = []
+        for i in range(max(fall, 1)):
+            terms = rim if i == 0 else {k: p for k, p in bulk.items() if k + i >= fall}
+            mass = sum(terms.values())
+            moment = sum((k - fall + i) * p for k, p in terms.items())
+            balance.append((mass - s0, moment - i * s0 - s1))
+        total, moment = 1, 0
+    series = _start(readout, top) if readout else None
+    state = 1
+    nbytes = 1
+    cap = 0  # the fields hold every numerator up to step cap
+    for t in range(1, n + 1):
+        if t > cap:
+            cap = min(n, t + max(16, t // 8))
+            wider = _field_bytes(grow, cap)
+            state = _widen(state, nbytes, wider)
+            nbytes = wider
+            w = 8 * nbytes
+            mask = (1 << w) - 1
+            shifts = [(gap * w, p) for gap, p in horner]
+            swap = sum(p << (k * w) for k, p in rim.items()) - sum(
+                p << (k * w) for k, p in bulk.items())
+        row0 = state & mask
+        if balanced:
+            low = state & ((1 << (len(balance) * w)) - 1)
+            extra_mass, extra_moment = 0, s1 * total
+            for a, b in balance:
+                v = low & mask
+                extra_mass += a * v
+                extra_moment += b * v
+                low >>= w
+            total, moment = s0 * total + extra_mass, s0 * moment + extra_moment
+        acc = state if first == 1 else state * first
+        for shift, p in shifts:
+            acc = (acc << shift) + (state if p == 1 else state * p)
+        if unit != 1:
+            acc *= unit
+        if offsets[-1]:
+            acc <<= offsets[-1] * w
+        if free:
+            state = acc
+        else:
+            if row0:
+                acc += row0 * swap
+            state = acc >> (fall * w)
+        if readout is None:
+            continue
+        if readout == "row0":
+            series.append((state >> (t * fall * w)) & mask if free else state & mask)
+        elif readout == "arches":
+            row0 = state & mask
+            series.append(row0)
+            state -= row0
+        elif readout == "low":
+            low = state & ((1 << (top * w)) - 1)
+            series.append(tuple((low >> (a * w)) & mask for a in range(top)))
+        elif readout == "total":
+            series.append(total)
+        else:
+            series.append((moment, total))
+    return series if readout else np.array(_unpack(state, size, nbytes), dtype=object)
+
+
+def _float_walk(model, n, arith, readout, top, free, underflow_ends):
+    """The float walk: slice updates on numpy arrays indexed by altitude
+    (with ``free``, by altitude + n*c).
 
     Only the live window ``[lo, hi]`` of rows that can be non-zero is
-    stepped: it widens by the largest jumps each step and, after
-    ``on_step``, is trimmed past the edge rows below ``_TINY``, which are
-    set to 0 (in exact mode: the rows that are 0). If that leaves no row at
-    or above ``_TINY`` while some row is not 0, the float state has
-    underflowed and ``NumericalSingularityError`` is raised.
+    stepped: it widens by the largest jumps each step and, after the
+    readout, is trimmed past the edge rows below ``_TINY``, which are set
+    to 0. If that leaves no row at or above ``_TINY`` while some row is not
+    0, the state has underflowed and ``NumericalSingularityError`` is
+    raised (or with ``underflow_ends`` the walk ends).
 
     A step is a fixed number of numpy calls, whatever the number of jumps.
     Each state buffer has d zero rows below and c above, so a read-only
     strided view ``S[k, i] = state[i - j_k]`` stacks the sources of every
     jump j_k = -c..d; one multiply by the dense stencil fills one term row
     per jump, and one reduce over the rows adds them into the new window.
-    Exact mode does that for one block of columns after another, reusing a
-    term array one block wide, which bounds the big-int products alive at
-    once; float mode takes the whole window as one block. On the bounded
-    walk row 0 steps with P0 instead: its boundary terms go in a term row
-    of their own, put first, and row 0 of the source is zeroed before the
-    bulk multiply.
+    On the bounded walk row 0 steps with P0 instead: its boundary terms go
+    in a term row of their own, put first, and row 0 of the source is
+    zeroed before the bulk multiply.
 
-    Every float state is bit for bit the full-width, term-by-term update
+    Every state is bit for bit the full-width, term-by-term update
     (boundary terms, then the jumps in ascending order, each added to a
     zeroed row) with the same edge flush after every step: a reduce along
     the leading axis adds the rows in that order, and padding rows, absent
     jumps, the zeroed row 0 and rows outside the window add an exact +0.0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     # the bounded walk's lo falls too: trimming can lift it off row 0, which
     # a period-2 walk leaves empty after every other step
     fall = max(model.c, 0)
     if free:
-        if model.c < 0 or model.d < 0:
-            # altitude 0 sits at index n * c, after the n * c rows below it
-            raise InvalidModelError("the walk on Z needs P to have a jump <= 0 and a jump >= 0")
         rise, lo = model.d, n * fall
     else:
         rise, lo = _max_rise(model), 0
     size = lo + n * rise + 1
-    top = size - 1
+    top_row = size - 1
+    zero = lo  # the row of altitude 0
+    stencil = _dense_floats(model.P, min(model.P.lo, 0))
+    rim = _dense_floats(model.P0geq, 0)
     below = max(model.d, 0)  # zero rows that the top jump reads below row 0
-    pair = np.zeros((2, below + size + fall), dtype=arith.dtype)
+    pair = np.zeros((2, below + size + fall))
     row = pair.strides[1]
     stacks = np.lib.stride_tricks.as_strided(
-        pair[:, below + fall:], shape=(2, len(arith.stencil), size),
+        pair[:, below + fall:], shape=(2, len(stencil), size),
         strides=(pair.strides[0], -row, row), writeable=False)
     vec, new = pair[:, below : below + size]
     stack, spare = stacks
-    # exact mode steps the window a block of columns at a time, float mode
-    # all at once; the rim fits in the first block
-    width = max(len(arith.rim), _EXACT_BLOCK) if arith.exact else size
     # rows 1.. are written before they are read, so only row 0 (zero past
     # the rim) is cleared: pages past the widest window are never touched
-    terms = np.empty((len(arith.stencil) + 1, width), dtype=arith.dtype)
+    terms = np.empty((len(stencil) + 1, size))
     terms[0] = 0
     bulk_terms = terms[1:]
-    rim_terms = terms[0, : len(arith.rim)]
-    stencil = arith.stencil.reshape(-1, 1)
+    rim_terms = terms[0, : len(rim)]
+    stencil = stencil.reshape(-1, 1)
+    if readout == "moment":
+        idx = np.arange(size, dtype=float)
+    series = _start(readout, top) if readout else None
     vec[lo] = 1
     hi = lo
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
     for t in range(1, n + 1):
         wlo = lo - fall if lo > fall else 0  # max() and min() calls cost more
-        whi = hi + rise if hi + rise < top else top
+        whi = hi + rise if hi + rise < top_row else top_row
         if old_lo < wlo:
             new[old_lo:wlo] = 0
         if old_hi > whi:
             new[whi + 1 : old_hi + 1] = 0
         rows = bulk_terms
         if lo == 0 and not free:  # row 0 steps with the boundary
-            np.multiply(arith.rim, vec[0], rim_terms)
+            np.multiply(rim, vec[0], rim_terms)
             vec[0] = 0
             rows = terms
-        # the term columns are relative to the block, which starts at wlo =
-        # 0 when the rim row is in; out (and the reduce's axis and dtype)
+        # the term columns are relative to the window, which starts at wlo
+        # = 0 when the rim row is in; out (and the reduce's axis and dtype)
         # passed by position: keywords cost more per call
-        for b in range(wlo, whi + 1, width):
-            e = b + width if b + width <= whi else whi + 1
-            np.multiply(stack[:, b:e], stencil, bulk_terms[:, : e - b])
-            np.add.reduce(rows[:, : e - b], 0, None, new[b:e])
-            rows = bulk_terms
+        np.multiply(stack[:, wlo : whi + 1], stencil, bulk_terms[:, : whi + 1 - wlo])
+        np.add.reduce(rows[:, : whi + 1 - wlo], 0, None, new[wlo : whi + 1])
         vec, new = new, vec
         stack, spare = spare, stack
         old_lo, old_hi = lo, hi
         lo, hi = wlo, whi
-        on_step(t, vec)
+        if readout == "row0":
+            series.append(vec[zero])
+        elif readout == "arches":
+            series.append(vec[0])
+            vec[0] = 0
+        elif readout == "low":
+            series.append(tuple(vec[a] if a < size else 0 for a in range(top)))
+        elif readout == "total":
+            series.append(vec.sum())
+        elif readout == "moment":
+            series.append((idx @ vec, vec.sum()))
         while hi > lo and vec[hi] < _TINY:
             hi -= 1
         while lo < hi and vec[lo] < _TINY:
             lo += 1
         if vec[lo] < _TINY and vec[wlo : whi + 1].any():
-            raise NumericalSingularityError(
-                f"float DP underflowed at step {t} of {n}: every mass is below {_TINY:.3g}")
+            if not underflow_ends:
+                raise NumericalSingularityError(
+                    f"float DP underflowed at step {t} of {n}: every mass is below {_TINY:.3g}")
+            if readout:
+                series += [0] * (n - t)
+            vec[wlo : whi + 1] = 0
+            break
         if hi < whi:
             vec[hi + 1 : whi + 1] = 0
         if lo > wlo:
             vec[wlo:lo] = 0
-    return vec
+    return series if readout else vec
+
+
+def _dense_floats(poly: LaurentPolynomial, lo: int) -> np.ndarray:
+    """The float weights of the jumps lo..poly.hi, for lo <= poly.lo, with
+    0 for an absent jump."""
+    return np.array([0.0] * (poly.lo - lo) + [float(p) for p in poly.coeffs])
 
 
 def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> AltitudeDistribution:
     """Altitude distribution after n steps, starting at 0, boundary applied."""
     arith = _Arithmetic(model, mode)
-    vec = _walk(model, n, arith, _ignore)
-    return AltitudeDistribution(n=n, mass={k: arith.value(w, n) for k, w in enumerate(vec) if w})
+    final = _walk(model, n, arith)
+    rows = np.flatnonzero(final)
+    return AltitudeDistribution(n=n, mass=dict(zip(rows.tolist(), arith.values(final[rows], n))))
 
 
 def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") -> list[list]:
     """For each altitude 0..top-1, its mass after every length 0..n (one DP pass)."""
     arith = _Arithmetic(model, mode)
-    out = [[arith.value(int(a == 0), 0)] for a in range(top)]
-
-    def record(t, vec):
-        for a, series in enumerate(out):
-            series.append(arith.value(vec[a] if a < len(vec) else 0, t))
-
-    _walk(model, n, arith, record)
-    return out
+    series = _walk(model, n, arith, "low", top=top)
+    return [arith.series(rows) for rows in zip(*series)] if top > 0 else []
 
 
 def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
@@ -351,19 +526,7 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
     ``underflow_ends`` (the returns law's arches) the series is kept as it
     is, and a float state that underflows as a whole ends it, its later
     entries being 0, instead of raising."""
-    out = [0 if arches else 1]
-
-    def record(t, vec):
-        out.append(vec[0])
-        if arches:
-            vec[0] = 0  # an arch ends at its first return to 0
-
-    try:
-        _walk(model, n, arith, record)
-    except NumericalSingularityError:
-        if not underflow_ends:
-            raise
-        out += [0] * (n + 1 - len(out))
+    out = _walk(model, n, arith, "arches" if arches else "row0", underflow_ends=underflow_ends)
     series = np.array(out, dtype=arith.dtype)
     if not (arith.exact or underflow_ends):
         dust = np.flatnonzero((series > 0) & (series < _TINY))
@@ -377,7 +540,7 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
 def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
     arith = _Arithmetic(model, mode)
-    return [arith.value(x, t) for t, x in enumerate(_row0(model, n, arith))]
+    return arith.series(_row0(model, n, arith))
 
 
 def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
@@ -388,14 +551,12 @@ def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """m_0..m_n, the surviving mass per length (1 for every n iff nothing absorbs)."""
     arith = _Arithmetic(model, mode)
-    out = [arith.value(1, 0)]
-    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec.sum(), t)))
-    return out
+    return arith.series(_walk(model, n, arith, "total"))
 
 
 def meander_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     arith = _Arithmetic(model, mode)
-    return arith.value(_walk(model, n, arith, _ignore).sum(), n)
+    return arith.value(_walk(model, n, arith).sum(), n)
 
 
 def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
@@ -406,15 +567,8 @@ def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -
 def final_altitude_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Expected final altitude (conditioned on survival) for every length 0..n."""
     arith = _Arithmetic(model, mode)
-    out = [arith.value(0, 0)]
-    idx = np.arange(n * _max_rise(model) + 1, dtype=arith.dtype)
-
-    def record(t, vec):
-        total = vec.sum()
-        out.append(arith.ratio(idx @ vec, total) if total else None)
-
-    _walk(model, n, arith, record)
-    return out
+    series = _walk(model, n, arith, "moment")
+    return [arith.ratio(moment, total) if total else None for moment, total in series]
 
 
 def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tuple[Number, Number]:
@@ -424,16 +578,14 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
     is exactly 1, which doubles as a sanity check on the DP.
     """
     arith = _Arithmetic(model, mode)
-    vec = _walk(model, n, arith, _ignore, free=True)
-    return arith.value(vec.sum(), n), arith.value(vec[n * model.c], n)
+    final = _walk(model, n, arith, free=True)
+    return arith.value(final.sum(), n), arith.value(final[n * model.c], n)
 
 
 def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Mass at altitude 0 of the unconstrained walk, for every length 0..n."""
     arith = _Arithmetic(model, mode)
-    out = [arith.value(1, 0)]
-    _walk(model, n, arith, lambda t, vec: out.append(arith.value(vec[n * model.c], t)), free=True)
-    return out
+    return arith.series(_walk(model, n, arith, "row0", free=True))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +596,7 @@ def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
     arith = _Arithmetic(model, mode)
-    return [arith.value(x, t) for t, x in enumerate(_row0(model, n, arith, arches=True))]
+    return arith.series(_row0(model, n, arith, arches=True))
 
 
 def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:

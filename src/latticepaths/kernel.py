@@ -24,6 +24,7 @@ alpha and alpha2 are derived, so the branch is not solved again there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -138,6 +139,8 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     """
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
+    if not cmath.isfinite(z):
+        raise ValueError("z must be finite")
     p_float = model.P.float_terms
     dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
     # at tiny |z| the companion matrix, with entries of size 1/z, overflows
@@ -526,7 +529,9 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     exist in the model's regime: rho1/alpha/alpha2/gamma need a strictly
     supercritical pole, E_at_rho is finite only below criticality, E_at_1
     only when the excursion series converges at z=1, and r is computed
-    only in the subcritical negative-drift regime where it is used.
+    only in the subcritical negative-drift regime where it is used (with
+    delta >= 0 it is a difference of terms that cancel, which no estimate
+    reads).
 
     The exact values at u = 1 are coefficient sums (``total_weight``): the
     drifts delta and delta0geq, and the criticality sign when tau = 1, come
@@ -563,7 +568,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
         if den > 1e-9:
             E_at_1 = 1.0 / den
     r = None
-    if sign < 0 and rho > 1.0 + 1e-12:
+    if delta < 0 and sign < 0 and rho > 1.0 + 1e-12:
         f_u_rho = _altitude_derivative_ratio(model, rho, tau, delta, delta0) * E_at_rho
         r = f_u_rho - delta * rho / (1.0 - rho) ** 2
     return StructuralConstants(

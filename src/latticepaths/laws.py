@@ -302,8 +302,11 @@ def fit(
     """Measure the exact length-n distribution against a limit law.
 
     The law defaults to the regime's law for the statistic; the discrete
-    law has no CDF and is rejected before the DP runs.
+    law has no CDF and is rejected before the DP runs, as is n < 1, where
+    the normalizations divide by zero.
     """
+    if n < 1:
+        raise LatticePathError(f"a fit needs n >= 1, got n={n}")
     if law is None:
         law = (
             returns_law(model)

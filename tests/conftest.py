@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import atexit
+import os
 import random
+import shutil
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from latticepaths import LaurentPolynomial, WalkModel, load_model
+
+# every run, local or CI, draws the same examples, with no time limit per
+# example, and writes no example database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+# hypothesis also caches the constants it finds in the tested source under
+# its storage directory, ./.hypothesis by default: keep that in a temporary
+# directory, removed at exit, unless a storage directory is set
+if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
+    _storage = tempfile.mkdtemp(prefix="hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _storage
+    atexit.register(shutil.rmtree, _storage, ignore_errors=True)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

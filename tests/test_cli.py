@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from latticepaths import enumeration, laws
 from latticepaths.cli import fmt, run
+from latticepaths.verify import run_verification
 from conftest import MODEL_NAMES, MODELS_DIR
 
 DYCK = str(MODELS_DIR / "dyck_reflection.model")
@@ -209,6 +211,27 @@ def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
     assert err.startswith("numerical error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_gf_eval_at_non_finite_z_exits_one(capsys, z):
+    # rejected before the companion solve, so no numpy warning is raised
+    # (the suite turns one into an error) and no numerical error is claimed
+    for model in (MOTZ_R, C2):
+        code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
+        assert (code, out, err) == (1, "", "error: z must be finite\n")
+
+
+@pytest.mark.parametrize("what,model", [("returns", MOTZ_R),
+                                        ("final-alt", str(MODELS_DIR / "motzkin_absorption.model"))])
+@pytest.mark.parametrize("exact", [False, True])
+def test_fit_at_n_zero_exits_one(capsys, what, model, exact):
+    # the critical normalisation divides by sqrt(2n) and the zero-drift one
+    # by sqrt(n): n < 1 is refused before the law is resolved or a DP runs
+    argv = ["fit", "--n", "0", "--what", what, model] + (["--exact"] if exact else [])
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: a fit needs n >= 1, got n=0\n"
+
+
 def test_float_walk_with_no_surviving_mass_exits_one(capsys, tmp_path):
     # an exactly zero float state is a model property, not an underflow
     p = tmp_path / "dead.model"
@@ -285,6 +308,26 @@ def test_verify_passes(capsys, name):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS\tmodel-valid" in out
+
+
+@pytest.mark.parametrize("m", [1, 17, 60])
+def test_verify_arch_identity_fails_on_a_perturbed_arch_series(models, monkeypatch, m):
+    # the identity e = 1 + A·E is checked on integer numerators: one arch
+    # mass moved by 1/D**m, at one length m up to the check's last, fails it
+    # there
+    model = models["motzkin_absorption"]
+    den = enumeration._denominator(model)
+    arch_series = enumeration.arch_series
+
+    def perturbed(model, n, mode="exact"):
+        series = arch_series(model, n, mode)
+        series[m] += Fraction(1, den**m)
+        return series
+
+    name = "identity/excursions-are-arch-sequences"
+    assert (name, True, "") in list(run_verification(model))
+    monkeypatch.setattr(enumeration, "arch_series", perturbed)
+    assert (name, False, f"n={m}") in list(run_verification(model))
 
 
 def test_verify_catches_invalid_model(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Kernel branches, generating-function evaluations, structural constants."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,10 @@ from latticepaths import (
     structural_constants,
     u1_expansion_check,
 )
+from latticepaths.asymptotics import final_altitude_asymptotic
 from latticepaths.errors import NoRho1Error
 from latticepaths.kernel import boundary_denominator, require_rho1, u1_derivatives
+from conftest import random_model
 
 F = Fraction
 
@@ -559,3 +562,42 @@ def test_tau_and_rho1_within_an_ulp_of_high_precision_roots(models, random_model
             u = mpmath.findroot(lambda u: P(u) - Q(u), mpmath.mpf(u_star))
             assert abs(sc.rho1 - 1 / P(u)) <= 2.3e-16 / P(u), (str(model.P), str(model.P0))
     assert checked >= 10
+
+
+def test_r_is_computed_only_with_negative_drift(models, random_models):
+    # r is read only by the subcritical negative-drift final-altitude
+    # estimate; with delta >= 0 it would be a difference of terms that
+    # cancel: on this periodic model about 96 - 96, whose exact value is 0,
+    # and it read 2.7e-13
+    cancel = parse_model("P: -1:1/3 1:2/3\nP0: 0:2/3 1:1/3\n")
+    rng = random.Random(7)
+    sweep = [*models.values(), *random_models, cancel, *(random_model(rng) for _ in range(228))]
+    for model in sweep:
+        sc = structural_constants(model)
+        if sc.delta >= 0:
+            assert sc.r is None, (str(model.P), str(model.P0))
+    for name in ("drift_up_absorption", "drift_up_reflection"):
+        assert structural_constants(models[name]).r is None
+    assert structural_constants(cancel).r is None
+
+
+def test_small_branches_reject_non_finite_z(models):
+    for z in (math.nan, math.inf, -math.inf, complex(0.1, math.inf)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            small_branches(models["two_down_reflection"], z)
+
+
+@pytest.mark.parametrize("spec,r,value", [
+    ("P: -1:5/12 0:1/2 2:1/12\nP0: -1:1/2 2:1/2\n", 1179.047739706033, 3.8297448682194686),
+    ("P: -1:4/13 0:7/13 1:2/13\nP0: -1:1/2 0:1/2\n", 214.98023074035515, 5.520734817053883),
+])
+def test_estimates_that_read_r_keep_their_values(spec, r, value):
+    # the two models of random_model(random.Random(7))'s first 228 whose
+    # final-altitude estimate reads r (no shipped model does): r and the
+    # estimate keep every bit
+    model = parse_model(spec)
+    assert repr(structural_constants(model).r) == repr(r)
+    for n in (1, 1000):
+        estimate = final_altitude_asymptotic(model, n)
+        assert estimate.formula_id == "final-altitude/absorption/subcritical/neg-drift"
+        assert repr(estimate.value) == repr(value)
