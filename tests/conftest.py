@@ -1,4 +1,4 @@
-"""Shared model fixtures: the registry of test models, loaded from models/."""
+"""Shared fixtures: the registry of test models, loaded from models/, and the hypothesis profile."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from latticepaths import LaurentPolynomial, WalkModel, load_model
 
@@ -21,10 +22,10 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 # hypothesis also caches the constants it finds in the tested source under
 # its storage directory, ./.hypothesis by default: keep that in a temporary
-# directory, removed at exit, unless a storage directory is set
+# directory, removed at exit, unless the user set one
 if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
     _storage = tempfile.mkdtemp(prefix="hypothesis-")
-    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _storage
+    set_hypothesis_home_dir(_storage)
     atexit.register(shutil.rmtree, _storage, ignore_errors=True)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
