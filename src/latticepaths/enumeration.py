@@ -16,8 +16,8 @@ integers: every weight is an integer over D, the lcm of the denominators in
 ``P`` and ``P0``, so the state after t steps holds Python ints over D**t,
 and a value becomes a ``Fraction`` only when it is output, over a running
 power of D. The exact state is one Python int with row i in bits
-[i*w, (i+1)*w) (Kronecker substitution): a step is one shift and one
-small-int multiply per jump, a small correction for row 0's boundary
+[i*w, (i+1)*w) (Kronecker substitution): a step is one shift and at most
+one small-int multiply per jump, a small correction for row 0's boundary
 weights, and a right shift that drops the fields landing below 0. The
 field width grows, by one repack, as the numerators do. Per-step readouts
 read only the low fields; the total and the first moment come from exact
@@ -284,10 +284,11 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
     [i*w, (i+1)*w) (Kronecker substitution).
 
     A step sums the state shifted up by j + c fields times the bulk weight
-    of jump j, over the jumps j, by Horner's rule; adds row 0 times its
-    boundary weights less its bulk weights, a small correction; and shifts
-    right by c fields, which drops exactly the fields that land below 0:
-    the absorption. No carry crosses a field: the weights are
+    of jump j, over the jumps j, by Horner's rule on the weights over their
+    gcd, which multiplies once at the end; adds row 0 times its boundary
+    weights less its bulk weights, a small correction; and shifts right by
+    c fields, which drops exactly the fields that land below 0: the
+    absorption. No carry crosses a field: the weights are
     non-negative, so every field of every partial sum is at most grow
     times the state's total, where grow bounds the integer weights' sums
     (it is den for probability weights), and after t steps that total is
