@@ -5,6 +5,8 @@ writes deterministic TSV to stdout: ``#``-prefixed header lines, tab
 separated columns, exact rationals as ``a/b`` and floats with 12
 significant digits. Diagnostics go to stderr. Exit codes: 0 success,
 1 model or file error, 2 numerical failure, 3 verification failure.
+argparse's own usage errors (a missing, unknown or malformed argument)
+exit 2 as well, before any model is read.
 """
 
 from __future__ import annotations

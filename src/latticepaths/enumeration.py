@@ -41,7 +41,8 @@ a result. Row 0 can also fall below tiny on its own while the mass above it
 stays normal; a float excursion or arch series holding such an entry raises
 too. The returns law alone reads on: its arch walk holds the walks that
 have not returned yet, which can underflow as a whole while e_n stays
-normal, and the arches after that step are taken as 0.
+normal, and the arches after that step are taken as 0. A float mass past
+the largest float (weights summing past 1) raises too, not going on as inf.
 
 A float step is a fixed number of numpy calls, whatever the number of
 jumps: a read-only strided view of the zero-padded state stacks the source
@@ -57,13 +58,16 @@ arch series, so the weight of k returns is w_k = [z^n] A(z)^k. One arch
 walk gives A; baby steps (A^1..A^B, B about sqrt(n)/2) with giant steps
 (A^(qB)) give every w_k from about 2 sqrt(K) truncated products for a law
 ending at K returns: integer dot products in exact mode, where the
-numerators of A^k are over D**n, and FFT products in float mode. The mean
-and variance come from the excursion series alone: (E - 1)·E and
-(E - 1)^2·E sum k·w_k and k(k - 1)·w_k with non-negative terms.
+numerators of A^k are over D**n, and direct products in float mode, whose
+coefficients, sums of non-negative terms, keep a small relative error; a
+float law that does not add up to e_n raises. The mean and variance come
+from the excursion series alone: (E - 1)·E and (E - 1)^2·E sum k·w_k and
+k(k - 1)·w_k with non-negative terms.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -125,9 +129,14 @@ class ReturnsDistribution:
         return sum(k * k * p for k, p in self.prob.items()) - m * m
 
 
-def _check_mode(mode: Mode) -> None:
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+@contextlib.contextmanager
+def _overflow_raises():
+    """A float overflow in the block raises ``NumericalSingularityError``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalSingularityError(f"float masses overflowed: {exc}") from exc
 
 
 def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
@@ -173,7 +182,8 @@ class _Arithmetic:
     """
 
     def __init__(self, model: WalkModel, mode: Mode):
-        _check_mode(mode)
+        if mode not in ("exact", "float"):
+            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
         self.exact = mode == "exact"
         self.dtype: type = object if self.exact else float
         self.den = _denominator(model) if self.exact else 1
@@ -383,6 +393,7 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
     return series if readout else np.array(_unpack(state, size, nbytes), dtype=object)
 
 
+@_overflow_raises()
 def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     """The float walk: slice updates on numpy arrays indexed by altitude
     (with ``free``, by altitude + n*c).
@@ -609,25 +620,18 @@ def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 
 # ---------------------------------------------------------------------------
 # Returns to zero: number of times altitude 0 is reached again after leaving
-# the origin (the origin itself does not count). An excursion is a sequence
-# of arches, E = 1/(1 - A), so every returns statistic comes from the
-# one-column series: the law from the powers of A, and the moments from
-# products of E with itself.
+# the origin (the origin itself does not count): the law from the powers of
+# the arch series A, the moments from products of E = 1/(1 - A) with itself.
 # ---------------------------------------------------------------------------
 
 
+@_overflow_raises()
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
     """Distribution of the number of returns to 0 among excursions of length
     n, from the powers of the arch series (``_returns_from_arches``)."""
     arith = _Arithmetic(model, mode)
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if n == 0:
         return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
-    # the arch state holds the walks that have not returned yet; on a walk
-    # that comes back to 0 it can underflow as a whole while e_n stays
-    # normal, and the arches still in it, every row below tiny, are far
-    # below what a law divided by e_n resolves
     arch = _row0(model, n, arith, arches=True, underflow_ends=True)
     return _returns_from_arches(arch, n, mode)
 
@@ -643,9 +647,9 @@ def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.
 
     Exact: one integer dot product per degree, over the terms that reach
     it, so the terms past degree n, which hold the largest ints, are never
-    formed. Float: an FFT product with the factor's transform made once;
-    round-off can leave a coefficient slightly negative, which is clipped
-    to 0.
+    formed. Float: the direct product, whose coefficients, sums of
+    non-negative products, keep their round-off relative to themselves (an
+    FFT's is relative to the largest coefficient).
     """
     if exact:
         rev_factor = factor[::-1]  # rev_factor[n - j] = factor[j]
@@ -660,15 +664,7 @@ def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.
             return out
 
         return times
-    size = 1 << (2 * (n + 1) - 1).bit_length()
-    f = np.fft.rfft(factor, size)
-
-    def times(x):
-        w = np.fft.irfft(np.fft.rfft(x, size) * f, size)[: n + 1]
-        np.maximum(w, 0.0, out=w)
-        return w
-
-    return times
+    return lambda x: np.convolve(x, factor)[: n + 1]
 
 
 def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
@@ -721,23 +717,24 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     unnormalized weight w_k of k returns is the nth coefficient of the kth
     power of the arch series; the excursion mass e_n comes from the arches
     too (``_excursions_from_arches``). The weights are taken in ascending
-    k until they add up to e_n, or to e_n * (1 - 1e-13) in float mode.
+    k until they add up to e_n, or to e_n * (1 - 1e-13) in float mode;
+    weights that end short of that, or pass e_n by more than 1e-9 of it,
+    raise ``NumericalSingularityError``.
 
-    A float e_n of 0 after an e_t between 0 and the smallest normal float
-    has underflowed, with the arch walk (the arches of a state that
-    underflows as a whole are 0), and raises ``NumericalSingularityError``;
-    an e_n of 0 otherwise means no excursion of length n.
+    A float e_n below the smallest normal float (0 after an e_t between 0
+    and it) has underflowed and raises ``NumericalSingularityError``; an
+    e_n of 0 otherwise means no excursion of length n.
     """
     exact = mode == "exact"
     arch = np.array(arch, dtype=object if exact else float)
     e = _excursions_from_arches(arch)
     e_n = e[n]
+    dust = [] if exact else np.flatnonzero((e > 0) & (e < _TINY))
+    if len(dust) and e_n < _TINY:
+        raise NumericalSingularityError(
+            f"float excursion mass underflowed: {e[dust[0]]:.3g} at length {dust[0]}, "
+            f"{e_n:.3g} at length {n}")
     if e_n <= 0:
-        dust = [] if exact else np.flatnonzero((e > 0) & (e < _TINY))
-        if len(dust):
-            raise NumericalSingularityError(
-                f"float excursion mass underflowed: {e[dust[0]]:.3g} at length {dust[0]}, "
-                f"0 at length {n}")
         raise LatticePathError(f"no excursion of length {n}")
     target = e_n if exact else e_n * (1.0 - 1e-13)
     weights = _arch_power_weights(arch, n, exact)
@@ -749,20 +746,20 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
             cum += w
         if cum >= target:
             break
+    if not target <= cum <= (e_n if exact else e_n * (1.0 + 1e-9)):
+        raise NumericalSingularityError(
+            f"returns law at length {n}: the weights add up to {cum / e_n:.17g} of the "
+            "excursion mass")
     return ReturnsDistribution(n=n, prob=prob)
 
 
 def _return_totals(e: np.ndarray, exact: bool) -> np.ndarray:
     """Coefficients 0..n of (E - 1)·E from the excursion series e_0..e_n:
-    the tth, sum_k k·w_k, totals the returns of the excursions of length t.
-    Float mode takes the direct product: an FFT's round-off is relative to
-    the largest coefficient."""
+    the tth, sum_k k·w_k, totals the returns of the excursions of length t."""
     n = len(e) - 1
     tail = e.copy()
     tail[0] = 0
-    if exact:
-        return _truncated_product(e, n, True)(tail)
-    return np.convolve(tail, e)[: n + 1]
+    return _truncated_product(e, n, exact)(tail)
 
 
 def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
@@ -776,6 +773,7 @@ def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number,
     return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
 
 
+@_overflow_raises()
 def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Number, Number]:
     """(mean, variance) of the number of returns among length-n excursions,
     from products of the excursion series, so large n stay cheap."""
@@ -786,6 +784,7 @@ def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Num
     return _moments_from_excursions(_row0(model, n, arith), arith)
 
 
+@_overflow_raises()
 def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     """Expected number of returns among excursions, for every length 0..n.
 

@@ -123,12 +123,11 @@ def test_gf_eval_beyond_rho_exits_two(capsys):
 
 
 def test_fit_zero_variance_exit_code_follows_mode(capsys):
-    # at n = 3000 round-off swamps the float returns law (a mass of 446.6 on
-    # 2 returns), whose variance comes out <= 0, a numerical failure; at
-    # n = 2 every exact excursion has one return, which is the model's own
-    # point mass
+    # at n = 2 every excursion has one return: in exact mode that is the
+    # model's own point mass, a model error, while in float mode a variance
+    # that comes out <= 0 is taken for a numerical failure
     drift_down = str(MODELS_DIR / "supercritical_drift_down.model")
-    code, _, err = invoke(capsys, "fit", "--n", "3000", "--what", "returns", drift_down)
+    code, _, err = invoke(capsys, "fit", "--n", "2", "--what", "returns", drift_down)
     assert code == 2
     assert "zero variance" in err
     code, _, err = invoke(capsys, "fit", "--n", "2", "--what", "returns", "--exact", drift_down)
@@ -186,6 +185,24 @@ def test_dist_returns_with_an_underflowed_excursion_mass_exits_two(capsys, name)
     assert code == 2
     assert out == ""
     assert err.startswith("numerical error:") and "underflowed" in err
+
+
+def test_dist_returns_sums_to_one_on_decaying_excursion_masses(capsys):
+    # the excursion masses of this walk decay exponentially, and the nth
+    # coefficients of the arch powers with them
+    model = str(MODELS_DIR / "drift_up_absorption.model")
+    code, out, _ = invoke(capsys, "dist", "--n", "400", "--what", "returns", model)
+    assert code == 0
+    probs = [float(line.split("\t")[1]) for line in out.splitlines()[1:]]
+    assert min(probs) >= 0
+    assert sum(probs) == pytest.approx(1.0, rel=0, abs=1e-9)
+
+
+def test_fit_returns_distance_is_at_most_one_on_decaying_excursion_masses(capsys):
+    model = str(MODELS_DIR / "critical_drift_down.model")
+    code, out, _ = invoke(capsys, "fit", "--n", "2000", "--what", "returns", model)
+    assert code == 0
+    assert 0 <= float(out.splitlines()[1].split("\t")[4]) <= 1
 
 
 def test_dist_returns_without_excursions_exits_one(capsys):

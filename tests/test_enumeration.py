@@ -1,5 +1,6 @@
 """Exact counting: recurrences against the brute-force oracle and identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from latticepaths import (
     arch_series,
     bridge_and_walk_mass,
     brute_force,
+    enumeration,
     excursion_mass,
     excursion_series,
     final_altitude_expectation,
@@ -454,12 +456,12 @@ def test_returns_law_matches_count_axis_reference(models, random_models):
                 assert means[n] == ref.mean(), n
 
 
-# the models whose float law is sound: excursion masses that do not decay
-# exponentially, or decay slowly enough for FFT round-off at these n
+# every shipped model, those whose excursion masses decay exponentially
+# included: there the nth coefficients of the arch powers lie far below
+# their largest ones
 @pytest.mark.parametrize("name,n", [
-    (name, n) for name in ("drift_down_reflection", "dyck_absorption", "dyck_reflection",
-                           "motzkin_absorption", "motzkin_reflection") for n in (400, 2000)
-] + [("supercritical_drift_down", 400), ("drift_down_reflection", 8000)])
+    (name, n) for name in MODEL_NAMES for n in (400, 2000)
+] + [("drift_down_reflection", 8000)])
 def test_returns_float_law_matches_moments(models, name, n):
     model = models[name]
     law = returns_to_zero_distribution(model, n, "float")
@@ -467,6 +469,31 @@ def test_returns_float_law_matches_moments(models, name, n):
     assert sum(law.prob.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
     assert law.mean() == pytest.approx(mean, rel=1e-10)
     assert law.variance() == pytest.approx(var, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale,stop", [(1.0, 3), (1.1, None)])
+def test_returns_float_law_off_the_excursion_mass_raises(models, monkeypatch, scale, stop):
+    # weights that end short of e_n, or add up past it by more than 1e-9 of
+    # it, are no law
+    weights = enumeration._arch_power_weights
+    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact: (
+        scale * w for w in itertools.islice(weights(arch, n, exact), stop)))
+    with pytest.raises(NumericalSingularityError, match="excursion mass"):
+        returns_to_zero_distribution(models["motzkin_absorption"], 400, "float")
+
+
+@pytest.mark.parametrize("spec,n,error", [
+    # weights that sum past 1: the masses pass the largest float near t = 440
+    ("P: -1:2/5 0:5/3 1:7/3\nP0: 0:1/2 1:3/2\n", 600, "overflowed"),
+    # e_n is 1.85e-316, below the smallest normal float, while the arch walk
+    # still holds normal masses
+    ("P: -1:1/100 1:99/100\nP0: 0:1/20 1:1/20\n", 440, "underflowed"),
+])
+def test_returns_float_statistics_outside_the_float_range_raise(spec, n, error):
+    model = parse_model(spec)
+    for stat in (returns_to_zero_distribution, returns_moments, excursion_series):
+        with pytest.raises(NumericalSingularityError, match=error):
+            stat(model, n, "float")
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -1,5 +1,6 @@
 """Property tests over random models: the exact DP against the brute-force
-oracle and against iterated ``step()``.
+oracle and against iterated ``step()``, and the float returns law against
+the returns moments.
 
 The models are drawn by hypothesis, with the profile that ``conftest.py``
 loads: derandomized, so every run draws the same examples.
@@ -16,6 +17,7 @@ from latticepaths import (
     AltitudeDistribution,
     LatticePathError,
     LaurentPolynomial,
+    NumericalSingularityError,
     WalkModel,
     arch_mass,
     arch_series,
@@ -38,6 +40,7 @@ from latticepaths.enumeration import (
     enumerate_walk_paths,
     final_altitude_series,
     path_altitudes,
+    returns_moments,
 )
 
 F = Fraction
@@ -197,3 +200,32 @@ def test_exact_series_match_step_across_field_widths(spec, monkeypatch):
     for t in range(n + 1):
         assert meander_distribution(model, t).mass == stepped[t].mass
         assert meander_mass(model, t) == masses[t]
+
+
+@settings(max_examples=60)
+@given(walk_models(), st.integers(300, 600))
+def test_float_returns_law_sums_to_one_and_matches_the_moments(model, n):
+    # the float law is right or raises: non-negative, summing to 1, with the
+    # mean and variance that the excursion series gives on its own
+    try:
+        law = returns_to_zero_distribution(model, n, "float")
+    except NumericalSingularityError:
+        return
+    except LatticePathError:
+        # no excursion of length n, so no moments either
+        with pytest.raises(LatticePathError, match="no excursion"):
+            returns_moments(model, n, "float")
+        return
+    probs = list(law.prob.values())
+    assert min(probs) >= 0
+    assert math.fsum(probs) == pytest.approx(1.0, rel=0, abs=1e-9)
+    try:
+        mean, var = returns_moments(model, n, "float")
+    except NumericalSingularityError:
+        # the moments' own products can pass the float range where the
+        # law's do not (sum k(k - 1) w_k is about mean^2 * e_n)
+        return
+    assert law.mean() == pytest.approx(mean, rel=1e-8)
+    # the law's variance is its second moment less mean^2, so its round-off
+    # is relative to mean^2: a point mass reads about 1e-15 * mean^2 off 0
+    assert law.variance() == pytest.approx(var, rel=1e-8, abs=1e-12 * mean**2)
