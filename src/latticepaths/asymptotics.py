@@ -244,8 +244,9 @@ class BoundaryExpansionReport:
     scaled: dict[float, float]
 
 
-def boundary_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e-2, 1e-3)) -> BoundaryExpansionReport:
-    """Check the Puiseux behavior of the composed boundary weight near z=1.
+def boundary_expansion_check(model: WalkModel) -> BoundaryExpansionReport:
+    """Check the Puiseux behavior of the composed boundary weight near z=1,
+    at eps = 1e-2 and 1e-3.
 
     With rho = 1 the expansion is P0geq(1) - kappa*sqrt(eps) + O(eps); with
     rho > 1 it is quadratic in eps with an O(eps**3) remainder. Residuals
@@ -253,24 +254,20 @@ def boundary_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e
     """
     require_lukasiewicz(model)
     sc = structural_constants(model)
+    quadratic = sc.rho > 1.0 + 1e-9
+    if quadratic:
+        base = float(model.P0geq(small_branch_u1(model, 1.0)))
+        a1, a2 = composed_boundary_derivatives(model, 1.0)
+    else:
+        base = float(model.P0geq.total_weight())
     residuals: dict[float, float] = {}
     scaled: dict[float, float] = {}
-    if sc.rho > 1.0 + 1e-9:
-        u1_at_1 = small_branch_u1(model, 1.0)
-        base = float(model.P0geq(u1_at_1))
-        a1, a2 = composed_boundary_derivatives(model, 1.0)
-        for eps in epsilons:
-            val = float(model.P0geq(small_branch_u1(model, 1.0 - eps)))
-            pred = base - a1 * eps + 0.5 * a2 * eps * eps
-            res = abs(val - pred)
-            residuals[eps] = res
-            scaled[eps] = res / eps**3
-        return BoundaryExpansionReport(case="quadratic", residuals=residuals, scaled=scaled)
-    base = float(model.P0geq.total_weight())
-    for eps in epsilons:
+    for eps in (1e-2, 1e-3):
         val = float(model.P0geq(small_branch_u1(model, 1.0 - eps)))
-        pred = base - sc.kappa * math.sqrt(eps)
-        res = abs(val - pred)
-        residuals[eps] = res
-        scaled[eps] = res / eps
-    return BoundaryExpansionReport(case="sqrt", residuals=residuals, scaled=scaled)
+        if quadratic:
+            residuals[eps] = abs(val - (base - a1 * eps + 0.5 * a2 * eps * eps))
+            scaled[eps] = residuals[eps] / eps**3
+        else:
+            residuals[eps] = abs(val - (base - sc.kappa * math.sqrt(eps)))
+            scaled[eps] = residuals[eps] / eps
+    return BoundaryExpansionReport("quadratic" if quadratic else "sqrt", residuals, scaled)

@@ -507,7 +507,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
 def _dense_floats(poly: LaurentPolynomial, lo: int) -> np.ndarray:
     """The float weights of the jumps lo..poly.hi, for lo <= poly.lo, with
     0 for an absent jump."""
-    return np.array([0.0] * (poly.lo - lo) + [float(p) for p in poly.coeffs])
+    return np.array([0.0] * (poly.lo - lo) + list(poly.float_coeffs))
 
 
 def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> AltitudeDistribution:
@@ -846,12 +846,13 @@ def _walks(model: WalkModel, n: int, den: int, *, boundary: bool, absorbing: boo
                 nums.pop()
 
 
-def _weighted_paths(model: WalkModel, n: int, *, boundary: bool, absorbing: bool
+def _weighted_paths(model: WalkModel, n: int, *, bounded: bool
                     ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The length-n walks with weights: surviving boundary walks if ``bounded``, else all on Z."""
     den = _denominator(model)
     scale = den**n
     weights: dict[int, Fraction] = {}  # one Fraction per distinct numerator
-    for jumps, num, _ in _walks(model, n, den, boundary=boundary, absorbing=absorbing):
+    for jumps, num, _ in _walks(model, n, den, boundary=bounded, absorbing=bounded):
         w = weights.get(num)
         if w is None:
             w = weights[num] = Fraction(num, scale)
@@ -860,18 +861,16 @@ def _weighted_paths(model: WalkModel, n: int, *, boundary: bool, absorbing: bool
 
 def enumerate_meander_paths(model: WalkModel, n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield every surviving boundary walk of length n with its weight."""
-    yield from _weighted_paths(model, n, boundary=True, absorbing=True)
+    yield from _weighted_paths(model, n, bounded=True)
 
 
-def enumerate_walk_paths(model: WalkModel, n: int, *, boundary_at_zero: bool = False
-                         ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield every unconstrained walk of length n on Z with its weight.
+def enumerate_walk_paths(model: WalkModel, n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield every unconstrained walk of length n on Z with its P-weight.
 
-    With ``boundary_at_zero`` the boundary polynomial applies whenever the
-    walk sits at altitude 0, which is the weighting used when folding
-    bridges by absolute value.
+    P applies at every altitude, 0 included; the folded weighting of the
+    absolute-value rule, with P0 at altitude 0, is ``_bridge_tally``'s.
     """
-    yield from _weighted_paths(model, n, boundary=boundary_at_zero, absorbing=False)
+    yield from _weighted_paths(model, n, bounded=False)
 
 
 def path_altitudes(path: tuple[int, ...]) -> tuple[int, ...]:

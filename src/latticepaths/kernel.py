@@ -36,10 +36,22 @@ from .errors import (
     NoRho1Error,
     NumericalSingularityError,
 )
-from .model import WalkModel
+from .model import LaurentPolynomial, WalkModel
 
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_REL_WIDTH = 1e-13
+
+
+def _is_real(v: complex) -> bool:
+    """Whether v is real up to round-off: |Im v| <= 1e-8*(1 + |Re v|)."""
+    return abs(v.imag) <= 1e-8 * (1.0 + abs(v.real))
+
+
+def _real(v: complex, what: str, z: complex) -> float:
+    """Re v, for a value at real z that must be real (``_is_real``)."""
+    if not _is_real(v):
+        raise NumericalSingularityError(f"non-real {what} {v} at z={z}")
+    return float(v.real)
 
 
 @dataclass(frozen=True)
@@ -53,11 +65,7 @@ class BranchSet:
     @property
     def u1(self) -> float:
         """The real positive branch (exists for real z in (0, rho])."""
-        candidates = [
-            b.real
-            for b in self.branches
-            if abs(b.imag) <= 1e-8 * (1.0 + abs(b.real)) and b.real > 0
-        ]
+        candidates = [b.real for b in self.branches if _is_real(b) and b.real > 0]
         if len(candidates) != 1:
             raise NumericalSingularityError(
                 f"expected one real positive small branch at z={self.z}, got {candidates}"
@@ -66,12 +74,12 @@ class BranchSet:
 
 
 def _kernel_coeffs(model: WalkModel, z: complex) -> np.ndarray:
-    """Coefficients (descending degree) of u**c - z * u**c * P(u)."""
-    c, d = model.c, model.d
-    coeffs = np.zeros(c + d + 1, dtype=complex)
-    coeffs[c] += 1.0
-    for e, p in model.P.float_terms:
-        coeffs[e + c] -= z * p
+    """Coefficients (descending degree) of u**c - z * u**c * P(u); an absent
+    jump subtracts an exact 0."""
+    coeffs = np.zeros(model.c + model.d + 1, dtype=complex)
+    coeffs[model.c] += 1.0
+    for k, p in enumerate(model.P.float_coeffs):
+        coeffs[k] -= z * p
     return coeffs[::-1]
 
 
@@ -95,23 +103,21 @@ def _companion_roots(coeffs: np.ndarray) -> list[complex]:
     return roots + [0j] * (len(coeffs) - 1 - last)
 
 
-def _refine_root(z: complex, u: complex, p_float, dp_float) -> complex:
-    """Newton steps on f(u) = 1 - z*P(u); small branches are never 0.
+def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolynomial
+                 ) -> complex:
+    """Newton steps on f(u) = 1 - z*P(u), with f'(u) = -z*P'(u); small
+    branches are never 0.
 
-    ``p_float`` and ``dp_float`` are the (exponent, weight) terms of P and P'.
+    P and its derivative dP are evaluated by their own Horner
+    (``LaurentPolynomial.__call__``), the evaluator that the residual check
+    in ``small_branches`` reads, so the root Newton stops at is the root
+    that check accepts or rejects.
     """
-
-    def f(x: complex) -> complex:
-        return 1.0 - z * sum(p * x**e for e, p in p_float)
-
-    def df(x: complex) -> complex:
-        return -z * sum(p * x**e for e, p in dp_float)
-
     for _ in range(60):
-        fx = f(u)
+        fx = 1.0 - z * P(u)
         if abs(fx) < _branch_residual_floor(z):
             break
-        dfx = df(u)
+        dfx = -z * dP(u)
         if dfx == 0:
             break
         nxt = u - fx / dfx
@@ -125,24 +131,23 @@ def _branch_residual_floor(z: complex) -> float:
     return 1e-15 * (1.0 + abs(z))
 
 
-def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_RESIDUAL_TOL
-                   ) -> BranchSet:
+def small_branches(model: WalkModel, z: complex) -> BranchSet:
     """Find the c small branches of the kernel equation at z.
 
     Roots come from the companion matrix of the cleared-denominator kernel
-    polynomial and are refined by Newton iteration. A collision between the
-    c-th and (c+1)-th modulus is tolerated only for real z at the point
-    where the real branches merge (the square-root singularity); elsewhere
-    it means z left the disk of analyticity and is reported as degenerate.
-    A z so small that the companion solve loses the small branches raises
-    ``NumericalSingularityError``.
+    polynomial and are refined by Newton iteration on P's Horner
+    (``_refine_root``); each is accepted when its residual |1 - z*P(u)|,
+    from the same Horner, is at most ``ROOT_RESIDUAL_TOL``. A collision
+    between the c-th and (c+1)-th modulus is tolerated only for real z at
+    the point where the real branches merge (the square-root singularity);
+    elsewhere it means z left the disk of analyticity and is reported as
+    degenerate. A z so small that the companion solve loses the small
+    branches raises ``NumericalSingularityError``.
     """
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
     if not cmath.isfinite(z):
         raise ValueError("z must be finite")
-    p_float = model.P.float_terms
-    dp_float = [(e - 1, e * p) for e, p in p_float if e != 0]
     # at tiny |z| the companion matrix, with entries of size 1/z, overflows
     # or returns the small roots, of size about z, as exactly 0
     try:
@@ -152,7 +157,7 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     if 0 in roots:
         raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
     try:
-        roots = [_refine_root(z, r, p_float, dp_float) for r in roots]
+        roots = [_refine_root(z, r, model.P, model.P.derivative()) for r in roots]
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
     roots.sort(key=abs)
@@ -176,7 +181,7 @@ def small_branches(model: WalkModel, z: complex, *, residual_tol: float = ROOT_R
     residuals = tuple(abs(1.0 - z * complex(model.P(u))) for u in small)
     # a merged pair is a double root: Newton stalls there but the residual
     # stays quadratically small, so only the tolerance is relaxed
-    tol = 1e-6 if merged else residual_tol
+    tol = 1e-6 if merged else ROOT_RESIDUAL_TOL
     for u, r in zip(small, residuals):
         if r > tol:
             raise NumericalSingularityError(
@@ -218,12 +223,7 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     resid = float(np.max(np.abs(A @ x - b)))
     if resid > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
         raise NumericalSingularityError(f"boundary system ill conditioned at z={z}")
-    out = []
-    for v in x:
-        if abs(v.imag) > 1e-8 * (1.0 + abs(v.real)):
-            raise NumericalSingularityError(f"non-real F_k value {v} at real z={z}")
-        out.append(float(v.real))
-    return out
+    return [_real(v, "F_k value", z) for v in x]
 
 
 def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
@@ -266,10 +266,7 @@ def excursion_gf_vandermonde(model: WalkModel, z: float, branches: Optional[Bran
         den += term * (1.0 - z * complex(model.P0geq(u[ell])))
     if den == 0:
         raise NumericalSingularityError(f"degenerate branch minors at z={z}")
-    val = num / den
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
-        raise NumericalSingularityError(f"non-real excursion value {val} at z={z}")
-    return float(val.real)
+    return _real(num / den, "excursion value", z)
 
 
 def excursion_gf_bf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
@@ -281,10 +278,7 @@ def excursion_gf_bf(model: WalkModel, z: float, branches: Optional[BranchSet] = 
     for b in u:
         prod *= b
     p_minus_c = float(dict(model.P.terms())[-c])
-    val = (-1.0) ** (c + 1) * prod / (z * p_minus_c)
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
-        raise NumericalSingularityError(f"non-real boundary-free value {val} at z={z}")
-    return float(val.real)
+    return _real((-1.0) ** (c + 1) * prod / (z * p_minus_c), "boundary-free value", z)
 
 
 def perturbation_identity_residual(model: WalkModel, z: float,
@@ -315,10 +309,8 @@ def perturbation_identity_residual(model: WalkModel, z: float,
     denominator = 1.0 - z * e_free * lam_sum
     if denominator == 0:
         raise NumericalSingularityError(f"perturbation denominator vanished at z={z}")
-    predicted = e_free / denominator
-    if abs(predicted.imag) > 1e-8 * (1.0 + abs(predicted.real)):
-        raise NumericalSingularityError(f"non-real perturbation value at z={z}")
-    return abs(excursion_gf(model, z, branches) - predicted.real)
+    predicted = _real(e_free / denominator, "perturbation value", z)
+    return abs(excursion_gf(model, z, branches) - predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +551,11 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     E_at_rho = 1.0 / (1.0 - lam) if sign < 0 else None
     E_at_1 = None
     if rho > 1.0 + 1e-12:
-        u1_at_1 = small_branch_u1(model, 1.0)
-        den = 1.0 - float(model.P0geq(u1_at_1))
-        if den > 1e-9:
-            E_at_1 = 1.0 / den
+        den = boundary_denominator(model, 1.0)
     else:
         den = 1.0 - float(model.P0geq(tau))
-        if den > 1e-9:
-            E_at_1 = 1.0 / den
+    if den > 1e-9:
+        E_at_1 = 1.0 / den
     r = None
     if delta < 0 and sign < 0 and rho > 1.0 + 1e-12:
         f_u_rho = _altitude_derivative_ratio(model, rho, tau, delta, delta0) * E_at_rho
@@ -590,9 +579,10 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     )
 
 
-def u1_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-                       constants: Optional[StructuralConstants] = None) -> float:
-    """Max scaled residual of u1(rho(1-eps)) against tau - C*sqrt(eps).
+def u1_expansion_check(model: WalkModel, constants: Optional[StructuralConstants] = None
+                       ) -> float:
+    """Max scaled residual of u1(rho(1-eps)) against tau - C*sqrt(eps), for
+    eps = 1e-2, 1e-3 and 1e-4.
 
     The remainder of the branch expansion is linear in eps, so the residual
     divided by eps stays bounded; the largest such ratio is returned.
@@ -601,7 +591,7 @@ def u1_expansion_check(model: WalkModel, epsilons: tuple[float, ...] = (1e-2, 1e
     """
     sc = structural_constants(model) if constants is None else constants
     worst = 0.0
-    for eps in epsilons:
+    for eps in (1e-2, 1e-3, 1e-4):
         z = sc.rho * (1.0 - eps)
         u1 = small_branch_u1(model, z)
         predicted = sc.tau - sc.C * math.sqrt(eps)

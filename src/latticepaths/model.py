@@ -79,12 +79,8 @@ class LaurentPolynomial:
         return tuple(e for e, _ in self.terms())
 
     @cached_property
-    def float_terms(self) -> tuple[tuple[int, float], ...]:
-        """(exponent, float(coefficient)) for the non-zero coefficients."""
-        return tuple((e, float(c)) for e, c in self.terms())
-
-    @cached_property
-    def _float_coeffs(self) -> tuple[float, ...]:
+    def float_coeffs(self) -> tuple[float, ...]:
+        """``float(c)`` for every coefficient, from exponent lo to hi."""
         return tuple(float(c) for c in self.coeffs)
 
     @cached_property
@@ -105,7 +101,7 @@ class LaurentPolynomial:
         if isinstance(x, complex):
             coeffs = self._complex_coeffs
         elif isinstance(x, float):
-            coeffs = self._float_coeffs
+            coeffs = self.float_coeffs
         else:
             coeffs = self.coeffs
         acc = 0

@@ -35,21 +35,10 @@ def run_verification(model: WalkModel) -> Iterator[Check]:
 
 
 def _oracle_checks(model: WalkModel) -> Iterator[Check]:
-    ok_meander = ok_returns = ok_arch = ok_bridge = True
-    detail = ""
+    names = ("meander-distribution", "arch-mass", "returns-distribution", "bridge-and-walk")
+    first_failure: dict[str, int] = {}  # each check's first failing length
     for n in range(0, 7):
         bf = en.brute_force(model, n)
-        if en.meander_distribution(model, n, "exact").mass != bf.meander:
-            ok_meander = False
-            detail = f"n={n}"
-        if n >= 1 and en.arch_mass(model, n, "exact") != bf.arch_mass:
-            ok_arch = False
-            detail = f"n={n}"
-        if bf.excursion_mass:
-            exact = en.returns_to_zero_distribution(model, n, "exact").prob
-            if exact != bf.returns_distribution():
-                ok_returns = False
-                detail = f"n={n}"
         walk_total = sum(
             (w for _, w in en.enumerate_walk_paths(model, n)), Fraction(0)
         )
@@ -58,13 +47,20 @@ def _oracle_checks(model: WalkModel) -> Iterator[Check]:
              if en.path_altitudes(p)[-1] == 0),
             Fraction(0),
         )
-        if en.bridge_and_walk_mass(model, n, "exact") != (walk_total, bridge):
-            ok_bridge = False
-            detail = f"n={n}"
-    yield "oracle/meander-distribution", ok_meander, detail
-    yield "oracle/arch-mass", ok_arch, detail
-    yield "oracle/returns-distribution", ok_returns, detail
-    yield "oracle/bridge-and-walk", ok_bridge, detail
+        wrong = (
+            en.meander_distribution(model, n, "exact").mass != bf.meander,
+            n >= 1 and en.arch_mass(model, n, "exact") != bf.arch_mass,
+            bool(bf.excursion_mass)
+            and en.returns_to_zero_distribution(model, n, "exact").prob
+            != bf.returns_distribution(),
+            en.bridge_and_walk_mass(model, n, "exact") != (walk_total, bridge),
+        )
+        for name, failed in zip(names, wrong):
+            if failed:
+                first_failure.setdefault(name, n)
+    for name in names:
+        n = first_failure.get(name)
+        yield f"oracle/{name}", n is None, "" if n is None else f"n={n}"
 
 
 def _series_identity_checks(model: WalkModel) -> Iterator[Check]:

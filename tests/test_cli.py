@@ -1,5 +1,6 @@
 """Command-line driver: output format, determinism and exit codes."""
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,6 +346,35 @@ def test_verify_arch_identity_fails_on_a_perturbed_arch_series(models, monkeypat
     assert (name, True, "") in list(run_verification(model))
     monkeypatch.setattr(enumeration, "arch_series", perturbed)
     assert (name, False, f"n={m}") in list(run_verification(model))
+
+
+def test_verify_oracle_checks_name_their_own_failing_length(models, monkeypatch):
+    # the meander distribution wrong only at n = 2 and the bridge masses only
+    # at n = 5: each oracle line names its own first failing length, and a
+    # passing line names none
+    model = models["motzkin_absorption"]
+    meander_distribution = enumeration.meander_distribution
+    bridge_and_walk_mass = enumeration.bridge_and_walk_mass
+
+    def wrong_meander(model, n, mode="exact"):
+        dist = meander_distribution(model, n, mode)
+        if n == 2:
+            dist.mass[0] += 1
+        return dist
+
+    def wrong_bridge(model, n, mode="exact"):
+        total, bridge = bridge_and_walk_mass(model, n, mode)
+        return (total, bridge + 1) if n == 5 else (total, bridge)
+
+    monkeypatch.setattr(enumeration, "meander_distribution", wrong_meander)
+    monkeypatch.setattr(enumeration, "bridge_and_walk_mass", wrong_bridge)
+    # the oracle lines come right after model-valid
+    assert list(itertools.islice(run_verification(model), 1, 5)) == [
+        ("oracle/meander-distribution", False, "n=2"),
+        ("oracle/arch-mass", True, ""),
+        ("oracle/returns-distribution", True, ""),
+        ("oracle/bridge-and-walk", False, "n=5"),
+    ]
 
 
 def test_verify_catches_invalid_model(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Property tests over random models: the exact DP against the brute-force
-oracle and against iterated ``step()``, and the float returns law against
-the returns moments.
+oracle and against iterated ``step()``, the float series against the exact
+ones, and the float returns law against the returns moments.
 
 The models are drawn by hypothesis, with the profile that ``conftest.py``
 loads: derandomized, so every run draws the same examples.
@@ -8,6 +8,7 @@ loads: derandomized, so every run draws the same examples.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,41 @@ def test_exact_series_match_step_across_field_widths(spec, monkeypatch):
     for t in range(n + 1):
         assert meander_distribution(model, t).mass == stepped[t].mass
         assert meander_mass(model, t) == masses[t]
+
+
+def _agrees(approx, exact):
+    """Float ``approx`` is within 1e-12 relative of ``exact``, unless
+    ``exact`` is below the smallest normal float, where float mode flushes."""
+    if exact is None:
+        return approx is None
+    if 0 < exact < sys.float_info.min:
+        return True
+    return abs(approx - exact) <= 1e-12 * exact
+
+
+@settings(max_examples=60)
+@given(walk_models(), st.integers(1, 150), st.integers(1, 4))
+def test_float_series_agree_with_exact(model, n, top):
+    # every readout of the float walk: row 0, the arches, the total, the
+    # first moment, the rows below top, altitude 0 on Z and the final rows;
+    # each agrees with exact mode or raises
+    readouts = (
+        excursion_series, arch_series, meander_mass_series, final_altitude_series,
+        bridge_mass_series,
+        lambda model, n, mode: [m for row in altitude_series(model, n, top, mode) for m in row],
+        lambda model, n, mode: meander_distribution(model, n, mode).mass,
+    )
+    for readout in readouts:
+        exact = readout(model, n, "exact")
+        try:
+            approx = readout(model, n, "float")
+        except NumericalSingularityError:
+            continue
+        if isinstance(exact, dict):
+            assert approx.keys() <= exact.keys()
+            exact, approx = list(exact.values()), [approx.get(k, 0.0) for k in exact]
+        assert len(approx) == len(exact)
+        assert all(_agrees(a, e) for a, e in zip(approx, exact)), readout
 
 
 @settings(max_examples=60)
