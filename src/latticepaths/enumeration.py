@@ -44,13 +44,19 @@ have not returned yet, which can underflow as a whole while e_n stays
 normal, and the arches after that step are taken as 0. A float mass past
 the largest float (weights summing past 1) raises too, not going on as inf.
 
-A float step is a fixed number of numpy calls, whatever the number of
-jumps: a read-only strided view of the zero-padded state stacks the source
-rows of every jump, one multiply by the dense jump weights fills one term
-row per jump, and one reduce along the rows adds them into the new state.
-The reduce adds the boundary row first and then the jumps in ascending
-order, the order of a term-by-term update, and the zeros it adds besides
-(padding, absent jumps) are exact, so float results keep every bit.
+A float step is two numpy calls, whatever the number of jumps, and O(1)
+Python work: a read-only strided view of the zero-padded state stacks the
+source rows of every jump, one multiply by the dense jump weights fills one
+term row per jump, and one reduce along the rows adds them into the new
+state. Both run over the window rounded out to 64-row blocks, on views made
+again only when that block range changes; row 0's boundary terms are
+numpy-scalar products. The reduce adds the boundary row first and then the
+jumps in ascending order, the order of a term-by-term update, and the zeros
+it adds besides (padding, absent jumps, the rows of the blocks outside the
+window) are exact, so float results keep every bit. A walk that reads only
+row 0 (the excursion and arch series) steps no row above the return
+horizon (n - t)*c, which cannot reach 0 by step n; so there the state that
+underflows as a whole is that of the rows below the horizon.
 
 Every walk carries one column. The returns-to-zero statistics need no
 count axis: an excursion is a sequence of arches, E = 1/(1 - A) with A the
@@ -403,16 +409,23 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     readout, is trimmed past the edge rows below ``_TINY``, which are set
     to 0. If that leaves no row at or above ``_TINY`` while some row is not
     0, the state has underflowed and ``NumericalSingularityError`` is
-    raised (or with ``underflow_ends`` the walk ends).
+    raised (or with ``underflow_ends`` the walk ends). For the "row0" and
+    "arches" readouts of the bounded walk the window also ends at the
+    return horizon (n - t)*c: a step lowers the altitude by at most c, so a
+    row above it at step t cannot reach 0 by step n, and no row at or
+    below the next step's horizon reads it.
 
-    A step is a fixed number of numpy calls, whatever the number of jumps.
-    Each state buffer has d zero rows below and c above, so a read-only
-    strided view ``S[k, i] = state[i - j_k]`` stacks the sources of every
-    jump j_k = -c..d; one multiply by the dense stencil fills one term row
-    per jump, and one reduce over the rows adds them into the new window.
-    On the bounded walk row 0 steps with P0 instead: its boundary terms go
-    in a term row of their own, put first, and row 0 of the source is
-    zeroed before the bulk multiply.
+    A step is two numpy calls, whatever the number of jumps. Each state
+    buffer has d zero rows below and c above, so a read-only strided view
+    ``S[k, i] = state[i - j_k]`` stacks the sources of every jump
+    j_k = -c..d; one multiply by the dense stencil fills one term row per
+    jump, and one reduce over the rows adds them into the new state. Both
+    run over the window rounded out to 64-row blocks, on views of the two
+    buffers that are made again only when that block range changes. On the
+    bounded walk row 0 steps with P0 instead: its boundary terms, products
+    of numpy scalars (which raise on overflow as the multiply does), go in
+    a term row of their own, put first, and row 0 of the source is zeroed
+    before the multiply.
 
     Every state is bit for bit the full-width, term-by-term update
     (boundary terms, then the jumps in ascending order, each added to a
@@ -430,23 +443,31 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     size = lo + n * rise + 1
     top_row = size - 1
     zero = lo  # the row of altitude 0
-    stencil = _dense_floats(model.P, min(model.P.lo, 0))
-    rim = _dense_floats(model.P0geq, 0)
+    cut = readout in ("row0", "arches") and not free
+    horizon = n * fall if cut else top_row
+    shrink = fall if cut else 0
+    stencil = _dense_floats(model.P, min(model.P.lo, 0)).reshape(-1, 1)
+    # (row, weight) of every boundary jump, the weights numpy scalars
+    rim = [(i, r) for i, r in enumerate(_dense_floats(model.P0geq, 0)) if r]
     below = max(model.d, 0)  # zero rows that the top jump reads below row 0
     pair = np.zeros((2, below + size + fall))
     row = pair.strides[1]
     stacks = np.lib.stride_tricks.as_strided(
         pair[:, below + fall:], shape=(2, len(stencil), size),
         strides=(pair.strides[0], -row, row), writeable=False)
-    vec, new = pair[:, below : below + size]
-    stack, spare = stacks
+    states = pair[:, below : below + size]
+    vec, new = states
     # rows 1.. are written before they are read, so only row 0 (zero past
     # the rim) is cleared: pages past the widest window are never touched
     terms = np.empty((len(stencil) + 1, size))
     terms[0] = 0
-    bulk_terms = terms[1:]
-    rim_terms = terms[0, : len(rim)]
-    stencil = stencil.reshape(-1, 1)
+    rim_terms = terms[0]
+    # per state buffer, the block range its views were made for and the
+    # views: its stacked sources, the bulk and all term rows, the other
+    # buffer's target rows; term columns count from the block's first row,
+    # which is row 0 whenever the rim row is in
+    views = [(-1, -1, None, None, None, None)] * 2
+    src = 0  # the buffer that holds the state
     if readout == "moment":
         idx = np.arange(size, dtype=float)
     series = _start(readout, top) if readout else None
@@ -455,41 +476,56 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
     for t in range(1, n + 1):
         wlo = lo - fall if lo > fall else 0  # max() and min() calls cost more
-        whi = hi + rise if hi + rise < top_row else top_row
-        if old_lo < wlo:
-            new[old_lo:wlo] = 0
-        if old_hi > whi:
-            new[whi + 1 : old_hi + 1] = 0
-        rows = bulk_terms
+        reach = hi + rise if hi + rise < top_row else top_row
+        horizon -= shrink
+        whi = reach if reach < horizon else horizon
+        # the 64-row blocks around the window; the rows added compute +0.0
+        # below wlo and (without the horizon) above whi
+        blo = wlo & -64
+        bhi = whi | 63
+        if bhi > top_row:
+            bhi = top_row
+        vlo, vhi, sources, bulk_rows, all_rows, targets = views[src]
+        if vlo != blo or vhi != bhi:
+            width = bhi + 1 - blo
+            vlo, vhi, sources, bulk_rows, all_rows, targets = views[src] = (
+                blo, bhi, stacks[src][:, blo : bhi + 1], terms[1:, :width], terms[:, :width],
+                states[1 - src][blo : bhi + 1])
+        if old_lo < blo:
+            new[old_lo:blo] = 0
+        if old_hi > bhi:
+            new[bhi + 1 : old_hi + 1] = 0
+        rows = bulk_rows
         if lo == 0 and not free:  # row 0 steps with the boundary
-            np.multiply(rim, vec[0], rim_terms)
+            v0 = vec.item(0)
+            for i, r in rim:
+                rim_terms[i] = r * v0
             vec[0] = 0
-            rows = terms
-        # the term columns are relative to the window, which starts at wlo
-        # = 0 when the rim row is in; out (and the reduce's axis and dtype)
-        # passed by position: keywords cost more per call
-        np.multiply(stack[:, wlo : whi + 1], stencil, bulk_terms[:, : whi + 1 - wlo])
-        np.add.reduce(rows[:, : whi + 1 - wlo], 0, None, new[wlo : whi + 1])
+            rows = all_rows
+        # out (and the reduce's axis and dtype) passed by position: keywords
+        # cost more per call
+        np.multiply(sources, stencil, bulk_rows)
+        np.add.reduce(rows, 0, None, targets)
         vec, new = new, vec
-        stack, spare = spare, stack
+        src ^= 1
         old_lo, old_hi = lo, hi
         lo, hi = wlo, whi
         if readout == "row0":
-            series.append(vec[zero])
+            series.append(vec.item(zero))
         elif readout == "arches":
-            series.append(vec[0])
+            series.append(vec.item(0))
             vec[0] = 0
         elif readout == "low":
             series.append(tuple(vec[a] if a < size else 0 for a in range(top)))
         elif readout == "total":
-            series.append(vec.sum())
+            series.append(np.add.reduce(vec))
         elif readout == "moment":
-            series.append((idx @ vec, vec.sum()))
-        while hi > lo and vec[hi] < _TINY:
+            series.append((idx @ vec, np.add.reduce(vec)))
+        while hi > lo and vec.item(hi) < _TINY:
             hi -= 1
-        while lo < hi and vec[lo] < _TINY:
+        while lo < hi and vec.item(lo) < _TINY:
             lo += 1
-        if vec[lo] < _TINY and vec[wlo : whi + 1].any():
+        if vec.item(lo) < _TINY and vec[wlo : whi + 1].any():
             if not underflow_ends:
                 raise NumericalSingularityError(
                     f"float DP underflowed at step {t} of {n}: every mass is below {_TINY:.3g}")
@@ -497,8 +533,10 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
                 series += [0] * (n - t)
             vec[wlo : whi + 1] = 0
             break
-        if hi < whi:
-            vec[hi + 1 : whi + 1] = 0
+        # rows past whi up to reach hold mass above the horizon: cleared,
+        # so that every row outside [lo, hi] is 0 again
+        if hi < reach:
+            vec[hi + 1 : reach + 1] = 0
         if lo > wlo:
             vec[wlo:lo] = 0
     return series if readout else vec

@@ -183,7 +183,7 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     # stays quadratically small, so only the tolerance is relaxed
     tol = 1e-6 if merged else ROOT_RESIDUAL_TOL
     for u, r in zip(small, residuals):
-        if r > tol:
+        if not r <= tol:  # a NaN branch, which overflow can leave, fails too
             raise NumericalSingularityError(
                 f"kernel root {u} at z={z} has residual {r} > {tol}"
             )

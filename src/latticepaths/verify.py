@@ -39,14 +39,11 @@ def _oracle_checks(model: WalkModel) -> Iterator[Check]:
     first_failure: dict[str, int] = {}  # each check's first failing length
     for n in range(0, 7):
         bf = en.brute_force(model, n)
-        walk_total = sum(
-            (w for _, w in en.enumerate_walk_paths(model, n)), Fraction(0)
-        )
-        bridge = sum(
-            (w for p, w in en.enumerate_walk_paths(model, n)
-             if en.path_altitudes(p)[-1] == 0),
-            Fraction(0),
-        )
+        walk_total = bridge = Fraction(0)
+        for path, w in en.enumerate_walk_paths(model, n):
+            walk_total += w
+            if not sum(path):  # the walk ends at altitude 0
+                bridge += w
         wrong = (
             en.meander_distribution(model, n, "exact").mass != bf.meander,
             n >= 1 and en.arch_mass(model, n, "exact") != bf.arch_mass,

@@ -188,6 +188,20 @@ def test_dist_returns_with_an_underflowed_excursion_mass_exits_two(capsys, name)
     assert err.startswith("numerical error:") and "underflowed" in err
 
 
+@pytest.mark.parametrize("name", ["drift_up_absorption", "critical_drift_down"])
+@pytest.mark.parametrize("argv", [("count", "--what", "excursions"), ("dist", "--what", "returns"),
+                                  ("asym", "--what", "arches")],
+                         ids=lambda argv: argv[0])
+def test_row0_readouts_past_the_float_range_exit_two(capsys, name, argv):
+    # the float walk behind these reads row 0 only, so it drops the rows
+    # above the return horizon; the rows below it underflow before n, on
+    # their own or with the whole state, and that still exits 2
+    model = str(MODELS_DIR / f"{name}.model")
+    code, out, err = invoke(capsys, *argv, "--n", "8000", model)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
 def test_dist_returns_sums_to_one_on_decaying_excursion_masses(capsys):
     # the excursion masses of this walk decay exponentially, and the nth
     # coefficients of the arch powers with them
@@ -215,18 +229,26 @@ def test_dist_returns_without_excursions_exits_one(capsys):
 
 
 @pytest.mark.parametrize("name,z", [("two_down_reflection", "1e-100"),
+                                    ("motzkin_reflection", "1e-155"),
                                     ("motzkin_reflection", "1e-250"),
                                     ("two_down_reflection", "1e-320")])
 def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
     # the companion solve returns the small branches as 0 here (at 1e-320
-    # its matrix overflows), which must not end in a traceback or in a
-    # model error
+    # its matrix overflows; at 1e-155 Newton leaves a NaN branch), which
+    # must not end in a traceback or in a model error
     model = str(MODELS_DIR / f"{name}.model")
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
     assert code == 2
     assert out == ""
     assert err.startswith("numerical error:") and "Traceback" not in err
+
+
+def test_gf_eval_just_above_the_tiny_z_failures(capsys):
+    # at 1e-150 the c = 1 branch is still found, and F_0 rounds to 1
+    code, out, err = invoke(capsys, "gf-eval", "--z", "1e-150", MOTZ_R)
+    rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    assert (code, err, rows["F_0"]) == (0, "", "1")
 
 
 @pytest.mark.parametrize("z", ["nan", "inf"])

@@ -41,6 +41,7 @@ from latticepaths.enumeration import (
     bridge_paths,
     enumerate_meander_paths,
     enumerate_walk_paths,
+    final_altitude_series,
     returns_mean_series,
     returns_moments,
 )
@@ -300,11 +301,22 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
     # for the random models, with up to 7 jumps and absent jumps between
     model = random_models[int(name[6:])] if name.startswith("random") else models[name]
     excursions = [1.0]
-    final = _full_width_float_walk(model, n, lambda t, vec: excursions.append(float(vec[0])))
+    totals = [(0.0, 1.0)]  # (first moment, total mass) after every step
+
+    def record(t, vec):
+        excursions.append(float(vec[0]))
+        totals.append((float(np.arange(len(vec), dtype=float) @ vec), float(vec.sum())))
+
+    final = _full_width_float_walk(model, n, record)
     mass = meander_distribution(model, n, "float").mass
     assert mass == {k: float(w) for k, w in enumerate(final) if w}
     assert excursion_series(model, n, "float") == excursions
     assert meander_mass(model, n, "float") == float(final.sum())
+    # the total and the moment readouts sum the whole state as the
+    # full-width DP holds it, so they keep every bit too
+    assert meander_mass_series(model, n, "float") == [total for _, total in totals]
+    assert final_altitude_series(model, n, "float") == [
+        moment / total if total else None for moment, total in totals]
     # the flush touches only masses far below 1e-280 in the raw DP, which
     # holds subnormal dust at its edges
     raw_excursions = [1.0]

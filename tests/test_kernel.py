@@ -9,6 +9,7 @@ import pytest
 
 from latticepaths import (
     BranchDegenerateError,
+    NumericalSingularityError,
     excursion_gf,
     excursion_gf_bf,
     excursion_gf_vandermonde,
@@ -579,6 +580,14 @@ def test_r_is_computed_only_with_negative_drift(models, random_models):
     for name in ("drift_up_absorption", "drift_up_reflection"):
         assert structural_constants(models[name]).r is None
     assert structural_constants(cancel).r is None
+
+
+def test_small_branches_raise_on_a_nan_branch(models):
+    # at z = 1e-155 P's Horner overflows at the large root, 3e155, and
+    # Newton turns it into NaN, which the sort by modulus can put among the
+    # small branches; its NaN residual compares false with the tolerance
+    with pytest.raises(NumericalSingularityError, match="residual nan"):
+        small_branches(models["motzkin_reflection"], 1e-155)
 
 
 def test_small_branches_reject_non_finite_z(models):
