@@ -61,14 +61,19 @@ underflows as a whole is that of the rows below the horizon.
 Every walk carries one column. The returns-to-zero statistics need no
 count axis: an excursion is a sequence of arches, E = 1/(1 - A) with A the
 arch series, so the weight of k returns is w_k = [z^n] A(z)^k. One arch
-walk gives A; baby steps (A^1..A^B, B about sqrt(n)/2) with giant steps
-(A^(qB)) give every w_k from about 2 sqrt(K) truncated products for a law
-ending at K returns: integer dot products in exact mode, where the
-numerators of A^k are over D**n, and direct products in float mode, whose
-coefficients, sums of non-negative terms, keep a small relative error; a
-float law that does not add up to e_n raises. The mean and variance come
-from the excursion series alone: (E - 1)·E and (E - 1)^2·E sum k·w_k and
-k(k - 1)·w_k with non-negative terms.
+walk gives A, compressed by its period p (the gcd of the arch lengths), so
+that the law works to length n/p; e_n comes from A by doubling, two
+convolutions per doubling of the known terms. Baby steps (A^1..A^B) with
+giant steps (A^(qB)) give every w_k from about B + K/B truncated products
+for a law ending at K returns; float mode takes B about sqrt(K) from the
+law's own mean and variance, exact mode sqrt(n/p)/2. The products skip
+both factors' leading zeros and form no degree past n: integer dot
+products in exact mode, where the numerators of A^k are over D**n, and a
+staircase of direct products in float mode, whose coefficients, sums of
+non-negative terms, keep a small relative error; a float law that does
+not add up to e_n raises. The mean and variance come from the excursion
+series alone: (E - 1)·E and (E - 1)^2·E sum k·w_k and k(k - 1)·w_k with
+non-negative terms.
 """
 
 from __future__ import annotations
@@ -471,6 +476,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     if readout == "moment":
         idx = np.arange(size, dtype=float)
     series = _start(readout, top) if readout else None
+    multiply, reduce, tiny = np.multiply, np.add.reduce, _TINY  # locals read faster
     vec[lo] = 1
     hi = lo
     old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
@@ -504,13 +510,15 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
             rows = all_rows
         # out (and the reduce's axis and dtype) passed by position: keywords
         # cost more per call
-        np.multiply(sources, stencil, bulk_rows)
-        np.add.reduce(rows, 0, None, targets)
+        multiply(sources, stencil, bulk_rows)
+        reduce(rows, 0, None, targets)
         vec, new = new, vec
         src ^= 1
         old_lo, old_hi = lo, hi
         lo, hi = wlo, whi
-        if readout == "row0":
+        if readout is None:
+            pass
+        elif readout == "row0":
             series.append(vec.item(zero))
         elif readout == "arches":
             series.append(vec.item(0))
@@ -518,14 +526,20 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
         elif readout == "low":
             series.append(tuple(vec[a] if a < size else 0 for a in range(top)))
         elif readout == "total":
-            series.append(np.add.reduce(vec))
-        elif readout == "moment":
-            series.append((idx @ vec, np.add.reduce(vec)))
-        while hi > lo and vec.item(hi) < _TINY:
+            series.append(reduce(vec))
+        else:
+            series.append((idx @ vec, reduce(vec)))
+        # trim past the edge rows below tiny; edge ends as vec[lo]
+        edge = vec.item(hi)
+        while edge < tiny and hi > lo:
             hi -= 1
-        while lo < hi and vec.item(lo) < _TINY:
-            lo += 1
-        if vec.item(lo) < _TINY and vec[wlo : whi + 1].any():
+            edge = vec.item(hi)
+        if lo < hi:  # vec[hi] >= tiny stops the scan
+            edge = vec.item(lo)
+            while edge < tiny:
+                lo += 1
+                edge = vec.item(lo)
+        if edge < tiny and vec[wlo : whi + 1].any():
             if not underflow_ends:
                 raise NumericalSingularityError(
                     f"float DP underflowed at step {t} of {n}: every mass is below {_TINY:.3g}")
@@ -534,11 +548,20 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
             vec[wlo : whi + 1] = 0
             break
         # rows past whi up to reach hold mass above the horizon: cleared,
-        # so that every row outside [lo, hi] is 0 again
+        # so that every row outside [lo, hi] is 0 again; an edge of one or
+        # two rows, the common case, by item, which costs less than a slice
         if hi < reach:
-            vec[hi + 1 : reach + 1] = 0
+            if reach - hi > 2:
+                vec[hi + 1 : reach + 1] = 0
+            else:
+                vec[hi + 1] = 0
+                vec[reach] = 0
         if lo > wlo:
-            vec[wlo:lo] = 0
+            if lo - wlo > 2:
+                vec[wlo:lo] = 0
+            else:
+                vec[wlo] = 0
+                vec[lo - 1] = 0
     return series if readout else vec
 
 
@@ -683,15 +706,19 @@ def _first_nonzero(x: np.ndarray) -> int:
 def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.ndarray], np.ndarray]:
     """x -> coefficients 0..n of the product of the series x and factor.
 
-    Exact: one integer dot product per degree, over the terms that reach
-    it, so the terms past degree n, which hold the largest ints, are never
-    formed. Float: the direct product, whose coefficients, sums of
-    non-negative products, keep their round-off relative to themselves (an
+    Both factors' leading zeros are skipped, and no term past degree n
+    (in exact mode, the largest ints) is formed. Exact: one integer dot
+    product per degree, over the terms that reach it. Float: a staircase of
+    direct products (``np.convolve``), chunk s of x times the terms of
+    factor that reach degree n from it, in about sqrt(len/128) equal chunks
+    (3 at n = 2000): more chunks form fewer terms past n, and each costs
+    one more call and a pass over its outputs. Each coefficient, a sum of
+    non-negative products, keeps its round-off relative to itself (an
     FFT's is relative to the largest coefficient).
     """
+    lf = _first_nonzero(factor)
     if exact:
         rev_factor = factor[::-1]  # rev_factor[n - j] = factor[j]
-        lf = _first_nonzero(factor)
 
         def times(x):
             # degree m adds x[i] * factor[m - i] for lx <= i <= m - lf
@@ -702,48 +729,76 @@ def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.
             return out
 
         return times
-    return lambda x: np.convolve(x, factor)[: n + 1]
+
+    def times(x):
+        out = np.zeros(n + 1)
+        lx = _first_nonzero(x)
+        low = lx + lf  # the lowest degree that can be non-zero
+        size = n + 1 - low
+        if size > 0:
+            xs, fs = x[lx : lx + size], factor[lf : lf + size]
+            chunk = -(-size // max(1, math.isqrt(size // 128)))
+            for s in range(0, size, chunk):
+                out[low + s :] += np.convolve(xs[s : s + chunk], fs[: size - s])[: size - s]
+        return out
+
+    return times
 
 
-def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
+def _arch_power_weights(arch: np.ndarray, n: int, exact: bool, baby: int) -> Iterator:
     """w_1, w_2, ...: the nth coefficients of A, A^2, ..., the powers of the
     arch series A, by baby steps and giant steps.
 
-    Baby steps make A^1..A^B one product at a time, with B about sqrt(n)/2,
-    and keep each reversed, in one array. Giant steps make A^(qB), and
-    w_(qB+r) = sum_m A^(qB)[m] * A^r[n-m], so one product of the reversed
-    baby powers with A^(qB) gives the B weights after it. The weights stop
-    when a power underflows (every coefficient below 1e-320: in exact
-    mode, when it is 0).
+    Baby steps make A^1..A^baby one product at a time and keep each
+    reversed, in one array. Giant steps make A^(q·baby), and
+    w_(q·baby+r) = sum_m A^(q·baby)[m] * A^r[n-m], so one product of the
+    reversed baby powers with A^(q·baby) gives the baby weights after it;
+    the product skips the giant power's leading zeros. Any baby count gives
+    the same weights. They stop when a power underflows (every coefficient
+    below 1e-320: in exact mode, when it is 0).
     """
-    baby = max(1, math.isqrt(n) // 2)
     rev = np.empty((baby, n + 1), dtype=arch.dtype)  # row r - 1: A^r, reversed
     step_baby = _truncated_product(arch, n, exact)
     power = arch
     for r in range(baby):
         if r:
-            power = step_baby(rev[r - 1, ::-1])
+            power = step_baby(power)
         rev[r] = power[::-1]
         yield power[n]
         if power.max() < 1e-320:
             return
-    step_giant = _truncated_product(power, n, exact)  # times A^B
+    step_giant = _truncated_product(power, n, exact)  # times A^baby
     giant = power
     while True:
-        yield from rev @ giant
+        low = _first_nonzero(giant)
+        yield from rev[:, low:] @ giant[low:]
         giant = step_giant(giant)
         if giant.max() < 1e-320:
             return
 
 
 def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
-    """e_0..e_n from the arch series a_0..a_n: E = 1 + A·E, so e_t is the
-    sum of a_m·e_(t-m) over m = 1..t, a sum of non-negative terms. Exact
-    numerators a_m over D**m give numerators e_t over D**t."""
+    """e_0..e_n from the arch series a_0..a_n, by doubling: E = 1/(1 - A).
+
+    With e_0..e_(m-1) known, c_t = sum_(i<m) e_i·a_(m+t-i) for t < m (one
+    ``np.convolve``) is the coefficient m + t of A·(e_0 + ... + e_(m-1)z^(m-1)),
+    and e_(m+t) = sum_(i<=t) e_i·c_(t-i) (another): the Newton step
+    E <- E + E·(1 - (1 - A)·E) of the inverse, whose residual past degree m
+    is A times the known terms. So every e_t is a sum of non-negative
+    products, made in log2(n) rounds. Both convolutions are "valid" ones,
+    which form no degree past m + k - 1; the second reads c behind k - 1
+    zeros, so that its terms past t (in exact mode the largest ints) are
+    zeros. Exact numerators a_m over D**m give numerators e_t over D**t.
+    """
     e = np.zeros(len(arch), dtype=arch.dtype)
     e[0] = 1
-    for t in range(1, len(arch)):
-        e[t] = e[:t] @ arch[t:0:-1]
+    m = 1
+    while m < len(arch):
+        k = min(m, len(arch) - m)  # e_m..e_(m+k-1) are made this round
+        c = np.convolve(arch[1 : m + k], e[:m], "valid")
+        padded = np.concatenate((np.zeros(k - 1, dtype=e.dtype), c))
+        e[m : m + k] = np.convolve(padded, e[:k], "valid")
+        m += k
     return e
 
 
@@ -754,10 +809,20 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     An excursion with exactly k returns is a k-sequence of arches, so the
     unnormalized weight w_k of k returns is the nth coefficient of the kth
     power of the arch series; the excursion mass e_n comes from the arches
-    too (``_excursions_from_arches``). The weights are taken in ascending
-    k until they add up to e_n, or to e_n * (1 - 1e-13) in float mode;
-    weights that end short of that, or pass e_n by more than 1e-9 of it,
-    raise ``NumericalSingularityError``.
+    too (``_excursions_from_arches``). Every arch length is a multiple of
+    the period p, the gcd of the lengths with a non-zero arch mass, so the
+    law works on the compressed series a_0, a_p, a_2p, ... to length n/p,
+    and there is no excursion of length n unless p divides n. The weights
+    are taken in ascending k until they add up to e_n, or to
+    e_n * (1 - 1e-13) in float mode; weights that end short of that, or pass
+    e_n by more than 1e-9 of it, raise ``NumericalSingularityError``.
+
+    The baby steps of ``_arch_power_weights`` cost as many products as the
+    giant steps when their count is about sqrt(K), for a law that ends at K
+    returns. Float mode reads K off the law's mean and standard deviation
+    (``_moment_sums`` on the compressed e): the baby count is about
+    sqrt(mean + 8·sd + 16), at most sqrt(n/p)/2, the count that exact mode
+    takes.
 
     A float e_n below the smallest normal float (0 after an e_t between 0
     and it) has underflowed and raises ``NumericalSingularityError``; an
@@ -765,20 +830,32 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     """
     exact = mode == "exact"
     arch = np.array(arch, dtype=object if exact else float)
+    period = math.gcd(*np.flatnonzero(arch).tolist())
+    if not period:  # no arch of length n or less
+        raise LatticePathError(f"no excursion of length {n}")
+    arch = arch[::period]
+    size = n // period  # the compressed length
     e = _excursions_from_arches(arch)
-    e_n = e[n]
+    e_n = e[size] if n % period == 0 else 0
     dust = [] if exact else np.flatnonzero((e > 0) & (e < _TINY))
     if len(dust) and e_n < _TINY:
         raise NumericalSingularityError(
-            f"float excursion mass underflowed: {e[dust[0]]:.3g} at length {dust[0]}, "
+            f"float excursion mass underflowed: {e[dust[0]]:.3g} at length {dust[0] * period}, "
             f"{e_n:.3g} at length {n}")
     if e_n <= 0:
         raise LatticePathError(f"no excursion of length {n}")
+    baby = max(1, math.isqrt(size) // 2)
+    if not exact:
+        first, second = _moment_sums(e, False)
+        mean = first / e_n
+        spread = mean + 8 * math.sqrt(max(second / e_n - mean * mean, 0.0)) + 16
+        if spread < baby * baby:
+            baby = math.isqrt(int(spread))
     target = e_n if exact else e_n * (1.0 - 1e-13)
-    weights = _arch_power_weights(arch, n, exact)
+    weights = _arch_power_weights(arch, size, exact, baby)
     prob: dict[int, Number] = {}
     cum = 0
-    for k, w in zip(range(1, n + 1), weights):
+    for k, w in zip(range(1, size + 1), weights):
         if w > 0:
             prob[k] = Fraction(w, e_n) if exact else float(w) / float(e_n)
             cum += w
@@ -800,15 +877,23 @@ def _return_totals(e: np.ndarray, exact: bool) -> np.ndarray:
     return _truncated_product(e, n, exact)(tail)
 
 
-def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
-    """(mean, variance) of the returns at length n = len(e) - 1 >= 1: with
+def _moment_sums(e: np.ndarray, exact: bool) -> tuple:
+    """(sum k·w_k, sum k^2·w_k) at length n = len(e) - 1 >= 1: with
     s = (E - 1)·E, sum k(k - 1)·w_k = 2·[z^n] s·(E - 1)."""
+    n = len(e) - 1
+    s = _return_totals(e, exact)
+    return s[n], 2 * (s[:n] @ e[n:0:-1]) + s[n]
+
+
+def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
+    """(mean, variance) of the returns at length n = len(e) - 1 >= 1, from
+    ``_moment_sums``."""
     n = len(e) - 1
     if not e[n]:
         raise LatticePathError(f"no excursion of length {n}")
-    s = _return_totals(e, arith.exact)
-    mean = arith.ratio(s[n], e[n])
-    return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
+    first, second = _moment_sums(e, arith.exact)
+    mean = arith.ratio(first, e[n])
+    return mean, arith.ratio(second, e[n]) - mean * mean
 
 
 @_overflow_raises()

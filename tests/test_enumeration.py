@@ -414,16 +414,46 @@ def test_arch_walk_underflow_ends_only_the_returns_arches(models):
     assert arch_mass(model, 2000, "float") > 0
 
 
-def test_returns_float_mode_agreement(models):
-    # float mode may drop a trailing tail of total mass <= 1e-13
-    model = models["motzkin_absorption"]
-    exact = returns_to_zero_distribution(model, 40)
-    flt = returns_to_zero_distribution(model, 40, "float")
-    assert set(flt.prob) <= set(exact.prob)
-    dropped = sum(float(p) for k, p in exact.prob.items() if k not in flt.prob)
+@pytest.mark.parametrize("name", MODEL_NAMES + [f"random{i}" for i in range(12)])
+def test_returns_float_mode_agreement(models, random_models, name):
+    # the exact law, integers from the arch walk, is an independent route
+    # for the float law's round-off: float mode may drop a trailing tail of
+    # total mass <= 1e-12 and keeps every other probability to 1e-10
+    model = random_models[int(name[6:])] if name.startswith("random") else models[name]
+    n = 200
+    try:
+        exact = returns_to_zero_distribution(model, n)
+    except LatticePathError:
+        assert name == "random9"  # its arch lengths are multiples of 3
+        with pytest.raises(LatticePathError, match="no excursion"):
+            returns_to_zero_distribution(model, n, "float")
+        return
+    flt = returns_to_zero_distribution(model, n, "float")
+    support = sorted(exact.prob)
+    assert sorted(flt.prob) == support[: len(flt.prob)]
+    dropped = sum(float(exact.prob[k]) for k in support[len(flt.prob) :])
     assert dropped <= 1e-12
     for k, p in flt.prob.items():
-        assert p == pytest.approx(float(exact.prob[k]), rel=1e-9)
+        assert p == pytest.approx(float(exact.prob[k]), rel=1e-10, abs=0)
+
+
+def test_excursions_from_arches_by_doubling(models, random_models):
+    # e by doubling: exact numerators are those of the per-length sums
+    # e_t = sum_m a_m·e_(t-m), and float ones agree with the walk's exact
+    # row 0 over D**t
+    for model in [*models.values(), *random_models]:
+        arches = _row0(model, 200, _Arithmetic(model, "exact"), arches=True)
+        want = [1]
+        for t in range(1, 201):
+            want.append(np.array(want[::-1], dtype=object) @ arches[1 : t + 1])
+        assert list(_excursions_from_arches(arches)) == want
+    n = 600
+    for model in models.values():
+        arith = _Arithmetic(model, "exact")
+        exact = arith.series(_row0(model, n, arith))
+        flt = _excursions_from_arches(_row0(model, n, _Arithmetic(model, "float"), arches=True))
+        for got, want in zip(flt, exact):
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 def _count_axis_laws(model, top):
@@ -488,8 +518,8 @@ def test_returns_float_law_off_the_excursion_mass_raises(models, monkeypatch, sc
     # weights that end short of e_n, or add up past it by more than 1e-9 of
     # it, are no law
     weights = enumeration._arch_power_weights
-    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact: (
-        scale * w for w in itertools.islice(weights(arch, n, exact), stop)))
+    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact, baby: (
+        scale * w for w in itertools.islice(weights(arch, n, exact, baby), stop)))
     with pytest.raises(NumericalSingularityError, match="excursion mass"):
         returns_to_zero_distribution(models["motzkin_absorption"], 400, "float")
 
