@@ -63,11 +63,10 @@ count axis: an excursion is a sequence of arches, E = 1/(1 - A) with A the
 arch series, so the weight of k returns is w_k = [z^n] A(z)^k. One arch
 walk gives A, compressed by its period p (the gcd of the arch lengths), so
 that the law works to length n/p; e_n comes from A by doubling, two
-convolutions per doubling of the known terms. Baby steps (A^1..A^B) with
-giant steps (A^(qB)) give every w_k from about B + K/B truncated products
-for a law ending at K returns; float mode takes B about sqrt(K) from the
-law's own mean and variance, exact mode sqrt(n/p)/2. The products skip
-both factors' leading zeros and form no degree past n: integer dot
+convolutions per doubling of the known terms. Baby steps (A^1..A^B, B
+about sqrt(n/p)/2) with giant steps (A^(qB)) give every w_k from about
+B + K/B truncated products for a law ending at K returns. The products
+skip both factors' leading zeros and form no degree past n: integer dot
 products in exact mode, where the numerators of A^k are over D**n, and a
 staircase of direct products in float mode, whose coefficients, sums of
 non-negative terms, keep a small relative error; a float law that does
@@ -554,14 +553,12 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
             if reach - hi > 2:
                 vec[hi + 1 : reach + 1] = 0
             else:
-                vec[hi + 1] = 0
-                vec[reach] = 0
+                vec[hi + 1] = vec[reach] = 0
         if lo > wlo:
             if lo - wlo > 2:
                 vec[wlo:lo] = 0
             else:
-                vec[wlo] = 0
-                vec[lo - 1] = 0
+                vec[wlo] = vec[lo - 1] = 0
     return series if readout else vec
 
 
@@ -697,9 +694,17 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
     return _returns_from_arches(arch, n, mode)
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, whose floats come from ``np.convolve``, which ignores
+    ``np.errstate``: one past the largest float raises here."""
+    if not np.isfinite(x).all():
+        raise NumericalSingularityError("float masses overflowed: overflow encountered in convolve")
+    return x
+
+
 def _first_nonzero(x: np.ndarray) -> int:
     """Index of the first non-zero entry of x, len(x) if there is none."""
-    nz = np.flatnonzero(x)
+    nz = x.nonzero()[0]
     return int(nz[0]) if len(nz) else len(x)
 
 
@@ -740,23 +745,23 @@ def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.
             chunk = -(-size // max(1, math.isqrt(size // 128)))
             for s in range(0, size, chunk):
                 out[low + s :] += np.convolve(xs[s : s + chunk], fs[: size - s])[: size - s]
-        return out
+        return _finite(out)
 
     return times
 
 
-def _arch_power_weights(arch: np.ndarray, n: int, exact: bool, baby: int) -> Iterator:
+def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
     """w_1, w_2, ...: the nth coefficients of A, A^2, ..., the powers of the
     arch series A, by baby steps and giant steps.
 
-    Baby steps make A^1..A^baby one product at a time and keep each
-    reversed, in one array. Giant steps make A^(q·baby), and
-    w_(q·baby+r) = sum_m A^(q·baby)[m] * A^r[n-m], so one product of the
-    reversed baby powers with A^(q·baby) gives the baby weights after it;
-    the product skips the giant power's leading zeros. Any baby count gives
-    the same weights. They stop when a power underflows (every coefficient
-    below 1e-320: in exact mode, when it is 0).
+    Baby steps make A^1..A^B one product at a time, with B about sqrt(n)/2
+    and at least 2, and keep each reversed, in one array. Giant steps make A^(qB), and
+    w_(qB+r) = sum_m A^(qB)[m] * A^r[n-m], so one product of the reversed
+    baby powers with A^(qB) gives the B weights after it; the product skips
+    the giant power's leading zeros. The weights stop when a power
+    underflows (every coefficient below 1e-320: in exact mode, when it is 0).
     """
+    baby = max(2, math.isqrt(n) // 2)
     rev = np.empty((baby, n + 1), dtype=arch.dtype)  # row r - 1: A^r, reversed
     step_baby = _truncated_product(arch, n, exact)
     power = arch
@@ -767,7 +772,7 @@ def _arch_power_weights(arch: np.ndarray, n: int, exact: bool, baby: int) -> Ite
         yield power[n]
         if power.max() < 1e-320:
             return
-    step_giant = _truncated_product(power, n, exact)  # times A^baby
+    step_giant = _truncated_product(power, n, exact)  # times A^B
     giant = power
     while True:
         low = _first_nonzero(giant)
@@ -799,7 +804,7 @@ def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
         padded = np.concatenate((np.zeros(k - 1, dtype=e.dtype), c))
         e[m : m + k] = np.convolve(padded, e[:k], "valid")
         m += k
-    return e
+    return e if e.dtype == object else _finite(e)
 
 
 def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
@@ -816,13 +821,6 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     are taken in ascending k until they add up to e_n, or to
     e_n * (1 - 1e-13) in float mode; weights that end short of that, or pass
     e_n by more than 1e-9 of it, raise ``NumericalSingularityError``.
-
-    The baby steps of ``_arch_power_weights`` cost as many products as the
-    giant steps when their count is about sqrt(K), for a law that ends at K
-    returns. Float mode reads K off the law's mean and standard deviation
-    (``_moment_sums`` on the compressed e): the baby count is about
-    sqrt(mean + 8·sd + 16), at most sqrt(n/p)/2, the count that exact mode
-    takes.
 
     A float e_n below the smallest normal float (0 after an e_t between 0
     and it) has underflowed and raises ``NumericalSingularityError``; an
@@ -844,15 +842,8 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
             f"{e_n:.3g} at length {n}")
     if e_n <= 0:
         raise LatticePathError(f"no excursion of length {n}")
-    baby = max(1, math.isqrt(size) // 2)
-    if not exact:
-        first, second = _moment_sums(e, False)
-        mean = first / e_n
-        spread = mean + 8 * math.sqrt(max(second / e_n - mean * mean, 0.0)) + 16
-        if spread < baby * baby:
-            baby = math.isqrt(int(spread))
     target = e_n if exact else e_n * (1.0 - 1e-13)
-    weights = _arch_power_weights(arch, size, exact, baby)
+    weights = _arch_power_weights(arch, size, exact)
     prob: dict[int, Number] = {}
     cum = 0
     for k, w in zip(range(1, size + 1), weights):
@@ -877,23 +868,15 @@ def _return_totals(e: np.ndarray, exact: bool) -> np.ndarray:
     return _truncated_product(e, n, exact)(tail)
 
 
-def _moment_sums(e: np.ndarray, exact: bool) -> tuple:
-    """(sum k·w_k, sum k^2·w_k) at length n = len(e) - 1 >= 1: with
-    s = (E - 1)·E, sum k(k - 1)·w_k = 2·[z^n] s·(E - 1)."""
-    n = len(e) - 1
-    s = _return_totals(e, exact)
-    return s[n], 2 * (s[:n] @ e[n:0:-1]) + s[n]
-
-
 def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
-    """(mean, variance) of the returns at length n = len(e) - 1 >= 1, from
-    ``_moment_sums``."""
+    """(mean, variance) of the returns at length n = len(e) - 1 >= 1: with
+    s = (E - 1)·E, sum k(k - 1)·w_k = 2·[z^n] s·(E - 1)."""
     n = len(e) - 1
     if not e[n]:
         raise LatticePathError(f"no excursion of length {n}")
-    first, second = _moment_sums(e, arith.exact)
-    mean = arith.ratio(first, e[n])
-    return mean, arith.ratio(second, e[n]) - mean * mean
+    s = _return_totals(e, arith.exact)
+    mean = arith.ratio(s[n], e[n])
+    return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
 
 
 @_overflow_raises()

@@ -518,8 +518,8 @@ def test_returns_float_law_off_the_excursion_mass_raises(models, monkeypatch, sc
     # weights that end short of e_n, or add up past it by more than 1e-9 of
     # it, are no law
     weights = enumeration._arch_power_weights
-    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact, baby: (
-        scale * w for w in itertools.islice(weights(arch, n, exact, baby), stop)))
+    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact: (
+        scale * w for w in itertools.islice(weights(arch, n, exact), stop)))
     with pytest.raises(NumericalSingularityError, match="excursion mass"):
         returns_to_zero_distribution(models["motzkin_absorption"], 400, "float")
 
@@ -527,6 +527,9 @@ def test_returns_float_law_off_the_excursion_mass_raises(models, monkeypatch, sc
 @pytest.mark.parametrize("spec,n,error", [
     # weights that sum past 1: the masses pass the largest float near t = 440
     ("P: -1:2/5 0:5/3 1:7/3\nP0: 0:1/2 1:3/2\n", 600, "overflowed"),
+    # one arch, of length 1 and mass 8: every arch mass is finite, and
+    # e_t = 8^t passes the largest float at t = 342
+    ("P: -2:4/5 1:8/7\nP0: -2:2 0:8\n", 343, "overflowed"),
     # e_n is 1.85e-316, below the smallest normal float, while the arch walk
     # still holds normal masses
     ("P: -1:1/100 1:99/100\nP0: 0:1/20 1:1/20\n", 440, "underflowed"),
@@ -536,6 +539,30 @@ def test_returns_float_statistics_outside_the_float_range_raise(spec, n, error):
     for stat in (returns_to_zero_distribution, returns_moments, excursion_series):
         with pytest.raises(NumericalSingularityError, match=error):
             stat(model, n, "float")
+
+
+def test_returns_float_law_near_the_float_range_holds():
+    # e_584 is 2.0e305 and sum k(k - 1) w_k, about mean^2 * e_n, passes the
+    # largest float: the moments raise, the law does not. Halving every
+    # weight halves every path of length n alike, so the law is that of the
+    # halved model, whose float masses are the same ones times 2**-584
+    spec = "P: -1:{0} 1:{0}\nP0: 0:{1} 1:{0}\n"
+    model, halved = parse_model(spec.format(1, 3)), parse_model(spec.format("1/2", "3/2"))
+    with pytest.raises(NumericalSingularityError, match="overflowed"):
+        returns_moments(model, 584, "float")
+    law = returns_to_zero_distribution(model, 584, "float")
+    reference = returns_to_zero_distribution(halved, 584, "float")
+    assert list(law.prob) == list(reference.prob)
+    assert list(law.prob.values()) == pytest.approx(list(reference.prob.values()), rel=1e-12)
+
+
+def test_returns_float_mean_series_past_the_float_range_raises():
+    # e_428 is 2.7e306 and the returns its excursions total, about 410 times
+    # that, pass the largest float inside one np.convolve, which ignores
+    # np.errstate: the last means must raise, not read inf
+    model = parse_model("P: -1:1 1:1\nP0: 0:5 1:1\n")
+    with pytest.raises(NumericalSingularityError, match="overflowed"):
+        returns_mean_series(model, 428, "float")
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
