@@ -23,9 +23,9 @@ field width grows, by one repack, as the numerators do. Per-step readouts
 read only the low fields; the total and the first moment come from exact
 mass balance on the rows below c.
 
-Float mode runs the same recurrence on float64 numpy arrays indexed by
-altitude. Each step touches only the live window of rows that can be
-non-zero, between two reused arrays. After every step the edge rows below
+Float mode runs the same recurrence on one float64 numpy array indexed by
+altitude, in place. Each step touches only the live window of rows that
+can be non-zero. After every step the edge rows below
 the smallest normal float (``np.finfo(float).tiny``, about 2.2e-308) are
 set to 0 and drop out of it: the subnormal dust that exponentially
 decaying masses leave at the window's edges, wrong by orders of
@@ -47,15 +47,15 @@ the largest float (weights summing past 1) raises too, not going on as inf.
 A float step is two numpy calls, whatever the number of jumps, and O(1)
 Python work: a read-only strided view of the zero-padded state stacks the
 source rows of every jump, one multiply by the dense jump weights fills one
-term row per jump, and one reduce along the rows adds them into the new
-state. Both run over the window rounded out to 64-row blocks, on views made
-again only when that block range changes; row 0's boundary terms are
+term row per jump, and one reduce along the rows writes their sums back into
+the state. Both run over the window rounded out to 64-row blocks, on views
+made again only when that block range changes; row 0's boundary terms are
 numpy-scalar products. The reduce adds the boundary row first and then the
 jumps in ascending order, the order of a term-by-term update, and the zeros
 it adds besides (padding, absent jumps, the rows of the blocks outside the
 window) are exact, so float results keep every bit. A walk that reads only
-row 0 (the excursion and arch series) steps no row above the return
-horizon (n - t)*c, which cannot reach 0 by step n; so there the state that
+row 0 (the excursion and arch series) steps no row above the return horizon
+(n - t)*c, which cannot reach 0 by step n; so there the state that
 underflows as a whole is that of the rows below the horizon.
 
 Every walk carries one column. The returns-to-zero statistics need no
@@ -66,10 +66,11 @@ that the law works to length n/p; e_n comes from A by doubling, two
 convolutions per doubling of the known terms. Baby steps (A^1..A^B, B
 about sqrt(n/p)/2) with giant steps (A^(qB)) give every w_k from about
 B + K/B truncated products for a law ending at K returns. The products
-skip both factors' leading zeros and form no degree past n: integer dot
-products in exact mode, where the numerators of A^k are over D**n, and a
-staircase of direct products in float mode, whose coefficients, sums of
-non-negative terms, keep a small relative error; a float law that does
+skip both factors' leading zeros. In exact mode, where the numerators of
+A^k are over D**n, a product is the padded "valid" convolution that the
+doubling ends with, whose terms past degree n are products with zeros; in
+float mode it is a staircase of direct products, whose coefficients, sums
+of non-negative terms, keep a small relative error; a float law that does
 not add up to e_n raises. The mean and variance come from the excursion
 series alone: (E - 1)·E and (E - 1)^2·E sum k·w_k and k(k - 1)·w_k with
 non-negative terms.
@@ -405,7 +406,7 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
 
 @_overflow_raises()
 def _float_walk(model, n, arith, readout, top, free, underflow_ends):
-    """The float walk: slice updates on numpy arrays indexed by altitude
+    """The float walk, in place on one numpy array indexed by altitude
     (with ``free``, by altitude + n*c).
 
     Only the live window ``[lo, hi]`` of rows that can be non-zero is
@@ -419,17 +420,19 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     row above it at step t cannot reach 0 by step n, and no row at or
     below the next step's horizon reads it.
 
-    A step is two numpy calls, whatever the number of jumps. Each state
-    buffer has d zero rows below and c above, so a read-only strided view
+    A step is two numpy calls, whatever the number of jumps. The state has
+    d zero rows below and c above, so a read-only strided view
     ``S[k, i] = state[i - j_k]`` stacks the sources of every jump
     j_k = -c..d; one multiply by the dense stencil fills one term row per
-    jump, and one reduce over the rows adds them into the new state. Both
-    run over the window rounded out to 64-row blocks, on views of the two
-    buffers that are made again only when that block range changes. On the
-    bounded walk row 0 steps with P0 instead: its boundary terms, products
-    of numpy scalars (which raise on overflow as the multiply does), go in
-    a term row of their own, put first, and row 0 of the source is zeroed
-    before the multiply.
+    jump, which reads the state, and one reduce over the rows, which reads
+    only the terms, writes their sums back into the state. Both run over
+    the window rounded out to 64-row blocks, on views that are made again
+    only when that block range changes. A row above the block keeps its old
+    mass only under the return horizon, and is cleared with the rows above
+    the horizon after the step. On the bounded walk row 0 steps with P0
+    instead: its boundary terms, products of numpy scalars (which raise on
+    overflow as the multiply does), go in a term row of their own, put
+    first, and row 0 of the state is zeroed before the multiply.
 
     Every state is bit for bit the full-width, term-by-term update
     (boundary terms, then the jumps in ascending order, each added to a
@@ -454,31 +457,25 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     # (row, weight) of every boundary jump, the weights numpy scalars
     rim = [(i, r) for i, r in enumerate(_dense_floats(model.P0geq, 0)) if r]
     below = max(model.d, 0)  # zero rows that the top jump reads below row 0
-    pair = np.zeros((2, below + size + fall))
-    row = pair.strides[1]
-    stacks = np.lib.stride_tricks.as_strided(
-        pair[:, below + fall:], shape=(2, len(stencil), size),
-        strides=(pair.strides[0], -row, row), writeable=False)
-    states = pair[:, below : below + size]
-    vec, new = states
+    padded = np.zeros(below + size + fall)
+    row = padded.strides[0]
+    stacked = np.lib.stride_tricks.as_strided(
+        padded[below + fall:], shape=(len(stencil), size), strides=(-row, row), writeable=False)
+    vec = padded[below : below + size]
     # rows 1.. are written before they are read, so only row 0 (zero past
     # the rim) is cleared: pages past the widest window are never touched
     terms = np.empty((len(stencil) + 1, size))
     terms[0] = 0
     rim_terms = terms[0]
-    # per state buffer, the block range its views were made for and the
-    # views: its stacked sources, the bulk and all term rows, the other
-    # buffer's target rows; term columns count from the block's first row,
-    # which is row 0 whenever the rim row is in
-    views = [(-1, -1, None, None, None, None)] * 2
-    src = 0  # the buffer that holds the state
+    # the block range the views were made for; term columns count from the
+    # block's first row, which is row 0 whenever the rim row is in
+    vlo = vhi = -1
     if readout == "moment":
         idx = np.arange(size, dtype=float)
     series = _start(readout, top) if readout else None
     multiply, reduce, tiny = np.multiply, np.add.reduce, _TINY  # locals read faster
     vec[lo] = 1
     hi = lo
-    old_lo, old_hi = lo, hi  # rows of ``new`` that may hold an old state
     for t in range(1, n + 1):
         wlo = lo - fall if lo > fall else 0  # max() and min() calls cost more
         reach = hi + rise if hi + rise < top_row else top_row
@@ -490,16 +487,11 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
         bhi = whi | 63
         if bhi > top_row:
             bhi = top_row
-        vlo, vhi, sources, bulk_rows, all_rows, targets = views[src]
         if vlo != blo or vhi != bhi:
             width = bhi + 1 - blo
-            vlo, vhi, sources, bulk_rows, all_rows, targets = views[src] = (
-                blo, bhi, stacks[src][:, blo : bhi + 1], terms[1:, :width], terms[:, :width],
-                states[1 - src][blo : bhi + 1])
-        if old_lo < blo:
-            new[old_lo:blo] = 0
-        if old_hi > bhi:
-            new[bhi + 1 : old_hi + 1] = 0
+            vlo, vhi, sources, bulk_rows, all_rows, block = (
+                blo, bhi, stacked[:, blo : bhi + 1], terms[1:, :width], terms[:, :width],
+                vec[blo : bhi + 1])
         rows = bulk_rows
         if lo == 0 and not free:  # row 0 steps with the boundary
             v0 = vec.item(0)
@@ -510,10 +502,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
         # out (and the reduce's axis and dtype) passed by position: keywords
         # cost more per call
         multiply(sources, stencil, bulk_rows)
-        reduce(rows, 0, None, targets)
-        vec, new = new, vec
-        src ^= 1
-        old_lo, old_hi = lo, hi
+        reduce(rows, 0, None, block)
         lo, hi = wlo, whi
         if readout is None:
             pass
@@ -546,9 +535,10 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
                 series += [0] * (n - t)
             vec[wlo : whi + 1] = 0
             break
-        # rows past whi up to reach hold mass above the horizon: cleared,
-        # so that every row outside [lo, hi] is 0 again; an edge of one or
-        # two rows, the common case, by item, which costs less than a slice
+        # rows past whi up to reach hold mass above the horizon, stepped or
+        # (above the block) left from the last step: cleared, so that every
+        # row outside [lo, hi] is 0 again; an edge of one or two rows, the
+        # common case, by item, which costs less than a slice
         if hi < reach:
             if reach - hi > 2:
                 vec[hi + 1 : reach + 1] = 0
@@ -584,10 +574,11 @@ def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") ->
 
 
 def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
-          underflow_ends: bool = False) -> np.ndarray:
+          free: bool = False, underflow_ends: bool = False) -> np.ndarray:
     """Row 0 after every length 0..n, unscaled: the excursion numerators
-    e_0..e_n (e_t over den**t in exact mode), or with ``arches`` the arch
-    numerators a_0..a_n, row 0 being cleared after every step.
+    e_0..e_n (e_t over den**t in exact mode), with ``arches`` the arch
+    numerators a_0..a_n, row 0 being cleared after every step, or with
+    ``free`` the bridge numerators of the walk on Z.
 
     A float entry between 0 and the smallest normal float is row 0
     underflowing on its own while the mass above it stays normal (a state
@@ -596,7 +587,8 @@ def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
     ``underflow_ends`` (the returns law's arches) the series is kept as it
     is, and a float state that underflows as a whole ends it, its later
     entries being 0, instead of raising."""
-    out = _walk(model, n, arith, "arches" if arches else "row0", underflow_ends=underflow_ends)
+    out = _walk(model, n, arith, "arches" if arches else "row0", free=free,
+                underflow_ends=underflow_ends)
     series = np.array(out, dtype=arith.dtype)
     if not (arith.exact or underflow_ends):
         dust = np.flatnonzero((series > 0) & (series < _TINY))
@@ -649,13 +641,17 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
     """
     arith = _Arithmetic(model, mode)
     final = _walk(model, n, arith, free=True)
-    return arith.value(final.sum(), n), arith.value(final[n * model.c], n)
+    bridge = final[n * model.c]
+    if not arith.exact and bridge < _TINY:
+        # a float 0 can be row 0 underflowed on its own: the series raises then
+        bridge = _row0(model, n, arith, free=True)[n]
+    return arith.value(final.sum(), n), arith.value(bridge, n)
 
 
 def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Mass at altitude 0 of the unconstrained walk, for every length 0..n."""
     arith = _Arithmetic(model, mode)
-    return arith.series(_walk(model, n, arith, "row0", free=True))
+    return arith.series(_row0(model, n, arith, free=True))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +687,7 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
     if n == 0:
         return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
     arch = _row0(model, n, arith, arches=True, underflow_ends=True)
-    return _returns_from_arches(arch, n, mode)
+    return _returns_from_arches(arch, n)
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -708,49 +704,51 @@ def _first_nonzero(x: np.ndarray) -> int:
     return int(nz[0]) if len(nz) else len(x)
 
 
-def _truncated_product(factor: np.ndarray, n: int, exact: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> coefficients 0..n of the product of the series x and factor.
+def _low_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients 0..k-1 of the product of the series x and y, both of
+    length k: a "valid" ``np.convolve`` of y with x behind k - 1 zeros, so
+    that every term past degree k - 1 (in exact mode the largest ints) is a
+    product with one of those zeros."""
+    padded = np.concatenate((np.zeros(len(x) - 1, dtype=x.dtype), x))
+    return np.convolve(padded, y, "valid")
 
-    Both factors' leading zeros are skipped, and no term past degree n
-    (in exact mode, the largest ints) is formed. Exact: one integer dot
-    product per degree, over the terms that reach it. Float: a staircase of
-    direct products (``np.convolve``), chunk s of x times the terms of
-    factor that reach degree n from it, in about sqrt(len/128) equal chunks
-    (3 at n = 2000): more chunks form fewer terms past n, and each costs
-    one more call and a pass over its outputs. Each coefficient, a sum of
-    non-negative products, keeps its round-off relative to itself (an
-    FFT's is relative to the largest coefficient).
+
+def _truncated_product(factor: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> coefficients 0..n of the product of the series x and factor, of
+    factor's dtype: exact numerators (``object``) or floats.
+
+    Both factors' leading zeros are skipped. Exact: one ``_low_product``,
+    whose terms past degree n, which would be the largest ints, are all
+    products with zeros. Float: a staircase of direct products
+    (``np.convolve``), chunk s of x times the terms of factor that reach
+    degree n from it, in about sqrt(len/128) equal chunks (3 at n = 2000):
+    more chunks form fewer terms past n, and each costs one more call and a
+    pass over its outputs. Each coefficient, a sum of non-negative
+    products, keeps its round-off relative to itself (an FFT's is relative
+    to the largest coefficient).
     """
     lf = _first_nonzero(factor)
-    if exact:
-        rev_factor = factor[::-1]  # rev_factor[n - j] = factor[j]
-
-        def times(x):
-            # degree m adds x[i] * factor[m - i] for lx <= i <= m - lf
-            out = np.zeros(n + 1, dtype=object)
-            lx = _first_nonzero(x)
-            for m in range(lx + lf, n + 1):
-                out[m] = x[lx : m - lf + 1] @ rev_factor[n - m + lx : n - lf + 1]
-            return out
-
-        return times
+    exact = factor.dtype == object
 
     def times(x):
-        out = np.zeros(n + 1)
+        out = np.zeros(n + 1, dtype=factor.dtype)
         lx = _first_nonzero(x)
         low = lx + lf  # the lowest degree that can be non-zero
         size = n + 1 - low
         if size > 0:
             xs, fs = x[lx : lx + size], factor[lf : lf + size]
-            chunk = -(-size // max(1, math.isqrt(size // 128)))
-            for s in range(0, size, chunk):
-                out[low + s :] += np.convolve(xs[s : s + chunk], fs[: size - s])[: size - s]
-        return _finite(out)
+            if exact:
+                out[low:] = _low_product(xs, fs)
+            else:
+                chunk = -(-size // max(1, math.isqrt(size // 128)))
+                for s in range(0, size, chunk):
+                    out[low + s :] += np.convolve(xs[s : s + chunk], fs[: size - s])[: size - s]
+        return out if exact else _finite(out)
 
     return times
 
 
-def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
+def _arch_power_weights(arch: np.ndarray, n: int) -> Iterator:
     """w_1, w_2, ...: the nth coefficients of A, A^2, ..., the powers of the
     arch series A, by baby steps and giant steps.
 
@@ -763,7 +761,7 @@ def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
     """
     baby = max(2, math.isqrt(n) // 2)
     rev = np.empty((baby, n + 1), dtype=arch.dtype)  # row r - 1: A^r, reversed
-    step_baby = _truncated_product(arch, n, exact)
+    step_baby = _truncated_product(arch, n)
     power = arch
     for r in range(baby):
         if r:
@@ -772,7 +770,7 @@ def _arch_power_weights(arch: np.ndarray, n: int, exact: bool) -> Iterator:
         yield power[n]
         if power.max() < 1e-320:
             return
-    step_giant = _truncated_product(power, n, exact)  # times A^B
+    step_giant = _truncated_product(power, n)  # times A^B
     giant = power
     while True:
         low = _first_nonzero(giant)
@@ -790,10 +788,10 @@ def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
     and e_(m+t) = sum_(i<=t) e_i·c_(t-i) (another): the Newton step
     E <- E + E·(1 - (1 - A)·E) of the inverse, whose residual past degree m
     is A times the known terms. So every e_t is a sum of non-negative
-    products, made in log2(n) rounds. Both convolutions are "valid" ones,
-    which form no degree past m + k - 1; the second reads c behind k - 1
-    zeros, so that its terms past t (in exact mode the largest ints) are
-    zeros. Exact numerators a_m over D**m give numerators e_t over D**t.
+    products, made in log2(n) rounds. The first convolution is a "valid"
+    one, which forms no degree past m + k - 1; the second, a
+    ``_low_product``, forms no term past t but products with zeros. Exact
+    numerators a_m over D**m give numerators e_t over D**t.
     """
     e = np.zeros(len(arch), dtype=arch.dtype)
     e[0] = 1
@@ -801,15 +799,14 @@ def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
     while m < len(arch):
         k = min(m, len(arch) - m)  # e_m..e_(m+k-1) are made this round
         c = np.convolve(arch[1 : m + k], e[:m], "valid")
-        padded = np.concatenate((np.zeros(k - 1, dtype=e.dtype), c))
-        e[m : m + k] = np.convolve(padded, e[:k], "valid")
+        e[m : m + k] = _low_product(c, e[:k])
         m += k
     return e if e.dtype == object else _finite(e)
 
 
-def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
-    """The returns law from the arch series a_0..a_n as a DP of that mode
-    holds it: exact numerators of a_m over D**m, or floats.
+def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
+    """The returns law from the arch series a_0..a_n as ``_row0`` returns
+    it: exact numerators of a_m over D**m (``object``), or floats.
 
     An excursion with exactly k returns is a k-sequence of arches, so the
     unnormalized weight w_k of k returns is the nth coefficient of the kth
@@ -826,8 +823,7 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     and it) has underflowed and raises ``NumericalSingularityError``; an
     e_n of 0 otherwise means no excursion of length n.
     """
-    exact = mode == "exact"
-    arch = np.array(arch, dtype=object if exact else float)
+    exact = arch.dtype == object
     period = math.gcd(*np.flatnonzero(arch).tolist())
     if not period:  # no arch of length n or less
         raise LatticePathError(f"no excursion of length {n}")
@@ -843,7 +839,7 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     if e_n <= 0:
         raise LatticePathError(f"no excursion of length {n}")
     target = e_n if exact else e_n * (1.0 - 1e-13)
-    weights = _arch_power_weights(arch, size, exact)
+    weights = _arch_power_weights(arch, size)
     prob: dict[int, Number] = {}
     cum = 0
     for k, w in zip(range(1, size + 1), weights):
@@ -859,13 +855,13 @@ def _returns_from_arches(arch: list, n: int, mode: Mode) -> ReturnsDistribution:
     return ReturnsDistribution(n=n, prob=prob)
 
 
-def _return_totals(e: np.ndarray, exact: bool) -> np.ndarray:
+def _return_totals(e: np.ndarray) -> np.ndarray:
     """Coefficients 0..n of (E - 1)·E from the excursion series e_0..e_n:
     the tth, sum_k k·w_k, totals the returns of the excursions of length t."""
     n = len(e) - 1
     tail = e.copy()
     tail[0] = 0
-    return _truncated_product(e, n, exact)(tail)
+    return _truncated_product(e, n)(tail)
 
 
 def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number, Number]:
@@ -874,7 +870,7 @@ def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number,
     n = len(e) - 1
     if not e[n]:
         raise LatticePathError(f"no excursion of length {n}")
-    s = _return_totals(e, arith.exact)
+    s = _return_totals(e)
     mean = arith.ratio(s[n], e[n])
     return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
 
@@ -898,7 +894,7 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     """
     arith = _Arithmetic(model, mode)
     e = _row0(model, n, arith)
-    s = _return_totals(e, arith.exact)
+    s = _return_totals(e)
     return [arith.value(0, 0)] + [arith.ratio(x, y) if y else None for x, y in zip(s[1:], e[1:])]
 
 
@@ -1118,5 +1114,4 @@ def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]
 
 def bridge_paths(model: WalkModel, n: int) -> list[tuple[int, ...]]:
     """All length-n jump sequences ending at altitude 0 with positive P-weight."""
-    walks = _walks(model, n, _denominator(model), boundary=False, absorbing=False)
-    return sorted((tuple(jumps) for jumps, _, alts in walks if alts[-1] == 0), reverse=True)
+    return sorted(_bridge_tally(model, n, False)[1], reverse=True)

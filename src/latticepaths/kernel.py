@@ -106,7 +106,9 @@ def _companion_roots(coeffs: np.ndarray) -> list[complex]:
 def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolynomial
                  ) -> complex:
     """Newton steps on f(u) = 1 - z*P(u), with f'(u) = -z*P'(u); small
-    branches are never 0.
+    branches are never 0. Newton stops before a step that is not finite:
+    at tiny z, P's Horner overflows at a large root (3e155 at z = 1e-155 on
+    the Motzkin walk), and the root is kept as the companion solve gave it.
 
     P and its derivative dP are evaluated by their own Horner
     (``LaurentPolynomial.__call__``), the evaluator that the residual check
@@ -121,7 +123,7 @@ def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolyno
         if dfx == 0:
             break
         nxt = u - fx / dfx
-        if nxt == u:
+        if nxt == u or not cmath.isfinite(nxt):
             break
         u = nxt
     return u

@@ -177,6 +177,31 @@ def test_count_series_with_an_underflowed_row_exits_two(capsys, name, what):
 
 
 @pytest.mark.parametrize("name", ["drift_up_absorption", "drift_up_reflection",
+                                  "drift_down_reflection", "critical_drift_down",
+                                  "two_down_reflection"])
+def test_count_bridges_with_an_underflowed_row_exits_two(capsys, name):
+    # altitude 0 of the walk on Z falls below the smallest normal float
+    # near t = 6190-6860 while the mass around it stays normal (the first
+    # three models share their bridges: P and its mirror image); the series
+    # must not print subnormal rows and then zeros
+    model = str(MODELS_DIR / f"{name}.model")
+    code, out, err = invoke(capsys, "count", "--n", "8000", "--what", "bridges", model)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical error:") and "underflowed" in err
+
+
+def test_count_bridges_with_normal_rows_exits_zero(capsys):
+    # supercritical_drift_down's bridge masses decay too, but stay normal
+    model = str(MODELS_DIR / "supercritical_drift_down.model")
+    code, out, err = invoke(capsys, "count", "--n", "8000", "--what", "bridges", model)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 8001
+    assert min(float(row.split("\t")[1]) for row in rows) >= np.finfo(float).tiny
+    assert rows[-1] == "8000\t1.98888836702e-92"
+
+
+@pytest.mark.parametrize("name", ["drift_up_absorption", "drift_up_reflection",
                                   "critical_drift_down"])
 def test_dist_returns_with_an_underflowed_excursion_mass_exits_two(capsys, name):
     # the float arch walk underflows near t = 6100-6600, and e_n with it:
@@ -229,13 +254,12 @@ def test_dist_returns_without_excursions_exits_one(capsys):
 
 
 @pytest.mark.parametrize("name,z", [("two_down_reflection", "1e-100"),
-                                    ("motzkin_reflection", "1e-155"),
                                     ("motzkin_reflection", "1e-250"),
                                     ("two_down_reflection", "1e-320")])
 def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
     # the companion solve returns the small branches as 0 here (at 1e-320
-    # its matrix overflows; at 1e-155 Newton leaves a NaN branch), which
-    # must not end in a traceback or in a model error
+    # its matrix overflows), which must not end in a traceback or in a
+    # model error
     model = str(MODELS_DIR / f"{name}.model")
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
@@ -245,10 +269,13 @@ def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
 
 
 def test_gf_eval_just_above_the_tiny_z_failures(capsys):
-    # at 1e-150 the c = 1 branch is still found, and F_0 rounds to 1
-    code, out, err = invoke(capsys, "gf-eval", "--z", "1e-150", MOTZ_R)
-    rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
-    assert (code, err, rows["F_0"]) == (0, "", "1")
+    # down to 1e-200 the c = 1 branch is still found, and F_0 and E_free
+    # round to 1; from 1e-155 P's Horner overflows at the large root, where
+    # Newton stops instead of stepping to NaN
+    for z in ("1e-150", "1e-155", "1e-200"):
+        code, out, err = invoke(capsys, "gf-eval", "--z", z, MOTZ_R)
+        rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+        assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1"), z
 
 
 @pytest.mark.parametrize("z", ["nan", "inf"])

@@ -37,6 +37,7 @@ from latticepaths.enumeration import (
     _return_totals,
     _returns_from_arches,
     _row0,
+    _truncated_product,
     bridge_mass_series,
     bridge_paths,
     enumerate_meander_paths,
@@ -107,6 +108,20 @@ def test_bridge_examples(models):
     for mode in ("exact", "float"):
         with pytest.raises(InvalidModelError):
             bridge_mass_series(rising, 4, mode)
+
+
+def test_float_bridge_mass_past_the_float_range_raises(models):
+    # altitude 0 of the walk on Z underflows on its own before n = 8000 on
+    # these models: the float bridge mass raises, as the series does,
+    # instead of reading 0
+    for name in ("drift_up_absorption", "critical_drift_down", "two_down_reflection"):
+        with pytest.raises(NumericalSingularityError, match="underflowed"):
+            bridge_and_walk_mass(models[name], 8000, "float")
+    model = models["supercritical_drift_down"]
+    assert bridge_and_walk_mass(model, 8000, "float")[1] == bridge_mass_series(
+        model, 8000, "float")[8000] > 0
+    # a Dyck walk has no bridge of odd length: there 0 is the float value
+    assert bridge_and_walk_mass(models["dyck_reflection"], 7, "float") == (1.0, 0.0)
 
 
 def test_returns_examples(models):
@@ -354,14 +369,14 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
     # the float returns law is the arch series' powers over that e_n
     if excursions[n] > 0.0:
         assert returns_to_zero_distribution(model, n, "float") == _returns_from_arches(
-            arches, n, "float")
+            np.array(arches), n)
     else:
         with pytest.raises(LatticePathError):
             returns_to_zero_distribution(model, n, "float")
 
     # the float moments and mean series are products of the excursion series
     means = [0.0] + [float(s) / float(x) if x else None
-                     for s, x in zip(_return_totals(e, False)[1:], e[1:])]
+                     for s, x in zip(_return_totals(e)[1:], e[1:])]
     assert returns_mean_series(model, n, "float") == means
     if excursions[n]:
         moments = _moments_from_excursions(e, _Arithmetic(model, "float"))
@@ -390,8 +405,22 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
         assert moments[0] == pytest.approx(mean, rel=1e-12, abs=0)
         assert moments[1] == pytest.approx(float(w2) / float(w0) - mean * mean, rel=1e-9, abs=0)
 
-    free = _full_width_float_walk(model, n, free=True)
-    assert bridge_and_walk_mass(model, n, "float") == (float(free.sum()), float(free[n * model.c]))
+    # the bridges: altitude 0 of the walk on Z, row n*c of its rows
+    zero = n * model.c
+    bridges = [1.0]
+    free = _full_width_float_walk(
+        model, n, lambda t, vec: bridges.append(float(vec[zero])), free=True)
+    if any(0.0 < b < TINY for b in bridges):
+        # altitude 0 underflows on its own, from t = 970 on random11, whose
+        # exact bridge mass at n = 1000 is 1.06e-317 where the flushed DP
+        # holds 0: both float readouts raise
+        assert name == "random11"
+        for stat in (bridge_mass_series, bridge_and_walk_mass):
+            with pytest.raises(NumericalSingularityError, match="underflowed"):
+                stat(model, n, "float")
+    else:
+        assert bridge_mass_series(model, n, "float") == bridges
+        assert bridge_and_walk_mass(model, n, "float") == (float(free.sum()), float(free[zero]))
 
 
 def test_float_meander_holds_no_subnormal_dust(models):
@@ -456,6 +485,35 @@ def test_excursions_from_arches_by_doubling(models, random_models):
             assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
+def _dot_loop_product(factor, x, n):
+    """Coefficients 0..n of the product of the series x and factor by one
+    integer dot product per degree, over the terms that reach it: the loop
+    that the exact ``_truncated_product`` replaced, kept as its reference."""
+    lf, lx = (int(np.flatnonzero(y)[0]) if y.any() else n + 1 for y in (factor, x))
+    rev_factor = factor[::-1]  # rev_factor[n - j] = factor[j]
+    out = np.zeros(n + 1, dtype=object)
+    for m in range(lx + lf, n + 1):
+        out[m] = x[lx : m - lf + 1] @ rev_factor[n - m + lx : n - lf + 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 24, 55, 200])
+def test_exact_products_match_the_per_degree_dot_loop(models, random_models, n):
+    # the exact products of the returns law and the returns moments, among
+    # the arch series, its square and the excursion series, leading zeros
+    # (the Dyck models' odd lengths, random9's period 3) included
+    for model in [*models.values(), *random_models]:
+        arith = _Arithmetic(model, "exact")
+        a = _row0(model, n, arith, arches=True)
+        e = _row0(model, n, arith)
+        square = _dot_loop_product(a, a, n)
+        for factor, x in ((a, a), (a, square), (square, a), (a, e), (e, a), (e, e)):
+            assert list(_truncated_product(factor, n)(x)) == list(_dot_loop_product(factor, x, n))
+        tail = e.copy()
+        tail[0] = 0
+        assert list(_return_totals(e)) == list(_dot_loop_product(e, tail, n))
+
+
 def _count_axis_laws(model, top):
     """The exact returns law at every length 1..top (None where there is no
     excursion), from a DP over (altitude, returns so far) on integers over
@@ -518,8 +576,8 @@ def test_returns_float_law_off_the_excursion_mass_raises(models, monkeypatch, sc
     # weights that end short of e_n, or add up past it by more than 1e-9 of
     # it, are no law
     weights = enumeration._arch_power_weights
-    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n, exact: (
-        scale * w for w in itertools.islice(weights(arch, n, exact), stop)))
+    monkeypatch.setattr(enumeration, "_arch_power_weights", lambda arch, n: (
+        scale * w for w in itertools.islice(weights(arch, n), stop)))
     with pytest.raises(NumericalSingularityError, match="excursion mass"):
         returns_to_zero_distribution(models["motzkin_absorption"], 400, "float")
 

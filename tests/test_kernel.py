@@ -582,12 +582,24 @@ def test_r_is_computed_only_with_negative_drift(models, random_models):
     assert structural_constants(cancel).r is None
 
 
-def test_small_branches_raise_on_a_nan_branch(models):
-    # at z = 1e-155 P's Horner overflows at the large root, 3e155, and
-    # Newton turns it into NaN, which the sort by modulus can put among the
-    # small branches; its NaN residual compares false with the tolerance
+def test_small_branches_raise_on_a_nan_branch(models, monkeypatch):
+    # a NaN root sorts among the small branches, and its NaN residual
+    # compares false with the tolerance; Newton stops before a non-finite
+    # step, so a refinement that returns NaN stands in for one
+    from latticepaths import kernel
+
+    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: complex(math.nan, math.nan))
     with pytest.raises(NumericalSingularityError, match="residual nan"):
-        small_branches(models["motzkin_reflection"], 1e-155)
+        small_branches(models["motzkin_reflection"], 0.1)
+
+
+def test_newton_stops_before_a_non_finite_step(models):
+    # at z = 1e-155 P's Horner overflows at the large root, 3e155, and the
+    # next Newton step would be NaN: the root is kept, and the small branch,
+    # z/3 + O(z^2), is found
+    for z in (1e-155, 1e-200):
+        branches = small_branches(models["motzkin_reflection"], z)
+        assert branches.u1 == pytest.approx(z / 3, rel=1e-12)
 
 
 def test_small_branches_reject_non_finite_z(models):

@@ -238,14 +238,27 @@ def test_float_series_agree_with_exact(model, n, top):
         assert all(_agrees(a, e) for a, e in zip(approx, exact)), readout
 
 
+def _assert_float_range_raise(model, exc):
+    """A float returns statistic raises only where its masses leave the
+    float range: an overflow, on a model whose P or P0 weights sum past 1,
+    or an underflow. Weights that do not add up to e_n are no such raise."""
+    msg = str(exc)
+    if "overflowed" in msg:
+        assert max(model.P.total_weight(), model.P0.total_weight()) > 1, msg
+    else:
+        assert "underflowed" in msg or "below the smallest normal float" in msg, msg
+
+
 @settings(max_examples=60)
 @given(walk_models(), st.integers(300, 600))
 def test_float_returns_law_sums_to_one_and_matches_the_moments(model, n):
-    # the float law is right or raises: non-negative, summing to 1, with the
-    # mean and variance that the excursion series gives on its own
+    # the float law is right or raises on leaving the float range:
+    # non-negative, summing to 1, with the mean and variance that the
+    # excursion series gives on its own
     try:
         law = returns_to_zero_distribution(model, n, "float")
-    except NumericalSingularityError:
+    except NumericalSingularityError as exc:
+        _assert_float_range_raise(model, exc)
         return
     except LatticePathError:
         # no excursion of length n, so no moments either
@@ -257,9 +270,10 @@ def test_float_returns_law_sums_to_one_and_matches_the_moments(model, n):
     assert math.fsum(probs) == pytest.approx(1.0, rel=0, abs=1e-9)
     try:
         mean, var = returns_moments(model, n, "float")
-    except NumericalSingularityError:
+    except NumericalSingularityError as exc:
         # the moments' own products can pass the float range where the
         # law's do not (sum k(k - 1) w_k is about mean^2 * e_n)
+        _assert_float_range_raise(model, exc)
         return
     assert law.mean() == pytest.approx(mean, rel=1e-8)
     # the law's variance is its second moment less mean^2, so its round-off
