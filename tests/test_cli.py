@@ -269,13 +269,22 @@ def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
 
 
 def test_gf_eval_just_above_the_tiny_z_failures(capsys):
-    # down to 1e-200 the c = 1 branch is still found, and F_0 and E_free
-    # round to 1; from 1e-155 P's Horner overflows at the large root, where
-    # Newton stops instead of stepping to NaN
-    for z in ("1e-150", "1e-155", "1e-200"):
-        code, out, err = invoke(capsys, "gf-eval", "--z", z, MOTZ_R)
-        rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
-        assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1"), z
+    # at 1e-150 the c = 1 branch is still found, and F_0 and E_free round to 1
+    code, out, err = invoke(capsys, "gf-eval", "--z", "1e-150", MOTZ_R)
+    rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1")
+
+
+@pytest.mark.parametrize("name,z", [("motzkin_reflection", "1e-155"),
+                                    ("motzkin_reflection", "1e-200")])
+def test_gf_eval_at_tiny_z_where_newton_stops_exits_zero(capsys, name, z):
+    # from 1e-155 P's Horner overflows at the large root; Newton stops there
+    # instead of stepping to NaN, so the c = 1 branch is still found and
+    # F_0 and E_free round to 1
+    model = str(MODELS_DIR / f"{name}.model")
+    code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
+    rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1")
 
 
 @pytest.mark.parametrize("z", ["nan", "inf"])
