@@ -642,8 +642,9 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
     arith = _Arithmetic(model, mode)
     final = _walk(model, n, arith, free=True)
     bridge = final[n * model.c]
-    if not arith.exact and bridge < _TINY:
-        # a float 0 can be row 0 underflowed on its own: the series raises then
+    if not arith.exact and bridge < _TINY and n * model.c % model.period == 0:
+        # a float 0 can be row 0 underflowed on its own: the series raises
+        # then; at a length that the period skips, 0 is the bridge mass
         bridge = _row0(model, n, arith, free=True)[n]
     return arith.value(final.sum(), n), arith.value(bridge, n)
 

@@ -287,6 +287,17 @@ def test_gf_eval_at_tiny_z_where_newton_stops_exits_zero(capsys, name, z):
     assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1")
 
 
+@pytest.mark.parametrize("z", ["1e-110", "1e-155", "1e-200"])
+def test_gf_eval_at_tiny_z_where_newton_stops_exits_two_for_c2(capsys, z):
+    # the same stop keeps the c = 2 branches, but the boundary system
+    # solved from them is far off there (F_1 = 0 or -1.7e39 where it is
+    # about z/2), so the overflow at the large root still exits 2
+    model = str(MODELS_DIR / "two_down_reflection.model")
+    code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
+    assert (code, out) == (2, "")
+    assert err == f"numerical error: kernel polynomial overflows at a root at z={float(z)}\n"
+
+
 @pytest.mark.parametrize("z", ["nan", "inf"])
 def test_gf_eval_at_non_finite_z_exits_one(capsys, z):
     # rejected before the companion solve, so no numpy warning is raised

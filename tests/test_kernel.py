@@ -588,7 +588,7 @@ def test_small_branches_raise_on_a_nan_branch(models, monkeypatch):
     # step, so a refinement that returns NaN stands in for one
     from latticepaths import kernel
 
-    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: complex(math.nan, math.nan))
+    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: (complex(math.nan, math.nan), False))
     with pytest.raises(NumericalSingularityError, match="residual nan"):
         small_branches(models["motzkin_reflection"], 0.1)
 
@@ -600,6 +600,14 @@ def test_newton_stops_before_a_non_finite_step(models):
     for z in (1e-155, 1e-200):
         branches = small_branches(models["motzkin_reflection"], z)
         assert branches.u1 == pytest.approx(z / 3, rel=1e-12)
+
+
+def test_newton_stop_raises_for_c2(models):
+    # on two_down_reflection P's Horner overflows at the large root from
+    # about z = 1e-103 on; the boundary system is not trusted there
+    for z in (1e-110, 1e-155, 1e-200):
+        with pytest.raises(NumericalSingularityError, match="overflows at a root"):
+            small_branches(models["two_down_reflection"], z)
 
 
 def test_small_branches_reject_non_finite_z(models):
