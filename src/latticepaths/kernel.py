@@ -104,12 +104,11 @@ def _companion_roots(coeffs: np.ndarray) -> list[complex]:
 
 
 def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolynomial
-                 ) -> tuple[complex, bool]:
+                 ) -> complex:
     """Newton steps on f(u) = 1 - z*P(u), with f'(u) = -z*P'(u); small
     branches are never 0. Newton stops before a step that is not finite:
     at tiny z, P's Horner overflows at a large root (3e155 at z = 1e-155 on
     the Motzkin walk), and the root is kept as the companion solve gave it.
-    Returns the root and whether Newton stopped there for that reason.
 
     P and its derivative dP are evaluated by their own Horner
     (``LaurentPolynomial.__call__``), the evaluator that the residual check
@@ -124,12 +123,10 @@ def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolyno
         if dfx == 0:
             break
         nxt = u - fx / dfx
-        if not cmath.isfinite(nxt):
-            return u, True
-        if nxt == u:
+        if nxt == u or not cmath.isfinite(nxt):
             break
         u = nxt
-    return u, False
+    return u
 
 
 def _branch_residual_floor(z: complex) -> float:
@@ -162,16 +159,17 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     if 0 in roots:
         raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
     try:
-        refined = [_refine_root(z, r, model.P, model.P.derivative()) for r in roots]
+        roots = [_refine_root(z, r, model.P, model.P.derivative()) for r in roots]
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
+    roots.sort(key=abs)
     c = model.c
-    # a lone c = 1 branch is still right there; for c >= 2 the boundary
-    # system solved from the branches is far off at such z (ROADMAP J, step
-    # 1), so the exit 2 stays until a forward-error test can tell
-    if c > 1 and any(overflowed for _, overflowed in refined):
+    # where P's Horner overflows at the largest root, Newton stopped there; a
+    # lone c = 1 branch is still right, but for c >= 2 the boundary system
+    # solved from the branches is far off (ROADMAP J, step 1), so the exit 2
+    # stays until a forward-error test can tell
+    if c > 1 and not cmath.isfinite(model.P(roots[-1])):
         raise NumericalSingularityError(f"kernel polynomial overflows at a root at z={z}")
-    roots = sorted((u for u, _ in refined), key=abs)
     merged = False
     if len(roots) > c:
         inner, outer = abs(roots[c - 1]), abs(roots[c])
