@@ -197,15 +197,10 @@ def _cmd_table2(args) -> int:
     model = load_model(args.model)
     n = 4
     paths = enumeration.bridge_paths(model, n)
-    rules = (
-        enumeration.BoundaryRule.UNIFORM,
-        enumeration.BoundaryRule.ABSOLUTE_VALUE,
-        enumeration.BoundaryRule.REFLECTION,
-        enumeration.BoundaryRule.ABSORPTION,
-    )
+    rules = list(enumeration.BoundaryRule)
 
     def rows():
-        yield "# path", "uniform", "absolute-value", "reflection", "absorption"
+        yield "# path", *(rule.value for rule in rules)
         for path in paths:
             probs = [enumeration.path_probability(rule, model, path) for rule in rules]
             yield " ".join(str(j) for j in path), *probs

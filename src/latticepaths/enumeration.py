@@ -818,7 +818,9 @@ def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
     and there is no excursion of length n unless p divides n. The weights
     are taken in ascending k until they add up to e_n, or to
     e_n * (1 - 1e-13) in float mode; weights that end short of that, or pass
-    e_n by more than 1e-9 of it, raise ``NumericalSingularityError``.
+    e_n by more than 1e-9 of it, raise ``NumericalSingularityError``. A
+    float weight below the smallest normal float counts toward that sum but
+    gives no row, as in the float meander distribution.
 
     A float e_n below the smallest normal float (0 after an e_t between 0
     and it) has underflowed and raises ``NumericalSingularityError``; an
@@ -844,9 +846,9 @@ def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
     prob: dict[int, Number] = {}
     cum = 0
     for k, w in zip(range(1, size + 1), weights):
-        if w > 0:
+        if w > 0 and (exact or w >= _TINY):
             prob[k] = Fraction(w, e_n) if exact else float(w) / float(e_n)
-            cum += w
+        cum += w
         if cum >= target:
             break
     if not target <= cum <= (e_n if exact else e_n * (1.0 + 1e-9)):
@@ -971,7 +973,7 @@ def enumerate_walk_paths(model: WalkModel, n: int) -> Iterator[tuple[tuple[int, 
     """Yield every unconstrained walk of length n on Z with its P-weight.
 
     P applies at every altitude, 0 included; the folded weighting of the
-    absolute-value rule, with P0 at altitude 0, is ``_bridge_tally``'s.
+    absolute-value rule, with P0 at altitude 0, is ``_rule_tally``'s.
     """
     yield from _weighted_paths(model, n, bounded=False)
 
@@ -1040,29 +1042,34 @@ class BoundaryRule(enum.Enum):
 
 
 def _canonical_boundary(model: WalkModel, rule: BoundaryRule) -> WalkModel:
+    """The absorbing walk of the reflection or absorption rule."""
     if rule is BoundaryRule.REFLECTION:
         p0geq = model.P0geq
         total = p0geq.total_weight()
         if total == 0:
             raise InvalidModelError("P0 has no non-negative jump; reflection rule undefined")
         return WalkModel(P=model.P, P0=p0geq.scaled(Fraction(1) / total))
-    if rule is BoundaryRule.ABSORPTION:
-        return WalkModel(P=model.P, P0=model.P)
-    raise ValueError(f"no boundary walk model for rule {rule}")
+    return WalkModel(P=model.P, P0=model.P)
 
 
-@functools.lru_cache(maxsize=32)
-def _bridge_tally(model: WalkModel, n: int, folded: bool) -> tuple[int, dict[tuple[int, ...], int]]:
-    """(total, {target: numerator}) over the length-n bridges, both over D**n.
+@functools.lru_cache(maxsize=64)
+def _rule_tally(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(total, {key: numerator}) over the length-n walks of one rule that
+    end at 0, both over the walk's D**n.
 
-    One walk over every length-n walk on Z: a bridge is keyed by its jumps,
-    or with ``folded`` (P0 applies at altitude 0) by its absolute altitudes,
-    so a table asks for every path of one rule from one enumeration. The
-    dict is shared between callers and must not be modified.
+    One enumeration per rule: uniform walks on Z keyed by their jumps, the
+    absolute-value rule's walks on Z (P0 at altitude 0) by their absolute
+    altitudes, the reflection and absorption rules' absorbing walks
+    (``_canonical_boundary``) by their jumps. The dict is shared between
+    callers and must not be modified.
     """
+    folded = rule is BoundaryRule.ABSOLUTE_VALUE
+    bounded = rule in (BoundaryRule.REFLECTION, BoundaryRule.ABSORPTION)
+    walk = _canonical_boundary(model, rule) if bounded else model
     total = 0
     hits: dict[tuple[int, ...], int] = {}
-    for jumps, num, alts in _walks(model, n, _denominator(model), boundary=folded, absorbing=False):
+    for jumps, num, alts in _walks(walk, n, _denominator(walk),
+                                   boundary=rule is not BoundaryRule.UNIFORM, absorbing=bounded):
         if alts[-1] != 0:
             continue
         total += num
@@ -1071,48 +1078,18 @@ def _bridge_tally(model: WalkModel, n: int, folded: bool) -> tuple[int, dict[tup
     return total, hits
 
 
-@functools.lru_cache(maxsize=32)
-def _rule_walk(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[WalkModel, Fraction]:
-    """The boundary walk of the reflection or absorption rule, with its
-    excursion mass at length n: one DP for all the paths of a table."""
-    walk = _canonical_boundary(model, rule)
-    return walk, excursion_mass(walk, n, "exact")
-
-
 def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]) -> Fraction:
     """Probability of one length-n path under one of the four boundary rules,
     conditioned on the rule's sample space (bridges, or excursions of that
-    length). Paths outside the sample space get probability 0.
+    length). Paths outside the sample space get probability 0. Every rule
+    enumerates its walks (``_rule_tally``), so n <= BRUTE_FORCE_MAX_LENGTH.
     """
-    n = len(path)
-    alts = path_altitudes(path)
-    if rule in (BoundaryRule.UNIFORM, BoundaryRule.ABSOLUTE_VALUE):
-        if n > BRUTE_FORCE_MAX_LENGTH:
-            raise ValueError(f"bridge enumeration capped at n <= {BRUTE_FORCE_MAX_LENGTH}")
-        if alts[-1] != 0:
-            return Fraction(0)
-        folded = rule is BoundaryRule.ABSOLUTE_VALUE
-        if folded and any(a < 0 for a in alts):
-            return Fraction(0)  # a folded bridge never leaves N
-        total, hits = _bridge_tally(model, n, folded)
-        # a bridge hits the path itself, or folds onto it by absolute value
-        hit = hits.get(alts if folded else tuple(path), 0)
-        return Fraction(hit, total) if total else Fraction(0)
-    walk, e_n = _rule_walk(model, rule, n)
-    if alts[-1] != 0 or any(a < 0 for a in alts):
-        return Fraction(0)
-    weight = Fraction(1)
-    for alt, j in zip(alts, path):
-        poly = walk.P0 if alt == 0 else walk.P
-        coeff = dict(poly.terms()).get(j, Fraction(0))
-        if coeff == 0:
-            return Fraction(0)
-        weight *= coeff
-    if e_n == 0:
-        return Fraction(0)
-    return weight / e_n
+    total, hits = _rule_tally(model, rule, len(path))
+    # a walk hits the path itself, or folds onto it by absolute value
+    hit = hits.get(path_altitudes(path) if rule is BoundaryRule.ABSOLUTE_VALUE else tuple(path))
+    return Fraction(hit, total) if hit else Fraction(0)
 
 
 def bridge_paths(model: WalkModel, n: int) -> list[tuple[int, ...]]:
     """All length-n jump sequences ending at altitude 0 with positive P-weight."""
-    return sorted(_bridge_tally(model, n, False)[1], reverse=True)
+    return sorted(_rule_tally(model, BoundaryRule.UNIFORM, n)[1], reverse=True)

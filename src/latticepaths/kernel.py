@@ -237,7 +237,8 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
 def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
     """E(z) for the boundary model; closed form when c=1, system solve otherwise."""
     if model.is_lukasiewicz:
-        u1 = _branches_at(model, z, branches).u1
+        # the lone branch, real at any real z inside the disk, negative z too
+        u1 = _real(_branches_at(model, z, branches).branches[0], "small branch", z)
         den = 1.0 - z * float(model.P0geq(u1))
         if abs(den) < 1e-14:
             raise NumericalSingularityError(f"excursion series pole at z={z}")

@@ -11,6 +11,7 @@ import pytest
 
 from latticepaths import enumeration, laws
 from latticepaths.cli import fmt, run
+from latticepaths.model import load_model
 from latticepaths.verify import run_verification
 from conftest import MODEL_NAMES, MODELS_DIR
 
@@ -101,13 +102,20 @@ def test_count_returns_has_gaps_for_dyck(capsys):
 
 
 def test_gf_eval_output(capsys):
-    code, out, _ = invoke(capsys, "gf-eval", "--z", "0.2", MOTZ_R)
-    assert code == 0
-    rows = dict(
-        line.split("\t") for line in out.splitlines() if not line.startswith("#")
-    )
-    assert float(rows["F_0"]) == pytest.approx(1.1200461887, abs=1e-9)
-    assert float(rows["perturbation_residual"]) <= 1e-9
+    # F_0 is the excursion series summed at z; at negative z the c = 1
+    # branch is negative
+    series = enumeration.excursion_series(load_model(MOTZ_R), 200, "float")
+    f0 = {}
+    for z in (0.2, -0.2):
+        code, out, _ = invoke(capsys, "gf-eval", "--z", str(z), MOTZ_R)
+        assert code == 0, z
+        rows = dict(
+            line.split("\t") for line in out.splitlines() if not line.startswith("#")
+        )
+        f0[z] = float(rows["F_0"])
+        assert f0[z] == pytest.approx(sum(e * z**t for t, e in enumerate(series)), abs=1e-9), z
+        assert float(rows["perturbation_residual"]) <= 1e-9, z
+    assert f0[0.2] == pytest.approx(1.1200461887, abs=1e-9)
 
 
 def test_gf_eval_c2_includes_all_boundary_gfs(capsys):
@@ -290,6 +298,22 @@ def test_gf_eval_at_tiny_z_where_newton_stops_exits_zero(capsys, name, z):
     code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
     rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
     assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP J")
+@pytest.mark.parametrize("z", ["1e-10", "1e-31"])
+def test_gf_eval_c2_at_small_z_is_right_or_exits_two(capsys, z):
+    # F_1 = 5.72e-11 for about 5e-11 at 1e-10, F_0 = -1 at 1e-31, both
+    # with exit 0; the reference is the exact altitude series to 30 terms
+    series = enumeration.altitude_series(load_model(C2), 30, 2)
+    code, out, _ = invoke(capsys, "gf-eval", "--z", z, C2)
+    if code == 2:
+        return
+    assert code == 0
+    rows = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    for k, coeffs in enumerate(series):
+        want = float(sum(c * Fraction(float(z)) ** t for t, c in enumerate(coeffs)))
+        assert float(rows[f"F_{k}"]) == pytest.approx(want, rel=1e-9), k
 
 
 @pytest.mark.parametrize("z", ["nan", "inf"])
@@ -503,9 +527,9 @@ def test_table2_bridge_tally_keeps_models_apart(capsys):
     paths = (DYCK, DYCK_ABS, MOTZ_R, MOTZ_A)
     uncached = {}
     for path in paths:
-        enumeration._bridge_tally.cache_clear()
+        enumeration._rule_tally.cache_clear()
         uncached[path] = invoke(capsys, "table2", path)
     assert uncached[MOTZ_R] != uncached[MOTZ_A]
-    enumeration._bridge_tally.cache_clear()
+    enumeration._rule_tally.cache_clear()
     for path in paths + paths:
         assert invoke(capsys, "table2", path) == uncached[path]

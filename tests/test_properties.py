@@ -6,6 +6,7 @@ The models are drawn by hypothesis, with the profile that ``conftest.py``
 loads: derandomized, so every run draws the same examples.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -16,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from latticepaths import (
     AltitudeDistribution,
+    BoundaryRule,
+    InvalidModelError,
     LatticePathError,
     LaurentPolynomial,
     NumericalSingularityError,
@@ -32,12 +35,14 @@ from latticepaths import (
     meander_mass,
     meander_mass_series,
     parse_model,
+    path_probability,
     returns_to_zero_distribution,
     step,
 )
 from latticepaths.enumeration import (
     altitude_series,
     bridge_mass_series,
+    enumerate_meander_paths,
     enumerate_walk_paths,
     final_altitude_series,
     path_altitudes,
@@ -131,6 +136,47 @@ def test_exact_dp_matches_brute_force(model, top):
         else:
             with pytest.raises(LatticePathError):
                 returns_to_zero_distribution(model, t)
+
+
+def _rule_walk(model, rule):
+    """The absorbing walk of the reflection or absorption rule, None where
+    reflection is undefined: P0 has no non-negative jump."""
+    if rule is BoundaryRule.ABSORPTION:
+        return WalkModel(P=model.P, P0=model.P)
+    total = model.P0geq.total_weight()
+    return WalkModel(P=model.P, P0=model.P0geq.scaled(1 / total)) if total else None
+
+
+@settings(max_examples=60)
+@given(walk_models(), st.integers(0, 4))
+def test_path_probability_matches_the_exact_dp(model, n):
+    # every jump sequence over the models' jumps and their negatives, so
+    # that the folded keys of the absolute-value rule are among them: the
+    # table's columns come from one enumeration per rule, and the exact DP's
+    # excursion mass of the rule's walk is the reference of the bounded ones
+    jumps = sorted({s * j for j in (*model.P.support(), *model.P0.support()) for s in (1, -1)})
+    paths = list(itertools.product(jumps, repeat=n))
+    for rule in BoundaryRule:
+        bounded = rule in (BoundaryRule.REFLECTION, BoundaryRule.ABSORPTION)
+        walk = _rule_walk(model, rule) if bounded else model
+        if walk is None:
+            with pytest.raises(InvalidModelError):
+                path_probability(rule, model, paths[0])
+            continue
+        column = {p: path_probability(rule, model, p) for p in paths}
+        total = sum(column.values(), F(0))
+        assert total == (1 if any(column.values()) else 0), rule
+        for p, prob in column.items():
+            alts = path_altitudes(p)
+            if alts[-1] != 0 or (rule is not BoundaryRule.UNIFORM and min(alts) < 0):
+                assert prob == 0, (rule, p)
+        if bounded:
+            e_n = excursion_mass(walk, n, "exact")
+            assert total == (1 if e_n else 0), rule
+            weights = {p: w for p, w in enumerate_meander_paths(walk, n) if path_altitudes(p)[-1] == 0}
+            assert set(weights) <= set(column)
+            for p, prob in column.items():
+                assert prob == (weights[p] / e_n if p in weights else 0), (rule, p)
 
 
 def _stepped(model, n, *, arches=False):
