@@ -174,7 +174,7 @@ def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
 
 def _denominator(model: WalkModel) -> int:
     """The lcm D of every weight's denominator in P and P0."""
-    return math.lcm(*(p.denominator for poly in (model.P, model.P0) for _, p in poly.terms()))
+    return math.lcm(*(p.denominator for p in model.P.coeffs + model.P0.coeffs))
 
 
 def _scaled_terms(poly: LaurentPolynomial, den: int) -> list[tuple[int, int]]:

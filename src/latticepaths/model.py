@@ -42,23 +42,22 @@ class LaurentPolynomial:
         *,
         allow_negative_coeffs: bool = False,
     ) -> "LaurentPolynomial":
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = list(terms)
+        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
         for exp, weight in items:
-            w = Fraction(weight)
-            if w < 0 and not allow_negative_coeffs:
+            # a Fraction is immutable, so it is kept as given
+            w = weight if type(weight) is Fraction else Fraction(weight)
+            if not allow_negative_coeffs and w.numerator < 0:
                 raise ModelFileError(f"negative weight {w} on jump {exp}")
-            if w != 0:
-                acc[exp] = acc.get(exp, Fraction(0)) + w
-        acc = {e: w for e, w in acc.items() if w != 0}
+            if w:
+                acc[exp] = acc[exp] + w if exp in acc else w
+        acc = {e: w for e, w in acc.items() if w}
         if not acc:
             return cls(0, ())
         lo = min(acc)
         hi = max(acc)
-        coeffs = tuple(acc.get(e, Fraction(0)) for e in range(lo, hi + 1))
+        zero = Fraction(0)
+        coeffs = tuple(acc.get(e, zero) for e in range(lo, hi + 1))
         return cls(lo, coeffs)
 
     @property
@@ -71,9 +70,9 @@ class LaurentPolynomial:
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (exponent, coefficient) for the non-zero coefficients."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.lo + k, c
+        for k, c in enumerate(self.coeffs, self.lo):
+            if c:
+                yield k, c
 
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms())
@@ -120,7 +119,7 @@ class LaurentPolynomial:
         )
 
     def nonneg_part(self) -> "LaurentPolynomial":
-        return self._nonneg_part
+        return self if self.lo >= 0 else self._nonneg_part
 
     @cached_property
     def _nonneg_part(self) -> "LaurentPolynomial":
@@ -297,11 +296,18 @@ def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:
             jump = int(jump_s)
         except ValueError as exc:
             raise ModelFileError(f"bad jump {jump_s!r} on {label} line") from exc
+        # plain ASCII a and a/b skip Fraction's regex; what else int() takes,
+        # an underscore or a signed denominator, goes to Fraction(str)
+        num_s, slash, den_s = weight_s.partition("/")
         try:
-            weight = Fraction(weight_s)
+            if num_s.isascii() and num_s.isdigit() and (
+                    not slash or den_s.isascii() and den_s.isdigit()):
+                weight = Fraction(int(num_s), int(den_s)) if slash else Fraction(int(num_s))
+            else:
+                weight = Fraction(weight_s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
-        if weight < 0:
+        if weight.numerator < 0:
             raise ModelFileError(f"negative weight {weight_s} on {label} line")
         if jump in terms:
             raise ModelFileError(f"duplicate jump {jump} on {label} line")
@@ -314,8 +320,12 @@ def parse_model(text: str) -> WalkModel:
 
     Comment lines start with ``#``. The file must contain exactly one
     ``P:`` line and one ``P0:`` line, each listing ``jump:weight`` pairs
-    separated by single spaces; weights are ``a/b`` fractions or decimals
-    (converted exactly, d digits giving denominator 10**d).
+    separated by whitespace. A weight parses exactly where
+    ``fractions.Fraction`` parses the string on the running Python: ``a/b``,
+    an integer, a decimal, an exponent, each with an optional sign;
+    underscores between digits only from Python 3.11 on. A zero weight drops
+    its jump; a negative weight, a zero denominator or a jump repeated on
+    one line raises ``ModelFileError``.
     """
     polys: dict[str, LaurentPolynomial] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -343,7 +353,8 @@ def format_model(model: WalkModel) -> str:
 
 def load_model(path: Union[str, Path]) -> WalkModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     return parse_model(text)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latticepaths import enumeration, laws
-from latticepaths.cli import fmt, run
+from latticepaths.cli import _write_rows, fmt, run
 from latticepaths.model import load_model
 from latticepaths.verify import run_verification
 from conftest import MODEL_NAMES, MODELS_DIR
@@ -479,6 +479,26 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = invoke(capsys, "dist", "--n", "30", "--what", "final-alt", MOTZ_A)
     _, out2, _ = invoke(capsys, "dist", "--n", "30", "--what", "final-alt", MOTZ_A)
     assert out1 == out2
+
+
+def test_writer_formats_every_cell_kind_as_fmt(capsys):
+    # the writer formats some cells by their exact type; every kind must
+    # print as fmt prints it
+    cells = [0, -7, 3 * 10**40, 0.1, -0.0, float("nan"), float("inf"), -float("inf"),
+             1e-320, 123456789.123456789, np.float64(2 / 3), np.float64("nan"), np.int64(-5),
+             Fraction(1, 3), Fraction(4), None, True, False, "# n", "", "a b"]
+    rows = [tuple(cells), ("# x", 1.5), *((c,) for c in cells)]
+    _write_rows(rows)
+    assert capsys.readouterr().out == "".join("\t".join(map(fmt, row)) + "\n" for row in rows)
+
+    def raising():
+        yield "# n", "value"
+        yield 1, Fraction(1, 2)
+        raise ZeroDivisionError("after two rows")
+
+    with pytest.raises(ZeroDivisionError):
+        _write_rows(raising())
+    assert capsys.readouterr().out == "# n\tvalue\n1\t1/2\n"
 
 
 def fresh_process(*argv):

@@ -11,12 +11,13 @@ from latticepaths import (
     LaurentPolynomial,
     ModelFileError,
     ModelKind,
+    WalkModel,
     classify_kind,
     format_model,
     parse_model,
     validate,
 )
-from conftest import random_model
+from conftest import MODEL_NAMES, MODELS_DIR, random_model
 
 
 def test_laurent_evaluation_and_trimming():
@@ -87,6 +88,109 @@ def test_parse_errors():
         parse_model("P: -1:-1/2 1:3/2\nP0: 1:1\n")
     with pytest.raises(ModelFileError):
         parse_model("Q: -1:1/2 1:1/2\nP0: 1:1\n")
+
+
+WEIGHT_SPELLINGS = ["1/3", "007/010", "0.3", "1e-1", "+1/2", "1_0/3", "١/٢", "0",
+                    "0/5", "1/0", "1/2/3", "-1/2", "x", "1/", "/2", "nan", "1.5/2",
+                    "1/+2", "1/-2"]
+
+
+@pytest.mark.parametrize("spelling", WEIGHT_SPELLINGS)
+def test_weight_spellings_parse_where_fraction_parses(spelling):
+    # the parser reads a weight exactly as Fraction(str) does on the running
+    # Python: 1_0/3 is an error on 3.10 and 10/3 from 3.11 on
+    text = f"P: -1:1/2 1:1/2 2:{spelling}\nP0: 0:1\n"
+    try:
+        want = Fraction(spelling)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ModelFileError) as info:
+            parse_model(text)
+        assert str(info.value) == f"bad weight {spelling!r} on P line"
+        return
+    if want < 0:
+        with pytest.raises(ModelFileError) as info:
+            parse_model(text)
+        assert str(info.value) == f"negative weight {spelling} on P line"
+        return
+    p = parse_model(text).P
+    # a zero weight drops its jump
+    assert p == _reference_from_terms({-1: Fraction(1, 2), 1: Fraction(1, 2), 2: want})
+    assert dict(p.terms()).get(2, 0) == want
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def _reference_from_terms(terms, allow_negative_coeffs=False):
+    """``from_terms`` as one Fraction per weight, per sum and per gap."""
+    items = terms.items() if isinstance(terms, dict) else list(terms)
+    acc = {}
+    for exp, weight in items:
+        w = Fraction(weight)
+        if w < 0 and not allow_negative_coeffs:
+            raise ModelFileError(f"negative weight {w} on jump {exp}")
+        if w != 0:
+            acc[exp] = acc.get(exp, Fraction(0)) + w
+    acc = {e: w for e, w in acc.items() if w != 0}
+    if not acc:
+        return LaurentPolynomial(0, ())
+    lo, hi = min(acc), max(acc)
+    return LaurentPolynomial(lo, tuple(acc.get(e, Fraction(0)) for e in range(lo, hi + 1)))
+
+
+def _reference_terms(poly):
+    return [(poly.lo + k, c) for k, c in enumerate(poly.coeffs) if c != 0]
+
+
+def _assert_same_poly(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert list(got.terms()) == _reference_terms(want)
+
+
+def test_from_terms_on_mixed_repeated_and_cancelling_terms():
+    p = LaurentPolynomial.from_terms([(0, 1), (0, Fraction(1, 2)), (3, 0.25), (-2, 0)])
+    assert (p.lo, p.coeffs) == (0, (Fraction(3, 2), 0, 0, Fraction(1, 4)))
+    _assert_same_poly(p, _reference_from_terms([(0, 1), (0, Fraction(1, 2)), (3, 0.25)]))
+    cancel = [(2, 1), (-1, Fraction(1, 3)), (2, -1.0), (0, 0.5), (-1, Fraction(-1, 3))]
+    _assert_same_poly(LaurentPolynomial.from_terms(cancel, allow_negative_coeffs=True),
+                      LaurentPolynomial(0, (Fraction(1, 2),)))
+    assert LaurentPolynomial.from_terms([(1, 2), (1, -2)], allow_negative_coeffs=True).is_zero
+    for weight in (-1, Fraction(-1, 2), -0.5):
+        with pytest.raises(ModelFileError) as info:
+            LaurentPolynomial.from_terms([(0, 1), (3, weight)])
+        assert str(info.value) == f"negative weight {Fraction(weight)} on jump 3"
+    rng = random.Random(11)
+    for _ in range(300):
+        terms = [(rng.randint(-4, 4), rng.choice([
+            rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            rng.randint(-8, 8) / 4])) for _ in range(rng.randint(0, 8))]
+        terms += [(e, -w) for e, w in terms if rng.random() < 0.3]  # cancel some
+        _assert_same_poly(LaurentPolynomial.from_terms(iter(terms), allow_negative_coeffs=True),
+                          _reference_from_terms(terms, allow_negative_coeffs=True))
+
+
+def _reference_parse(text):
+    """The model file read with Fraction(str) for every weight."""
+    polys = {}
+    for line in text.splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            label, body = line.split(":", 1)
+            polys[label.strip()] = _reference_from_terms(
+                {int(j): Fraction(w) for j, w in (pair.split(":", 1) for pair in body.split())})
+    return polys["P"], polys["P0"]
+
+
+def test_parsed_models_keep_their_terms_equality_and_hash():
+    rng = random.Random(7)
+    texts = [(MODELS_DIR / f"{name}.model").read_text(encoding="utf-8") for name in MODEL_NAMES]
+    texts += [format_model(random_model(rng)) for _ in range(50)]
+    for text in texts:
+        model = parse_model(text)
+        ref_p, ref_p0 = _reference_parse(text)
+        _assert_same_poly(model.P, ref_p)
+        _assert_same_poly(model.P0, ref_p0)
+        _assert_same_poly(model.P0geq, _reference_from_terms(
+            [(e, c) for e, c in _reference_terms(ref_p0) if e >= 0]))
+        assert model == WalkModel(ref_p, ref_p0) and hash(model) == hash(WalkModel(ref_p, ref_p0))
 
 
 def test_roundtrip_fixed(models):
