@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import asymptotics, enumeration, kernel, laws
 from .errors import (
@@ -41,10 +40,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-# fmt's result for a cell of exactly one of these types, without its checks
-_FMT_BY_TYPE = {float: "{:.12g}".format, int: str, str: str, Fraction: str}
-
-
 def _write_rows(rows) -> None:
     """Write one tab-separated line per row of cells, all in one write.
 
@@ -52,10 +47,9 @@ def _write_rows(rows) -> None:
     ``rows`` raises part way, the rows made so far are still written.
     """
     lines = []
-    by_type = _FMT_BY_TYPE.get
     try:
         for row in rows:
-            lines.append("\t".join([by_type(type(v), fmt)(v) for v in row]) + "\n")
+            lines.append("\t".join(map(fmt, row)) + "\n")
     finally:
         sys.stdout.write("".join(lines))
 

@@ -296,18 +296,11 @@ def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:
             jump = int(jump_s)
         except ValueError as exc:
             raise ModelFileError(f"bad jump {jump_s!r} on {label} line") from exc
-        # plain ASCII a and a/b skip Fraction's regex; what else int() takes,
-        # an underscore or a signed denominator, goes to Fraction(str)
-        num_s, slash, den_s = weight_s.partition("/")
         try:
-            if num_s.isascii() and num_s.isdigit() and (
-                    not slash or den_s.isascii() and den_s.isdigit()):
-                weight = Fraction(int(num_s), int(den_s)) if slash else Fraction(int(num_s))
-            else:
-                weight = Fraction(weight_s)
+            weight = Fraction(weight_s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
-        if weight.numerator < 0:
+        if weight < 0:
             raise ModelFileError(f"negative weight {weight_s} on {label} line")
         if jump in terms:
             raise ModelFileError(f"duplicate jump {jump} on {label} line")

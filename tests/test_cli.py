@@ -481,15 +481,18 @@ def test_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_writer_formats_every_cell_kind_as_fmt(capsys):
-    # the writer formats some cells by their exact type; every kind must
-    # print as fmt prints it
-    cells = [0, -7, 3 * 10**40, 0.1, -0.0, float("nan"), float("inf"), -float("inf"),
-             1e-320, 123456789.123456789, np.float64(2 / 3), np.float64("nan"), np.int64(-5),
-             Fraction(1, 3), Fraction(4), None, True, False, "# n", "", "a b"]
-    rows = [tuple(cells), ("# x", 1.5), *((c,) for c in cells)]
-    _write_rows(rows)
-    assert capsys.readouterr().out == "".join("\t".join(map(fmt, row)) + "\n" for row in rows)
+def test_writer_spells_every_cell_kind(capsys):
+    # exact rationals as a/b, floats with 12 significant digits, None as -
+    cells = [(0, "0"), (-7, "-7"), (3 * 10**40, "3" + "0" * 40), (0.1, "0.1"), (-0.0, "-0"),
+             (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+             (1e-320, "9.99988867183e-321"), (123456789.123456789, "123456789.123"),
+             (np.float64(2 / 3), "0.666666666667"), (np.float64("nan"), "nan"),
+             (np.int64(-5), "-5"), (Fraction(1, 3), "1/3"), (Fraction(4), "4"), (None, "-"),
+             (True, "true"), (False, "false"), ("# n", "# n"), ("", ""), ("a b", "a b")]
+    _write_rows([tuple(c for c, _ in cells), *((c,) for c, _ in cells)])
+    want = "\t".join(w for _, w in cells) + "\n" + "".join(w + "\n" for _, w in cells)
+    assert capsys.readouterr().out == want
+    assert [fmt(c) for c, _ in cells] == [w for _, w in cells]
 
     def raising():
         yield "# n", "value"

@@ -91,8 +91,7 @@ def test_parse_errors():
 
 
 WEIGHT_SPELLINGS = ["1/3", "007/010", "0.3", "1e-1", "+1/2", "1_0/3", "١/٢", "0",
-                    "0/5", "1/0", "1/2/3", "-1/2", "x", "1/", "/2", "nan", "1.5/2",
-                    "1/+2", "1/-2"]
+                    "0/5", "1/0", "1/2/3", "-1/2", "x", "1/", "/2", "nan", "1.5/2"]
 
 
 @pytest.mark.parametrize("spelling", WEIGHT_SPELLINGS)
