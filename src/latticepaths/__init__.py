@@ -14,7 +14,6 @@ from .asymptotics import (
     classify,
     excursion_asymptotic,
     final_altitude_asymptotic,
-    boundary_expansion_check,
     meander_ratio_asymptotic,
 )
 from .enumeration import (
@@ -64,11 +63,8 @@ from .laws import (
     FitReport,
     LimitLawSpec,
     Statistic,
-    calibrated_returns_scaling,
-    empirical_law,
     final_altitude_law,
     fit,
-    moment_summary,
     returns_law,
 )
 from .model import (
@@ -76,7 +72,6 @@ from .model import (
     ModelKind,
     ValidationReport,
     WalkModel,
-    classify_kind,
     format_model,
     load_model,
     parse_model,

@@ -23,7 +23,6 @@ from .errors import (
 from .kernel import (
     StructuralConstants,
     _altitude_derivative_ratio,
-    composed_boundary_derivatives,
     require_rho1,
     small_branch_u1,
     structural_constants,
@@ -234,40 +233,3 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     value = sc.r * (1.0 - 1.0 / sc.rho) * e1 / sc.E_at_rho
     return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical/neg-drift")
 
-
-@dataclass(frozen=True)
-class BoundaryExpansionReport:
-    """Residuals of the local expansion of P0geq(u1(z)) near z=1."""
-
-    case: str  # "sqrt" (rho = 1) or "quadratic" (rho > 1)
-    residuals: dict[float, float]
-    scaled: dict[float, float]
-
-
-def boundary_expansion_check(model: WalkModel) -> BoundaryExpansionReport:
-    """Check the Puiseux behavior of the composed boundary weight near z=1,
-    at eps = 1e-2 and 1e-3.
-
-    With rho = 1 the expansion is P0geq(1) - kappa*sqrt(eps) + O(eps); with
-    rho > 1 it is quadratic in eps with an O(eps**3) remainder. Residuals
-    are returned raw and scaled by the expected remainder order.
-    """
-    require_lukasiewicz(model)
-    sc = structural_constants(model)
-    quadratic = sc.rho > 1.0 + 1e-9
-    if quadratic:
-        base = float(model.P0geq(small_branch_u1(model, 1.0)))
-        a1, a2 = composed_boundary_derivatives(model, 1.0)
-    else:
-        base = float(model.P0geq.total_weight())
-    residuals: dict[float, float] = {}
-    scaled: dict[float, float] = {}
-    for eps in (1e-2, 1e-3):
-        val = float(model.P0geq(small_branch_u1(model, 1.0 - eps)))
-        if quadratic:
-            residuals[eps] = abs(val - (base - a1 * eps + 0.5 * a2 * eps * eps))
-            scaled[eps] = residuals[eps] / eps**3
-        else:
-            residuals[eps] = abs(val - (base - sc.kappa * math.sqrt(eps)))
-            scaled[eps] = residuals[eps] / eps
-    return BoundaryExpansionReport("quadratic" if quadratic else "sqrt", residuals, scaled)

@@ -36,7 +36,7 @@ from .errors import (
     NoRho1Error,
     NumericalSingularityError,
 )
-from .model import LaurentPolynomial, WalkModel
+from .model import LaurentPolynomial, WalkModel, require_valid
 
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_REL_WIDTH = 1e-13
@@ -133,6 +133,14 @@ def _branch_residual_floor(z: complex) -> float:
     return 1e-15 * (1.0 + abs(z))
 
 
+def _require_both_jumps(model: WalkModel) -> None:
+    """Raise ``InvalidModelError``, with ``validate``'s text, when P has no
+    negative or no positive jump: the kernel then has no small or no large
+    branch."""
+    if model.c < 1 or model.d < 1:
+        require_valid(model)
+
+
 def small_branches(model: WalkModel, z: complex) -> BranchSet:
     """Find the c small branches of the kernel equation at z.
 
@@ -146,6 +154,7 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     degenerate. A z so small that the companion solve loses the small
     branches raises ``NumericalSingularityError``.
     """
+    _require_both_jumps(model)
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
     if not cmath.isfinite(z):
@@ -540,6 +549,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     ``Fraction``. tau and u* are roots found by safeguarded Newton in a
     bracket, each within about one ulp of the true root.
     """
+    _require_both_jumps(model)
     tau = _find_tau(model)
     p_tau = float(model.P(tau))
     dP = model.P.derivative()

@@ -15,20 +15,14 @@ discrete law has no CDF and is rejected before any DP runs.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 from .asymptotics import Criticality, DriftSign, _constants_and_class
-from .enumeration import (
-    meander_distribution,
-    returns_moments,
-    returns_to_zero_distribution,
-)
+from .enumeration import meander_distribution, returns_to_zero_distribution
 from .errors import InconsistentCaseError, LatticePathError, NumericalSingularityError
-from .kernel import structural_constants
 from .model import WalkModel
 
 
@@ -48,7 +42,7 @@ NORM_RETURNS_CRITICAL = "kappa * (X_n - 1) / sqrt(2 n)"
 class LimitLawSpec:
     """A limit law plus the finite-n normalization that should reach it."""
 
-    family: str  # gaussian | rayleigh | half-normal | negbin2 | discrete | empirical
+    family: str  # gaussian | rayleigh | half-normal | negbin2 | discrete
     params: Mapping[str, Any]
     normalization: str
 
@@ -78,13 +72,6 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
     if x <= 0.0:
         return 0.0
     return math.erf(x / (scale * math.sqrt(2.0)))
-
-
-def negbin2_pmf(lam: float, k: int) -> float:
-    """P(K = k) = (k+1) lam**k (1-lam)**2 on k = 0, 1, ..."""
-    if k < 0:
-        return 0.0
-    return (k + 1) * lam**k * (1.0 - lam) ** 2
 
 
 def negbin2_cdf(lam: float, k: int) -> float:
@@ -127,7 +114,6 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
             params={
                 "scale": 1.0,
                 "kappa": sc.kappa,
-                "time_scale": 2.0,
                 "printed_normalization": "kappa / sqrt(2 pi) * (X_n - 1)",
             },
             normalization=NORM_RETURNS_CRITICAL,
@@ -165,20 +151,6 @@ def final_altitude_law(model: WalkModel) -> LimitLawSpec:
     return LimitLawSpec(family="discrete", params={}, normalization=NORM_IDENTITY)
 
 
-def empirical_law(points: Mapping[int, Any]) -> LimitLawSpec:
-    """Freeze a distribution into a law usable as a fit target (self-fits)."""
-    cum = 0.0
-    table = []
-    for k in sorted(points):
-        cum += float(points[k])
-        table.append((k, cum))
-    return LimitLawSpec(
-        family="empirical",
-        params={"cdf_points": tuple(table)},
-        normalization=NORM_IDENTITY,
-    )
-
-
 def _distribution_points(model: WalkModel, statistic: Statistic, n: int, mode: str
                          ) -> list[tuple[int, float]]:
     if statistic is Statistic.FINAL_ALTITUDE:
@@ -203,8 +175,7 @@ def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode
         return lambda k: k / root
     if law.normalization == NORM_RETURNS_CRITICAL:
         kappa = float(law.params["kappa"])
-        time_scale = float(law.params.get("time_scale", 2.0))
-        denom = math.sqrt(time_scale * n)
+        denom = math.sqrt(2.0 * n)
         return lambda k: kappa * (k - 1) / denom
     if law.normalization == NORM_STANDARDIZED:
         mean = sum(k * p for k, p in points)
@@ -228,15 +199,6 @@ def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: st
         lam = float(law.params["lam"])
         shift = 1 if law.normalization == NORM_SHIFT_ONE else 0
         return lambda k: (float(k - shift), negbin2_cdf(lam, k - shift))
-    if law.family == "empirical":
-        table = sorted(law.params["cdf_points"])
-        keys = [k for k, _ in table]
-
-        def empirical_at(k: int) -> tuple[float, float]:
-            i = bisect.bisect_right(keys, k)
-            return float(k), table[i - 1][1] if i else 0.0
-
-        return empirical_at
     cdf = _CONTINUOUS_CDF.get(law.family)
     if cdf is None:
         raise LatticePathError(f"no continuous CDF for law family {law.family!r}")
@@ -252,18 +214,10 @@ def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: st
 
 def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int, mode: str
               ) -> list[tuple[float, float, float]]:
-    """(x, exact CDF, law CDF) at every support point, in order of k.
-
-    An empirical law's rows run over the union of the distribution's
-    support and the table's, so both step functions are compared at every
-    jump of either.
-    """
+    """(x, exact CDF, law CDF) at every support point, in order of k."""
     if not points:
         raise LatticePathError("empty distribution")
     at = _law_at(law, n, points, mode)
-    if law.family == "empirical":
-        extra = {k for k, _ in law.params["cdf_points"]} - {k for k, _ in points}
-        points = sorted([*points, *((k, 0.0) for k in extra)])
     rows = []
     cum = 0.0
     for k, p in points:
@@ -341,24 +295,3 @@ def fit_curve(
     """
     return list(fit(model, statistic, n, law, mode).curve)
 
-
-def moment_summary(model: WalkModel, statistic: Statistic, n: int, mode: str = "float"):
-    """(mean, variance) of the exact length-n distribution of the statistic."""
-    if statistic is Statistic.FINAL_ALTITUDE:
-        cond = meander_distribution(model, n, mode).conditional()
-        mean = sum(k * p for k, p in cond.items())
-        var = sum(k * k * p for k, p in cond.items()) - mean * mean
-        return mean, var
-    return returns_moments(model, n, mode)
-
-
-def calibrated_returns_scaling(model: WalkModel, n: int) -> float:
-    """Empirical c in the critical normalization kappa*(X_n-1)/sqrt(c*n).
-
-    Matching the Rayleigh(1) mean sqrt(pi/2) to the measured mean of
-    kappa*X_n/sqrt(c*n) gives c = 2 kappa^2 E[X_n]^2 / (pi n); the analytic
-    value is 2.
-    """
-    sc = structural_constants(model)
-    mean, _ = returns_moments(model, n, "float")
-    return 2.0 * (sc.kappa * float(mean)) ** 2 / (math.pi * n)

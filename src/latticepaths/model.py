@@ -146,19 +146,6 @@ class LaurentPolynomial:
     def to_spec_string(self) -> str:
         return " ".join(f"{e}:{c}" for e, c in self.terms())
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*u")
-            else:
-                parts.append(f"{c}*u^{e}")
-        return " + ".join(parts)
-
 
 class ModelKind(enum.Enum):
     REFLECTION = "reflection"
@@ -205,10 +192,6 @@ class WalkModel:
     @property
     def is_reflection(self) -> bool:
         return self.P0geq == self.P0
-
-    @property
-    def is_absorption(self) -> bool:
-        return not self.is_reflection
 
     @property
     def is_lukasiewicz(self) -> bool:
@@ -275,12 +258,6 @@ def require_valid(model: WalkModel) -> None:
     report = validate(model)
     if not report.ok:
         raise InvalidModelError("; ".join(report.violations))
-
-
-def classify_kind(model: WalkModel) -> ModelKind:
-    """Reflection when P0 has no negative-exponent term, absorption otherwise."""
-    require_valid(model)
-    return model.kind()
 
 
 def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:

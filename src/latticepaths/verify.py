@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +22,17 @@ from .errors import LatticePathError
 from .model import WalkModel, validate
 
 Check = tuple[str, bool, str]
+
+
+def _check(name: str, failures: Iterable[str], first: bool = False) -> Check:
+    """A check that passes when ``failures`` yields no detail. It reports
+    the last detail yielded; with ``first``, the first, and ``failures`` is
+    not run any further."""
+    detail = None
+    for detail in failures:
+        if first:
+            break
+    return name, detail is None, detail or ""
 
 
 def run_verification(model: WalkModel) -> Iterator[Check]:
@@ -91,37 +102,28 @@ def _series_identity_checks(model: WalkModel) -> Iterator[Check]:
     den = en._denominator(model)
     a_num = _numerators(en.arch_series(model, n_arch, "exact"), den)
     e_num = _numerators(e_series[: n_arch + 1], den)
-    ok = True
-    detail = ""
-    for n in range(1, n_arch + 1):
-        if sum(a_num[m] * e_num[n - m] for m in range(1, n + 1)) != e_num[n]:
-            ok = False
-            detail = f"n={n}"
-            break
-    yield "identity/excursions-are-arch-sequences", ok, detail
+    yield _check("identity/excursions-are-arch-sequences", (
+        f"n={n}" for n in range(1, n_arch + 1)
+        if sum(a_num[m] * e_num[n - m] for m in range(1, n + 1)) != e_num[n]
+    ), first=True)
 
-    ok = True
-    detail = ""
-    for n in range(0, 26):
-        if e_series[n] == 0:
-            continue
-        dist = en.returns_to_zero_distribution(model, n, "exact")
-        if sum(dist.prob.values(), Fraction(0)) != 1:
-            ok = False
-            detail = f"n={n}"
-    yield "returns/row-sums-one", ok, detail
+    yield _check("returns/row-sums-one", (
+        f"n={n}" for n in range(0, 26)
+        if e_series[n] != 0
+        and sum(en.returns_to_zero_distribution(model, n, "exact").prob.values(), Fraction(0)) != 1
+    ))
 
     ef = en.excursion_series(model, n_float, "float")
     mf = en.meander_mass_series(model, n_float, "float")
-    ok = True
-    detail = ""
-    for n in range(n_float + 1):
-        for exact, approx in ((ee[n], ef[n]), (me[n], mf[n])):
-            ex = float(exact)
-            if abs(approx - ex) > 1e-12 * max(1.0, abs(ex)):
-                ok = False
-                detail = f"n={n}"
-    yield "float/agrees-with-exact", ok, detail
+
+    def float_failures():
+        for n in range(n_float + 1):
+            for exact, approx in ((ee[n], ef[n]), (me[n], mf[n])):
+                ex = float(exact)
+                if abs(approx - ex) > 1e-12 * max(1.0, abs(ex)):
+                    yield f"n={n}"
+
+    yield _check("float/agrees-with-exact", float_failures())
 
 
 def _numerators(series: list[Fraction], den: int) -> list[int]:
@@ -141,13 +143,9 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
 
     # one branch solve per z of zs, read by every check at those z
     branch_sets = [kernel.small_branches(model, z) for z in zs]
-    ok = True
-    detail = ""
-    for z, branches in zip(zs, branch_sets):
-        if max(branches.residuals) > 1e-12:
-            ok = False
-            detail = f"z={z:.6g}"
-    yield "kernel/root-residual", ok, detail
+    yield _check("kernel/root-residual", (
+        f"z={z:.6g}" for z, branches in zip(zs, branch_sets) if max(branches.residuals) > 1e-12
+    ))
 
     grid = [rho * t for t in np.linspace(0.02, 0.98, 25)]
     u_vals = [kernel.small_branch_u1(model, z) for z in grid]
@@ -156,39 +154,34 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
 
     n_terms = 80
     low = en.altitude_series(model, n_terms, model.c, "exact")
-    ok = True
-    detail = ""
-    for z in (0.25 * rho, 0.5 * rho):
-        if z >= 0.99:
-            continue
-        gfs = kernel.solve_boundary_gfs(model, z)
-        tail = z ** (n_terms + 1) / (1.0 - z)
-        for k in range(model.c):
-            series = sum(float(m) * z**n for n, m in enumerate(low[k]))
-            if abs(gfs[k] - series) > 1e-9 + tail:
-                ok = False
-                detail = f"k={k} z={z:.6g}"
-    yield "kernel/gf-matches-series", ok, detail
 
-    ok = True
-    detail = ""
-    for z, branches in zip(zs, branch_sets):
-        res = kernel.perturbation_identity_residual(model, z, branches)
-        if res > 1e-9:
-            ok = False
-            detail = f"z={z:.6g} residual={res:.3g}"
-    yield "kernel/perturbation-identity", ok, detail
+    def gf_failures():
+        for z in (0.25 * rho, 0.5 * rho):
+            if z >= 0.99:
+                continue
+            gfs = kernel.solve_boundary_gfs(model, z)
+            tail = z ** (n_terms + 1) / (1.0 - z)
+            for k in range(model.c):
+                series = sum(float(m) * z**n for n, m in enumerate(low[k]))
+                if abs(gfs[k] - series) > 1e-9 + tail:
+                    yield f"k={k} z={z:.6g}"
+
+    yield _check("kernel/gf-matches-series", gf_failures())
+
+    def perturbation_failures():
+        for z, branches in zip(zs, branch_sets):
+            res = kernel.perturbation_identity_residual(model, z, branches)
+            if res > 1e-9:
+                yield f"z={z:.6g} residual={res:.3g}"
+
+    yield _check("kernel/perturbation-identity", perturbation_failures())
 
     if model.c >= 2:
-        ok = True
-        detail = ""
-        for z, branches in zip(zs, branch_sets):
-            a = kernel.excursion_gf_vandermonde(model, z, branches)
-            b = kernel.solve_boundary_gfs(model, z, branches)[0]
-            if abs(a - b) > 1e-9:
-                ok = False
-                detail = f"z={z:.6g}"
-        yield "kernel/vandermonde-matches-system", ok, detail
+        yield _check("kernel/vandermonde-matches-system", (
+            f"z={z:.6g}" for z, branches in zip(zs, branch_sets)
+            if abs(kernel.excursion_gf_vandermonde(model, z, branches)
+                   - kernel.solve_boundary_gfs(model, z, branches)[0]) > 1e-9
+        ))
 
     worst = kernel.u1_expansion_check(model, constants=sc)
     yield "kernel/u1-expansion-bounded", math.isfinite(worst), f"max scaled residual {worst:.3g}"

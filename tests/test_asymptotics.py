@@ -1,6 +1,7 @@
 """Regime classification and asymptotic formulas against exact values."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,52 @@ from latticepaths import (
     excursion_mass,
     final_altitude_asymptotic,
     final_altitude_expectation,
-    boundary_expansion_check,
     meander_mass,
     meander_ratio_asymptotic,
     parse_model,
+    small_branch_u1,
+    structural_constants,
 )
+from latticepaths.asymptotics import require_lukasiewicz
+from latticepaths.kernel import composed_boundary_derivatives
+
+
+@dataclass(frozen=True)
+class BoundaryExpansionReport:
+    """Residuals of the local expansion of P0geq(u1(z)) near z=1."""
+
+    case: str  # "sqrt" (rho = 1) or "quadratic" (rho > 1)
+    residuals: dict[float, float]
+    scaled: dict[float, float]
+
+
+def boundary_expansion_check(model) -> BoundaryExpansionReport:
+    """Check the Puiseux behavior of the composed boundary weight near z=1,
+    at eps = 1e-2 and 1e-3.
+
+    With rho = 1 the expansion is P0geq(1) - kappa*sqrt(eps) + O(eps); with
+    rho > 1 it is quadratic in eps with an O(eps**3) remainder. Residuals
+    are returned raw and scaled by the expected remainder order.
+    """
+    require_lukasiewicz(model)
+    sc = structural_constants(model)
+    quadratic = sc.rho > 1.0 + 1e-9
+    if quadratic:
+        base = float(model.P0geq(small_branch_u1(model, 1.0)))
+        a1, a2 = composed_boundary_derivatives(model, 1.0)
+    else:
+        base = float(model.P0geq.total_weight())
+    residuals: dict[float, float] = {}
+    scaled: dict[float, float] = {}
+    for eps in (1e-2, 1e-3):
+        val = float(model.P0geq(small_branch_u1(model, 1.0 - eps)))
+        if quadratic:
+            residuals[eps] = abs(val - (base - a1 * eps + 0.5 * a2 * eps * eps))
+            scaled[eps] = residuals[eps] / eps**3
+        else:
+            residuals[eps] = abs(val - (base - sc.kappa * math.sqrt(eps)))
+            scaled[eps] = residuals[eps] / eps
+    return BoundaryExpansionReport("quadratic" if quadratic else "sqrt", residuals, scaled)
 
 
 def test_classify_examples(models):
@@ -61,7 +103,7 @@ def test_reflection_regimes_are_forced(models, random_models):
 
 def test_absorption_zero_drift_is_subcritical(models, random_models):
     for model in list(models.values()) + random_models:
-        if not (model.is_absorption and model.is_aperiodic):
+        if model.is_reflection or not model.is_aperiodic:
             continue
         cls = classify(model)
         if cls.drift_sign is DriftSign.ZERO:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticepaths import enumeration, laws
+from latticepaths import enumeration, kernel, laws
 from latticepaths.cli import _write_rows, fmt, run
 from latticepaths.model import load_model
 from latticepaths.verify import run_verification
@@ -435,6 +435,22 @@ def test_verify_arch_identity_fails_on_a_perturbed_arch_series(models, monkeypat
     assert (name, False, f"n={m}") in list(run_verification(model))
 
 
+def test_verify_kernel_check_names_its_last_failing_z(models, monkeypatch):
+    # the perturbation identity wrong at the second and fourth z of the
+    # check's grid: the FAIL line names the last of them
+    model = models["motzkin_absorption"]
+    zs = [kernel.structural_constants(model).rho * t for t in (0.05, 0.15, 0.25, 0.35, 0.45)]
+    residual = kernel.perturbation_identity_residual
+
+    def wrong(model, z, branches=None):
+        return 1e-6 if z in (zs[1], zs[3]) else residual(model, z, branches)
+
+    name = "kernel/perturbation-identity"
+    assert (name, True, "") in list(run_verification(model))
+    monkeypatch.setattr(kernel, "perturbation_identity_residual", wrong)
+    assert (name, False, f"z={zs[3]:.6g} residual=1e-06") in list(run_verification(model))
+
+
 def test_verify_oracle_checks_name_their_own_failing_length(models, monkeypatch):
     # the meander distribution wrong only at n = 2 and the bridge masses only
     # at n = 5: each oracle line names its own first failing length, and a
@@ -470,6 +486,35 @@ def test_verify_catches_invalid_model(capsys, tmp_path):
     code, out, _ = invoke(capsys, "verify", str(p))
     assert code == 3
     assert "FAIL\tmodel-valid" in out
+
+
+@pytest.mark.parametrize("step, violation, told", [
+    ("1:1", "P has no negative jump (c < 1)", ("classify", "constants", "gf-eval")),
+    ("-1:1", "P has no positive jump (d < 1)", ("classify", "constants", "gf-eval", "asym", "fit")),
+])
+def test_models_without_a_jump_direction_exit_without_a_traceback(capsys, tmp_path, step,
+                                                                   violation, told):
+    # the exact commands answer; every kernel and asymptotic command exits
+    # 1 with an error line, those that reach the kernel with validate's own
+    # text (asymptotics reject c < 1 before that, as not Lukasiewicz)
+    p = tmp_path / "one_way.model"
+    p.write_text(f"P: {step}\nP0: 0:1\n")
+    commands = [
+        (("validate",), 0), (("count", "--n", "5", "--what", "excursions"), 0),
+        (("dist", "--n", "5", "--what", "returns"), 0), (("table2",), 0),
+        (("classify",), 1), (("constants",), 1), (("gf-eval", "--z", "0.2"), 1),
+        (("asym", "--n", "10", "--what", "excursions"), 1),
+        (("fit", "--n", "10", "--what", "final-alt"), 1), (("verify",), 3),
+    ]
+    for argv, want in commands:
+        code, out, err = invoke(capsys, *argv, str(p))
+        assert code == want, argv
+        assert "Traceback" not in out + err
+        if want == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if argv[0] in told:
+            assert err == f"error: {violation}\n"
+    assert f"FAIL\tmodel-valid\t{violation}" in out
 
 
 def test_output_is_deterministic(capsys):

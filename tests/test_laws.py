@@ -1,4 +1,8 @@
-"""Limit-law selection, CDFs, Kolmogorov fits and moment calibration."""
+"""Limit-law selection, CDFs, Kolmogorov fits and moment calibration.
+
+``negbin2_pmf`` and ``calibrated_returns_scaling`` are references kept here:
+the package fits through CDFs and fixes the critical time scale at 2.
+"""
 
 import math
 
@@ -10,13 +14,11 @@ from latticepaths import (
     LimitLawSpec,
     PeriodicModelError,
     Statistic,
-    calibrated_returns_scaling,
-    empirical_law,
+    final_altitude_expectation,
     final_altitude_law,
     fit,
-    moment_summary,
     returns_law,
-    returns_to_zero_distribution,
+    structural_constants,
 )
 from latticepaths import laws
 from latticepaths.laws import (
@@ -25,13 +27,31 @@ from latticepaths.laws import (
     fit_curve,
     half_normal_cdf,
     negbin2_cdf,
-    negbin2_pmf,
     rayleigh_cdf,
     std_normal_cdf,
     supercritical_returns_variance_rate,
 )
 from latticepaths.enumeration import returns_moments
 from conftest import MODEL_NAMES
+
+
+def negbin2_pmf(lam, k):
+    """P(K = k) = (k+1) lam**k (1-lam)**2 on k = 0, 1, ..."""
+    if k < 0:
+        return 0.0
+    return (k + 1) * lam**k * (1.0 - lam) ** 2
+
+
+def calibrated_returns_scaling(model, n):
+    """Empirical c in the critical normalization kappa*(X_n-1)/sqrt(c*n).
+
+    Matching the Rayleigh(1) mean sqrt(pi/2) to the measured mean of
+    kappa*X_n/sqrt(c*n) gives c = 2 kappa^2 E[X_n]^2 / (pi n); the analytic
+    value is 2.
+    """
+    sc = structural_constants(model)
+    mean, _ = returns_moments(model, n, "float")
+    return 2.0 * (sc.kappa * float(mean)) ** 2 / (math.pi * n)
 
 
 def reference_kolmogorov_distance(points, law, n, mode):
@@ -46,33 +66,6 @@ def reference_kolmogorov_distance(points, law, n, mode):
         for k, p in points:
             cum += p
             worst = max(worst, abs(cum - negbin2_cdf(lam, k - shift)))
-        return worst
-    if law.family == "empirical":
-        table = sorted(law.params["cdf_points"])
-
-        def emp_cdf(k):
-            val = 0.0
-            for kk, f in table:
-                if kk > k:
-                    break
-                val = f
-            return val
-
-        def cdf_at(k):
-            cum = 0.0
-            for kk, p in points:
-                if kk > k:
-                    break
-                cum += p
-            return cum
-
-        cum = 0.0
-        worst = 0.0
-        for k, p in points:
-            cum += p
-            worst = max(worst, abs(cum - emp_cdf(k)))
-        for k, f in table:
-            worst = max(worst, abs(cdf_at(k) - f))
         return worst
     if law.family == "discrete":
         raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
@@ -116,23 +109,6 @@ def test_fit_matches_reference_distance(models):
                 assert report.sup_distance == reference_kolmogorov_distance(points, law, n, mode)
                 checked += 1
     assert checked == 11 * 3
-
-
-def test_empirical_fit_matches_reference_distance(models):
-    for name in MODEL_NAMES:
-        model = models[name]
-        for statistic in Statistic:
-            for n, mode in ((60, "float"), (16, "exact")):
-                points = laws._distribution_points(model, statistic, n, mode)
-                tables = (
-                    dict(points),
-                    {k + 1: p for k, p in points},
-                    dict(points[::2]),
-                )
-                for table in tables:
-                    law = empirical_law(table)
-                    report = fit(model, statistic, n, law=law, mode=mode)
-                    assert report.sup_distance == reference_kolmogorov_distance(points, law, n, mode)
 
 
 def test_law_selection(models):
@@ -185,14 +161,6 @@ def test_cdf_monotone_and_bounded():
     assert rayleigh_cdf(10.0) == pytest.approx(1.0, abs=1e-12)
     assert half_normal_cdf(9.0) == pytest.approx(1.0, abs=1e-12)
     assert rayleigh_cdf(-1.0) == 0.0 and half_normal_cdf(-0.5) == 0.0
-
-
-def test_self_fit_is_zero(models):
-    model = models["motzkin_reflection"]
-    dist = returns_to_zero_distribution(model, 4)
-    law = empirical_law(dist.prob)
-    report = fit(model, Statistic.RETURNS_TO_ZERO, 4, law=law, mode="exact")
-    assert report.sup_distance == 0.0
 
 
 def test_fit_final_altitude_rayleigh(models):
@@ -252,32 +220,24 @@ def test_fit_discrete_law_has_no_cdf(models, monkeypatch):
 
 
 def test_fit_curve_rows(models):
-    rows = fit_curve(models["motzkin_absorption"], Statistic.FINAL_ALTITUDE, 400)
-    assert all(0.0 <= fe <= 1.0 + 1e-12 and 0.0 <= fl <= 1.0 for _, fe, fl in rows)
-    assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
-    xs = [x for x, _, _ in rows]
-    assert xs == sorted(xs)
-
-
-def test_fit_curve_accepts_empirical_law(models):
-    model = models["motzkin_reflection"]
-    dist = returns_to_zero_distribution(model, 30, "float")
-    law = empirical_law({k + 1: p for k, p in dist.prob.items()})
-    rows = fit_curve(model, Statistic.RETURNS_TO_ZERO, 30, law=law)
-    report = fit(model, Statistic.RETURNS_TO_ZERO, 30, law=law)
-    assert rows == list(report.curve)
-    assert laws.kolmogorov_distance(rows, law) == report.sup_distance > 0.0
-    # the rows run over the union of both supports
-    assert [x for x, _, _ in rows] == sorted(set(dist.prob) | {k + 1 for k in dist.prob})
+    for name, statistic, n in (("motzkin_absorption", Statistic.FINAL_ALTITUDE, 400),
+                               ("motzkin_reflection", Statistic.RETURNS_TO_ZERO, 30)):
+        rows = fit_curve(models[name], statistic, n)
+        assert all(0.0 <= fe <= 1.0 + 1e-12 and 0.0 <= fl <= 1.0 for _, fe, fl in rows)
+        assert rows[-1][1] == pytest.approx(1.0, abs=1e-9)
+        xs = [x for x, _, _ in rows]
+        assert xs == sorted(xs)
+        # the plotted rows are the ones whose sup distance the fit reports
+        report = fit(models[name], statistic, n)
+        assert rows == list(report.curve)
+        assert laws.kolmogorov_distance(rows, report.law) == report.sup_distance > 0.0
 
 
 def test_moment_summary_examples(models):
-    mean, var = moment_summary(models["dyck_reflection"], Statistic.RETURNS_TO_ZERO, 2, "exact")
-    assert mean == 1 and var == 0
-    mean, var = moment_summary(models["drift_up_absorption"], Statistic.FINAL_ALTITUDE, 2000)
+    assert returns_moments(models["dyck_reflection"], 2, "exact") == (1, 0)
+    mean = final_altitude_expectation(models["drift_up_absorption"], 2000, "float")
     assert mean / 2000 == pytest.approx(0.4, abs=0.008)
     law = returns_law(models["supercritical_drift_down"])
-    mean, _ = moment_summary(models["supercritical_drift_down"], Statistic.RETURNS_TO_ZERO, 1500)
     slope = (
         returns_moments(models["supercritical_drift_down"], 1500, "float")[0]
         - returns_moments(models["supercritical_drift_down"], 1000, "float")[0]
@@ -316,7 +276,7 @@ def test_returns_law_hypothesis_adjudication(models):
     sc_kappa = returns_law(models["motzkin_reflection"]).params["kappa"]
     rayleigh = LimitLawSpec(
         family="rayleigh",
-        params={"scale": 1.0, "kappa": sc_kappa, "time_scale": 2.0},
+        params={"scale": 1.0, "kappa": sc_kappa},
         normalization=NORM_RETURNS_CRITICAL,
     )
     forced = fit(model, Statistic.RETURNS_TO_ZERO, 2000, law=rayleigh)

@@ -12,11 +12,11 @@ from latticepaths import (
     ModelFileError,
     ModelKind,
     WalkModel,
-    classify_kind,
     format_model,
     parse_model,
     validate,
 )
+from latticepaths.model import require_valid
 from conftest import MODEL_NAMES, MODELS_DIR, random_model
 
 
@@ -60,15 +60,15 @@ def test_validate_reports_violations():
     assert not report.ok
     assert any("P(1)" in v for v in report.violations)
     with pytest.raises(InvalidModelError):
-        classify_kind(bad)
+        require_valid(bad)
     no_down = parse_model("P: 0:1/2 1:1/2\nP0: 1:1\n")
     assert any("negative jump" in v for v in validate(no_down).violations)
 
 
 def test_classify_kind(models):
-    assert classify_kind(models["dyck_reflection"]) is ModelKind.REFLECTION
-    assert classify_kind(models["dyck_absorption"]) is ModelKind.ABSORPTION
-    assert classify_kind(models["motzkin_reflection"]) is ModelKind.REFLECTION
+    assert models["dyck_reflection"].kind() is ModelKind.REFLECTION
+    assert models["dyck_absorption"].kind() is ModelKind.ABSORPTION
+    assert models["motzkin_reflection"].kind() is ModelKind.REFLECTION
 
 
 def test_parse_decimal_weights_are_exact():
