@@ -31,6 +31,7 @@ from .enumeration import (
     meander_distribution,
     meander_mass,
     meander_mass_series,
+    path_probabilities,
     path_probability,
     returns_to_zero_distribution,
     step,

@@ -23,6 +23,7 @@ from .errors import (
 from .kernel import (
     StructuralConstants,
     _altitude_derivative_ratio,
+    _require_both_jumps,
     require_rho1,
     small_branch_u1,
     structural_constants,
@@ -63,6 +64,7 @@ def require_aperiodic(model: WalkModel) -> None:
 
 
 def require_lukasiewicz(model: WalkModel) -> None:
+    _require_both_jumps(model)
     if not model.is_lukasiewicz:
         raise NotLukasiewiczError(
             f"asymptotic formulas cover a single down jump of -1, model has c={model.c}"

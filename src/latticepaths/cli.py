@@ -201,8 +201,9 @@ def _cmd_table2(args) -> int:
 
     def rows():
         yield "# path", *(rule.value for rule in rules)
-        for path in paths:
-            probs = [enumeration.path_probability(rule, model, path) for rule in rules]
+        # one column per rule, each from one tally lookup
+        columns = [enumeration.path_probabilities(rule, model, paths) for rule in rules]
+        for path, *probs in zip(paths, *columns):
             yield " ".join(str(j) for j in path), *probs
 
     _write_rows(rows())

@@ -82,6 +82,7 @@ import contextlib
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -107,21 +108,38 @@ class AltitudeDistribution:
     n: int
     mass: dict[int, Number]
 
+    def _scaled(self) -> tuple[dict[int, Number], Number, int]:
+        """(masses, their sum, L). Rational masses become integer
+        numerators over L, the lcm of their denominators, so exact sums add
+        integers and each quotient is one ``Fraction``; float masses stay
+        as they are, with L = 0."""
+        masses = self.mass
+        if not all(isinstance(w, (int, Fraction)) for w in masses.values()):
+            return masses, sum(masses.values()), 0
+        den = math.lcm(*(w.denominator for w in masses.values()))
+        nums = {k: w.numerator * (den // w.denominator) for k, w in masses.items()}
+        return nums, sum(nums.values()), den
+
+    def _surviving(self) -> tuple[dict[int, Number], Number, Callable[[Number, Number], Number]]:
+        """``_scaled``'s masses and sum, and the division to apply to them;
+        raises when no mass survives."""
+        masses, total, den = self._scaled()
+        if not total:
+            raise LatticePathError(f"no surviving mass at n={self.n}")
+        return masses, total, Fraction if den else operator.truediv
+
     def total(self) -> Number:
-        return sum(self.mass.values())
+        _, total, den = self._scaled()
+        return Fraction(total, den) if den else total
 
     def expectation(self) -> Number:
         """Mean altitude conditioned on survival."""
-        total = self.total()
-        if not total:
-            raise LatticePathError(f"no surviving mass at n={self.n}")
-        return sum(k * w for k, w in self.mass.items()) / total
+        masses, total, divide = self._surviving()
+        return divide(sum(k * w for k, w in masses.items()), total)
 
     def conditional(self) -> dict[int, Number]:
-        total = self.total()
-        if not total:
-            raise LatticePathError(f"no surviving mass at n={self.n}")
-        return {k: w / total for k, w in sorted(self.mass.items())}
+        masses, total, divide = self._surviving()
+        return {k: divide(w, total) for k, w in sorted(masses.items())}
 
 
 @dataclass(frozen=True)
@@ -1062,6 +1080,12 @@ def _rule_tally(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[int, dict
     altitudes, the reflection and absorption rules' absorbing walks
     (``_canonical_boundary``) by their jumps. The dict is shared between
     callers and must not be modified.
+
+    The cache is keyed by the model's value, not its identity: equal models
+    loaded by different commands in one process share a tally, so a second
+    ``table2`` on an equal model costs only lookups. Each lookup hashes the
+    model's ``Fraction`` weights, so callers look up once per rule
+    (``path_probabilities``), not once per path.
     """
     folded = rule is BoundaryRule.ABSOLUTE_VALUE
     bounded = rule in (BoundaryRule.REFLECTION, BoundaryRule.ABSORPTION)
@@ -1078,16 +1102,28 @@ def _rule_tally(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[int, dict
     return total, hits
 
 
-def path_probability(rule: BoundaryRule, model: WalkModel, path: tuple[int, ...]) -> Fraction:
-    """Probability of one length-n path under one of the four boundary rules,
-    conditioned on the rule's sample space (bridges, or excursions of that
-    length). Paths outside the sample space get probability 0. Every rule
-    enumerates its walks (``_rule_tally``), so n <= BRUTE_FORCE_MAX_LENGTH.
+def path_probabilities(rule: BoundaryRule, model: WalkModel,
+                       paths: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Probability of each of the paths, all of one length n, under one of
+    the four boundary rules, conditioned on the rule's sample space
+    (bridges, or excursions of that length). Paths outside the sample space
+    get probability 0. The rule's walks are enumerated once
+    (``_rule_tally``), so n <= BRUTE_FORCE_MAX_LENGTH.
     """
-    total, hits = _rule_tally(model, rule, len(path))
+    if not paths:
+        return []
+    n = len(paths[0])
+    if any(len(path) != n for path in paths):
+        raise ValueError("paths of different lengths")
+    total, hits = _rule_tally(model, rule, n)
     # a walk hits the path itself, or folds onto it by absolute value
-    hit = hits.get(path_altitudes(path) if rule is BoundaryRule.ABSOLUTE_VALUE else tuple(path))
-    return Fraction(hit, total) if hit else Fraction(0)
+    keys = map(path_altitudes if rule is BoundaryRule.ABSOLUTE_VALUE else tuple, paths)
+    return [Fraction(hit, total) if hit else Fraction(0) for hit in map(hits.get, keys)]
+
+
+def path_probability(rule: BoundaryRule, model: WalkModel, path: Sequence[int]) -> Fraction:
+    """``path_probabilities`` of the one path."""
+    return path_probabilities(rule, model, [path])[0]
 
 
 def bridge_paths(model: WalkModel, n: int) -> list[tuple[int, ...]]:

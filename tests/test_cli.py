@@ -1,5 +1,6 @@
 """Command-line driver: output format, determinism and exit codes."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -489,14 +490,14 @@ def test_verify_catches_invalid_model(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("step, violation, told", [
-    ("1:1", "P has no negative jump (c < 1)", ("classify", "constants", "gf-eval")),
+    ("1:1", "P has no negative jump (c < 1)", ("classify", "constants", "gf-eval", "asym", "fit")),
     ("-1:1", "P has no positive jump (d < 1)", ("classify", "constants", "gf-eval", "asym", "fit")),
 ])
 def test_models_without_a_jump_direction_exit_without_a_traceback(capsys, tmp_path, step,
                                                                    violation, told):
     # the exact commands answer; every kernel and asymptotic command exits
-    # 1 with an error line, those that reach the kernel with validate's own
-    # text (asymptotics reject c < 1 before that, as not Lukasiewicz)
+    # 1 with validate's own text, the asymptotic ones before they test for
+    # a single down jump of -1
     p = tmp_path / "one_way.model"
     p.write_text(f"P: {step}\nP0: 0:1\n")
     commands = [
@@ -601,3 +602,37 @@ def test_table2_bridge_tally_keeps_models_apart(capsys):
     enumeration._rule_tally.cache_clear()
     for path in paths + paths:
         assert invoke(capsys, "table2", path) == uncached[path]
+
+
+def test_table2_looks_up_each_rule_tally_once(capsys, monkeypatch):
+    # one lookup per boundary rule and one for the bridges, however many
+    # bridges the table has (31 on this model)
+    lookups = []
+    tally = enumeration._rule_tally
+
+    def counted(*args):
+        lookups.append(args[1:])
+        return tally(*args)
+
+    monkeypatch.setattr(enumeration, "_rule_tally", counted)
+    code, out, _ = invoke(capsys, "table2", C2)
+    assert code == 0 and len(out.splitlines()) == 1 + 31
+    assert len(lookups) <= 5
+
+
+# SHA-256 over the stdout, stderr and exit code of the exact commands below
+# on every shipped model, taken before table2's tally lookups and the exact
+# distribution sums moved to integers. A change to any exact output must
+# update it on purpose and say why in CHANGES.md.
+EXACT_OUTPUTS_SHA256 = "a26d615093f390f46b89a124d19239bdcc93b93a0050b6d18a3ab68b65e4c885"
+
+
+def test_exact_outputs_match_their_golden_digest(capsys):
+    commands = [("table2",), ("dist", "--n", "24", "--what", "final-alt", "--exact"),
+                ("fit", "--n", "30", "--what", "final-alt", "--exact")]
+    digest = hashlib.sha256()
+    for name in MODEL_NAMES:
+        for argv in commands:
+            code, out, err = invoke(capsys, *argv, str(MODELS_DIR / f"{name}.model"))
+            digest.update(f"{name} {' '.join(argv)}\n{code}\n{out}\0{err}\0".encode())
+    assert digest.hexdigest() == EXACT_OUTPUTS_SHA256

@@ -26,6 +26,7 @@ from latticepaths import (
     meander_mass,
     meander_mass_series,
     parse_model,
+    path_probabilities,
     path_probability,
     returns_to_zero_distribution,
     step,
@@ -46,6 +47,7 @@ from latticepaths.enumeration import (
     returns_mean_series,
     returns_moments,
 )
+from latticepaths.cli import fmt
 from conftest import MODEL_NAMES
 
 F = Fraction
@@ -715,6 +717,55 @@ def test_path_probability_columns_sum_to_one(models):
 def test_path_probability_rejects_non_excursion(models):
     model = models["motzkin_reflection"]
     assert path_probability(BoundaryRule.REFLECTION, model, (1, 1, -1, 0)) == 0
+
+
+def test_path_probabilities_of_no_paths_and_of_mixed_lengths(models):
+    model = models["motzkin_reflection"]
+    assert path_probabilities(BoundaryRule.REFLECTION, model, []) == []
+    with pytest.raises(ValueError, match="different lengths"):
+        path_probabilities(BoundaryRule.UNIFORM, model, [(1, -1), (1, 0, -1)])
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_exact_distribution_sums_match_fraction_sums(models, name):
+    # the integer sums over the common denominator give the reduced
+    # Fractions that Fraction addition and division give
+    for n in range(31):
+        dist = meander_distribution(models[name], n)
+        total = sum(dist.mass.values(), F(0))
+        assert dist.total() == total and type(dist.total()) is F
+        conditional = dist.conditional()
+        assert conditional == {k: w / total for k, w in sorted(dist.mass.items())}
+        assert list(conditional) == sorted(dist.mass)
+        assert all(type(p) is F for p in conditional.values())
+        assert dist.expectation() == sum(k * w for k, w in dist.mass.items()) / total
+        assert type(dist.expectation()) is F
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_float_distribution_sums_keep_every_bit(models, name):
+    dist = meander_distribution(models[name], 200, "float")
+    total = sum(dist.mass.values())
+    assert dist.total() == total
+    assert dist.conditional() == {k: w / total for k, w in sorted(dist.mass.items())}
+    assert dist.expectation() == sum(k * w for k, w in dist.mass.items()) / total
+
+
+def test_empty_distribution_has_zero_total_and_no_conditional():
+    dist = AltitudeDistribution(n=5, mass={})
+    assert dist.total() == 0 and fmt(dist.total()) == "0"
+    with pytest.raises(LatticePathError, match="no surviving mass"):
+        dist.conditional()
+    with pytest.raises(LatticePathError, match="no surviving mass"):
+        dist.expectation()
+
+
+def test_int_masses_give_the_values_of_fraction_masses():
+    ints = AltitudeDistribution(n=2, mass={0: 1, 2: 3})
+    fractions = AltitudeDistribution(n=2, mass={0: F(1), 2: F(3)})
+    assert ints.total() == fractions.total() == 4
+    assert ints.conditional() == fractions.conditional() == {0: F(1, 4), 2: F(3, 4)}
+    assert ints.expectation() == fractions.expectation() == F(3, 2)
 
 
 def test_enumerate_paths_weights_are_exact(models):

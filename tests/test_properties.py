@@ -35,6 +35,7 @@ from latticepaths import (
     meander_mass,
     meander_mass_series,
     parse_model,
+    path_probabilities,
     path_probability,
     returns_to_zero_distribution,
     step,
@@ -42,6 +43,7 @@ from latticepaths import (
 from latticepaths.enumeration import (
     altitude_series,
     bridge_mass_series,
+    bridge_paths,
     enumerate_meander_paths,
     enumerate_walk_paths,
     final_altitude_series,
@@ -207,6 +209,42 @@ def _free_bridges(model, n):
         mass = new
         out.append(F(mass.get(0, 0), den**t))
     return out
+
+
+@settings(max_examples=60)
+@given(walk_models(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_path_probabilities_match_path_probability(model, n, seed):
+    # a column from one tally lookup equals the paths one by one: the
+    # bridges, random jump sequences over the jumps and their negatives,
+    # one that climbs off every bridge and one that goes below 0 at once
+    rng = random.Random(seed)
+    jumps = sorted({s * j for j in (*model.P.support(), *model.P0.support()) for s in (1, -1)})
+    paths = [tuple(rng.choice(jumps) for _ in range(n)) for _ in range(40)]
+    paths += [(model.P.hi,) * n, (model.P.lo,) * n, *bridge_paths(model, n)[:40]]
+    for rule in BoundaryRule:
+        try:
+            want = [path_probability(rule, model, p) for p in paths]
+        except InvalidModelError:
+            with pytest.raises(InvalidModelError):
+                path_probabilities(rule, model, paths)
+            continue
+        assert path_probabilities(rule, model, paths) == want, rule
+
+
+@settings(max_examples=60)
+@given(walk_models(), st.integers(0, 30))
+def test_exact_distribution_sums_match_fraction_sums(model, n):
+    # the integer sums over the common denominator give the reduced
+    # Fractions that Fraction addition and division give
+    dist = meander_distribution(model, n)
+    total = sum(dist.mass.values(), F(0))
+    assert dist.total() == total and type(dist.total()) is F
+    if not total:
+        with pytest.raises(LatticePathError, match="no surviving mass"):
+            dist.conditional()
+        return
+    assert dist.conditional() == {k: w / total for k, w in sorted(dist.mass.items())}
+    assert dist.expectation() == sum(k * w for k, w in dist.mass.items()) / total
 
 
 @pytest.mark.parametrize("spec", [
