@@ -54,8 +54,7 @@ def _write_rows(rows) -> None:
         sys.stdout.write("".join(lines))
 
 
-def _cmd_validate(args) -> int:
-    model = load_model(args.model)
+def _cmd_validate(model, args) -> int:
     report = validate(model)
     _write_rows([
         ("# field", "value"),
@@ -68,8 +67,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    model = load_model(args.model)
+def _cmd_classify(model, args) -> int:
     cls = asymptotics.classify(model)
     _write_rows([
         ("# field", "value"),
@@ -80,8 +78,7 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_constants(args) -> int:
-    model = load_model(args.model)
+def _cmd_constants(model, args) -> int:
     sc = kernel.structural_constants(model)
     names = ("tau", "rho", "C", "delta", "delta0geq", "lam", "kappa",
              "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1", "r")
@@ -101,16 +98,13 @@ _COUNT_SERIES = {
 }
 
 
-def _cmd_count(args) -> int:
-    model = load_model(args.model)
-    mode = "exact" if args.exact else "float"
-    series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, mode)
+def _cmd_count(model, args) -> int:
+    series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, args.mode)
     _write_rows([("# n", args.what), *enumerate(series)])
     return EXIT_OK
 
 
-def _cmd_gf_eval(args) -> int:
-    model = load_model(args.model)
+def _cmd_gf_eval(model, args) -> int:
     z = args.z
     # one branch solve at z serves every quantity below
     branches = kernel.small_branches(model, z)
@@ -139,8 +133,7 @@ _ASYM = {
 }
 
 
-def _cmd_asym(args) -> int:
-    model = load_model(args.model)
+def _cmd_asym(model, args) -> int:
     n = args.n
     estimate, exact_value = _ASYM[args.what]
     est = getattr(asymptotics, estimate)(model, n)
@@ -156,12 +149,10 @@ def _cmd_asym(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dist(args) -> int:
-    model = load_model(args.model)
-    mode = "exact" if args.exact else "float"
+def _cmd_dist(model, args) -> int:
     n = args.n
     if args.what == "final-alt":
-        dist = enumeration.meander_distribution(model, n, mode)
+        dist = enumeration.meander_distribution(model, n, args.mode)
 
         def rows():  # the mass goes out even when no walk survives
             yield "# meander_mass", dist.total()
@@ -170,18 +161,14 @@ def _cmd_dist(args) -> int:
 
         _write_rows(rows())
     else:
-        dist = enumeration.returns_to_zero_distribution(model, n, mode)
+        dist = enumeration.returns_to_zero_distribution(model, n, args.mode)
         _write_rows([("# returns", "probability"), *sorted(dist.prob.items())])
     return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
-    model = load_model(args.model)
-    statistic = (
-        laws.Statistic.FINAL_ALTITUDE if args.what == "final-alt" else laws.Statistic.RETURNS_TO_ZERO
-    )
-    mode = "exact" if args.exact else "float"
-    report = laws.fit(model, statistic, args.n, mode=mode, tolerance=args.tolerance)
+def _cmd_fit(model, args) -> int:
+    statistic = laws.Statistic(args.what)
+    report = laws.fit(model, statistic, args.n, mode=args.mode, tolerance=args.tolerance)
     rows = [
         ("# statistic", "n", "law", "normalization", "sup_distance", "passed"),
         (statistic.value, report.n, report.law.family, report.law.normalization,
@@ -193,8 +180,7 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table2(args) -> int:
-    model = load_model(args.model)
+def _cmd_table2(model, args) -> int:
     n = 4
     paths = enumeration.bridge_paths(model, n)
     rules = list(enumeration.BoundaryRule)
@@ -210,8 +196,7 @@ def _cmd_table2(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    model = load_model(args.model)
+def _cmd_verify(model, args) -> int:
     failed = []
 
     def rows():
@@ -247,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("count", _cmd_count, "exact or float series of a counting statistic")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--what", choices=sorted(_COUNT_SERIES), required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
 
     p = add("gf-eval", _cmd_gf_eval, "evaluate the generating functions at z")
     p.add_argument("--z", type=float, required=True)
@@ -259,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dist", _cmd_dist, "full distribution of a statistic at length n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--what", choices=["final-alt", "returns"], required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
 
     p = add("fit", _cmd_fit, "Kolmogorov fit of the exact distribution vs its limit law")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--what", choices=["final-alt", "returns"], required=True)
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--plot", action="store_true", help="also emit CDF plot data")
 
@@ -276,14 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(load_model(args.model), args)
     except (BranchDegenerateError, NumericalSingularityError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except LatticePathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_ERROR
-    except ValueError as exc:
+    except (LatticePathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
 

@@ -406,6 +406,17 @@ def _bracketed_newton(f, df, lo: float, hi: float) -> float:
     raise NumericalSingularityError(f"root in ({lo}, {hi}) did not converge")
 
 
+def _bracket_end(f, start: float, factor: float, what: str) -> float:
+    """The first of start*factor, start*factor**2, ..., start*factor**200
+    at which f is positive; ``NumericalSingularityError`` if there is none."""
+    x = start
+    for _ in range(200):
+        x *= factor
+        if f(x) > 0:
+            return x
+    raise NumericalSingularityError(f"failed to bracket {what}")
+
+
 def _find_tau(model: WalkModel) -> float:
     """Unique positive root of P'(u); P is strictly convex on (0, inf).
 
@@ -420,18 +431,10 @@ def _find_tau(model: WalkModel) -> float:
     delta = dP.total_weight()
     if delta == 0:
         return 1.0
-    lo = hi = 1.0
-    for _ in range(200):
-        if delta > 0:
-            lo *= 0.5
-            if dP(lo) < 0:
-                break
-        else:
-            hi *= 2.0
-            if dP(hi) > 0:
-                break
+    if delta > 0:
+        lo, hi = _bracket_end(lambda u: -dP(u), 1.0, 0.5, "the minimum of P"), 1.0
     else:
-        raise NumericalSingularityError("failed to bracket the minimum of P")
+        lo, hi = 1.0, _bracket_end(dP, 1.0, 2.0, "the minimum of P")
     return _bracketed_newton(dP, dP.derivative(), lo, hi)
 
 
@@ -441,14 +444,9 @@ def boundary_denominator(model: WalkModel, z: float) -> float:
     return 1.0 - z * float(model.P0geq(u1))
 
 
-def u1_derivatives(model: WalkModel, z: float, u1: Optional[float] = None
-                   ) -> tuple[float, float, float]:
-    """(u1, u1', u1'') from implicit differentiation of 1 = z*P(u1).
-
-    ``u1``, if given, is the small branch at z, which is then not solved again.
-    """
-    if u1 is None:
-        u1 = small_branch_u1(model, z)
+def u1_derivatives(model: WalkModel, z: float, u1: float) -> tuple[float, float, float]:
+    """(u1, u1', u1'') from implicit differentiation of 1 = z*P(u1), where
+    ``u1`` is the small branch at z."""
     dP = model.P.derivative()
     ddP = dP.derivative()
     d1 = float(dP(u1))
@@ -459,8 +457,7 @@ def u1_derivatives(model: WalkModel, z: float, u1: Optional[float] = None
     return u1, du1, ddu1
 
 
-def composed_boundary_derivatives(model: WalkModel, z: float, u1: Optional[float] = None
-                                  ) -> tuple[float, float]:
+def composed_boundary_derivatives(model: WalkModel, z: float, u1: float) -> tuple[float, float]:
     """First and second z-derivative of P0geq(u1(z)); ``u1`` as in ``u1_derivatives``."""
     u1, du1, ddu1 = u1_derivatives(model, z, u1)
     dq = model.P0geq.derivative()
@@ -505,13 +502,7 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
     # sign of f = P0geq - P, which is positive at tau
     P, Q = model.P, model.P0geq
     dP, dQ = P.derivative(), Q.derivative()
-    lo = tau
-    for _ in range(200):
-        lo *= 0.5
-        if Q(lo) - P(lo) < 0:
-            break
-    else:
-        raise NumericalSingularityError("failed to bracket rho1 from below")
+    lo = _bracket_end(lambda u: P(u) - Q(u), tau, 0.5, "rho1 from below")
     u = _bracketed_newton(lambda u: Q(u) - P(u), lambda u: dQ(u) - dP(u), lo, tau)
     return 1.0 / P(u), u
 
@@ -598,21 +589,18 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     )
 
 
-def u1_expansion_check(model: WalkModel, constants: Optional[StructuralConstants] = None
-                       ) -> float:
+def u1_expansion_check(model: WalkModel, constants: StructuralConstants) -> float:
     """Max scaled residual of u1(rho(1-eps)) against tau - C*sqrt(eps), for
-    eps = 1e-2, 1e-3 and 1e-4.
+    eps = 1e-2, 1e-3 and 1e-4, with rho, tau and C from the model's
+    structural ``constants``.
 
     The remainder of the branch expansion is linear in eps, so the residual
     divided by eps stays bounded; the largest such ratio is returned.
-    ``constants``, if given, are the model's structural constants, which are
-    then not computed again.
     """
-    sc = structural_constants(model) if constants is None else constants
     worst = 0.0
     for eps in (1e-2, 1e-3, 1e-4):
-        z = sc.rho * (1.0 - eps)
+        z = constants.rho * (1.0 - eps)
         u1 = small_branch_u1(model, z)
-        predicted = sc.tau - sc.C * math.sqrt(eps)
+        predicted = constants.tau - constants.C * math.sqrt(eps)
         worst = max(worst, abs(u1 - predicted) / eps)
     return worst

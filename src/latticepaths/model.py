@@ -22,6 +22,9 @@ from typing import Iterable, Iterator, Mapping, Union
 from .errors import InvalidModelError, ModelFileError
 
 Rational = Union[int, Fraction]
+# a weight's exponent e makes Fraction build 10**|e|, in time that grows faster
+# than |e|; 4300 is also CPython's cap on the digits of an int read from text
+MAX_WEIGHT_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,11 @@ def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:
             jump = int(jump_s)
         except ValueError as exc:
             raise ModelFileError(f"bad jump {jump_s!r} on {label} line") from exc
+        _, e, exponent = weight_s.lower().partition("e")
         try:
+            if e and abs(int(exponent)) > MAX_WEIGHT_EXPONENT:
+                raise ModelFileError(
+                    f"weight {weight_s!r} on {label} line has |exponent| > {MAX_WEIGHT_EXPONENT}")
             weight = Fraction(weight_s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
@@ -294,8 +301,9 @@ def parse_model(text: str) -> WalkModel:
     ``fractions.Fraction`` parses the string on the running Python: ``a/b``,
     an integer, a decimal, an exponent, each with an optional sign;
     underscores between digits only from Python 3.11 on. A zero weight drops
-    its jump; a negative weight, a zero denominator or a jump repeated on
-    one line raises ``ModelFileError``.
+    its jump; a negative weight, a zero denominator, an exponent beyond
+    ``MAX_WEIGHT_EXPONENT`` in size or a jump repeated on one line raises
+    ``ModelFileError``.
     """
     polys: dict[str, LaurentPolynomial] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -49,8 +49,9 @@ def boundary_expansion_check(model) -> BoundaryExpansionReport:
     sc = structural_constants(model)
     quadratic = sc.rho > 1.0 + 1e-9
     if quadratic:
-        base = float(model.P0geq(small_branch_u1(model, 1.0)))
-        a1, a2 = composed_boundary_derivatives(model, 1.0)
+        u1 = small_branch_u1(model, 1.0)
+        base = float(model.P0geq(u1))
+        a1, a2 = composed_boundary_derivatives(model, 1.0, u1)
     else:
         base = float(model.P0geq.total_weight())
     residuals: dict[float, float] = {}

@@ -240,7 +240,7 @@ def test_criticality_trichotomy(models, random_models):
 def test_u1_derivatives_match_finite_differences(models):
     model = models["supercritical_drift_down"]
     z, h = 0.8, 1e-6
-    u, du, ddu = u1_derivatives(model, z)
+    u, du, ddu = u1_derivatives(model, z, small_branch_u1(model, z))
     fd1 = (small_branch_u1(model, z + h) - small_branch_u1(model, z - h)) / (2 * h)
     fd2 = (small_branch_u1(model, z + h) - 2 * u + small_branch_u1(model, z - h)) / (h * h)
     assert du == pytest.approx(fd1, rel=1e-7)
@@ -257,7 +257,7 @@ def test_u1_expansion_residuals(models):
             u1 = small_branch_u1(model, sc.rho * (1 - eps))
             raw.append(abs(u1 - (sc.tau - sc.C * math.sqrt(eps))))
         assert raw[0] > raw[1] > raw[2]
-        assert u1_expansion_check(model) < 10.0
+        assert u1_expansion_check(model, sc) < 10.0
 
 
 def _count_solves(monkeypatch):

@@ -1,6 +1,7 @@
 """Model types, parsing and validation."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -284,3 +285,18 @@ def test_cached_views_keep_models_equal_and_hashable(models):
         assert model == fresh and hash(model) == hash(fresh), name
         assert model.P == fresh.P and hash(model.P) == hash(fresh.P), name
         assert {fresh: name}[model] == name
+
+
+def test_weight_exponent_beyond_the_bound_raises_at_once():
+    # Fraction would build 10**99999999 first, which takes minutes
+    start = time.perf_counter()
+    with pytest.raises(ModelFileError) as info:
+        parse_model("P: -1:1e-99999999 1:1/2\nP0: 0:1\n")
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == "weight '1e-99999999' on P line has |exponent| > 4300"
+    for spelling in ("1E4301", "1e-43_01", "0.5e+4301"):
+        with pytest.raises(ModelFileError, match=r"\|exponent\| > 4300"):
+            parse_model(f"P: -1:1/2 1:{spelling}\nP0: 0:1\n")
+    # at the bound the weight is read exactly, as Fraction reads it
+    p = parse_model("P: -1:1e-4300 1:1/2 2:1E4300\nP0: 0:1\n").P
+    assert dict(p.terms()) == {-1: Fraction(1, 10**4300), 1: Fraction(1, 2), 2: 10**4300}
