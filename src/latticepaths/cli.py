@@ -7,6 +7,11 @@ significant digits. Diagnostics go to stderr. Exit codes: 0 success,
 1 model or file error, 2 numerical failure, 3 verification failure.
 argparse's own usage errors (a missing, unknown or malformed argument)
 exit 2 as well, before any model is read.
+
+Only the model layer is imported with this module. Each handler imports
+the layers it calls (``from . import enumeration``) when it runs, so
+``validate``, ``--help``, usage errors and model-file errors never import
+numpy, and ``count``, ``dist`` and ``table2`` load the DPs alone.
 """
 
 from __future__ import annotations
@@ -15,14 +20,12 @@ import argparse
 import functools
 import sys
 
-from . import asymptotics, enumeration, kernel, laws
 from .errors import (
     BranchDegenerateError,
     LatticePathError,
     NumericalSingularityError,
 )
 from .model import load_model, validate
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_MODEL_ERROR = 1
@@ -68,6 +71,8 @@ def _cmd_validate(model, args) -> int:
 
 
 def _cmd_classify(model, args) -> int:
+    from . import asymptotics
+
     cls = asymptotics.classify(model)
     _write_rows([
         ("# field", "value"),
@@ -79,6 +84,8 @@ def _cmd_classify(model, args) -> int:
 
 
 def _cmd_constants(model, args) -> int:
+    from . import kernel
+
     sc = kernel.structural_constants(model)
     names = ("tau", "rho", "C", "delta", "delta0geq", "lam", "kappa",
              "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1", "r")
@@ -99,12 +106,16 @@ _COUNT_SERIES = {
 
 
 def _cmd_count(model, args) -> int:
+    from . import enumeration
+
     series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, args.mode)
     _write_rows([("# n", args.what), *enumerate(series)])
     return EXIT_OK
 
 
 def _cmd_gf_eval(model, args) -> int:
+    from . import kernel
+
     z = args.z
     # one branch solve at z serves every quantity below
     branches = kernel.small_branches(model, z)
@@ -134,6 +145,8 @@ _ASYM = {
 
 
 def _cmd_asym(model, args) -> int:
+    from . import asymptotics, enumeration
+
     n = args.n
     estimate, exact_value = _ASYM[args.what]
     est = getattr(asymptotics, estimate)(model, n)
@@ -150,6 +163,8 @@ def _cmd_asym(model, args) -> int:
 
 
 def _cmd_dist(model, args) -> int:
+    from . import enumeration
+
     n = args.n
     if args.what == "final-alt":
         dist = enumeration.meander_distribution(model, n, args.mode)
@@ -167,6 +182,8 @@ def _cmd_dist(model, args) -> int:
 
 
 def _cmd_fit(model, args) -> int:
+    from . import laws
+
     statistic = laws.Statistic(args.what)
     report = laws.fit(model, statistic, args.n, mode=args.mode, tolerance=args.tolerance)
     rows = [
@@ -181,6 +198,8 @@ def _cmd_fit(model, args) -> int:
 
 
 def _cmd_table2(model, args) -> int:
+    from . import enumeration
+
     n = 4
     paths = enumeration.bridge_paths(model, n)
     rules = list(enumeration.BoundaryRule)
@@ -197,10 +216,12 @@ def _cmd_table2(model, args) -> int:
 
 
 def _cmd_verify(model, args) -> int:
+    from . import verify
+
     failed = []
 
     def rows():
-        for name, passed, detail in run_verification(model):
+        for name, passed, detail in verify.run_verification(model):
             if passed:
                 yield "PASS", name
             else:

@@ -1,6 +1,5 @@
 """What ``latticepaths`` exports is what its own modules or the benchmark tracer use."""
 
-import ast
 import re
 from pathlib import Path
 
@@ -8,8 +7,8 @@ import latticepaths
 
 PACKAGE = Path(latticepaths.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-# the version string, and the writer whose output parse_model reads back
-EXEMPT = {"__version__", "format_model"}
+# the writer whose output parse_model reads back
+EXEMPT = {"format_model"}
 
 
 def _uses(text, name):
@@ -20,13 +19,9 @@ def _uses(text, name):
 
 def test_no_export_is_test_only():
     init = PACKAGE / "__init__.py"
-    exported = set()
-    for node in ast.parse(init.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom):
-            exported |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign):
-            exported |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-    assert "fit" in exported and "__version__" in exported
+    # the package's table of exported names, one tuple per defining module
+    exported = {name for names in latticepaths._EXPORTS.values() for name in names}
+    assert "fit" in exported and "__version__" in latticepaths.__all__
     texts = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p != init]
     texts.append(TRACER.read_text(encoding="utf-8"))
     unused = sorted(name for name in exported - EXEMPT
