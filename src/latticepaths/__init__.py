@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "errors": (
         "BranchDegenerateError", "InconsistentCaseError", "InvalidModelError",
-        "LatticePathError", "ModelFileError", "NoRho1Error", "NotLukasiewiczError",
+        "LatticePathError", "ModelFileError", "NotLukasiewiczError",
         "NumericalSingularityError", "PeriodicModelError",
     ),
     "kernel": (

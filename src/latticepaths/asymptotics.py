@@ -24,7 +24,6 @@ from .kernel import (
     StructuralConstants,
     _altitude_derivative_ratio,
     _require_both_jumps,
-    require_rho1,
     small_branch_u1,
     structural_constants,
 )
@@ -108,10 +107,9 @@ def excursion_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if n < 1:
         raise ValueError("asymptotic estimates need n >= 1")
     if cls.criticality is Criticality.SUPERCRITICAL:
-        rho1 = require_rho1(sc)
         if sc.gamma is None:
             raise NumericalSingularityError("supercritical pole not resolved")
-        value = sc.gamma * rho1 ** (-n)
+        value = sc.gamma * sc.rho1 ** (-n)
         return AsymptoticEstimate(n, value, "excursions/supercritical")
     if cls.criticality is Criticality.CRITICAL:
         value = (1.0 / sc.kappa) * sc.rho ** (-n) / math.sqrt(math.pi * n)
@@ -155,7 +153,7 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
         value = e1 * sc.kappa / math.sqrt(math.pi * n)
         return AsymptoticEstimate(n, value, "meanders/subcritical/zero-drift")
     if cls.criticality is Criticality.SUPERCRITICAL:
-        rho1 = require_rho1(sc)
+        rho1 = sc.rho1
         if sc.gamma is None:
             raise NumericalSingularityError("supercritical pole not resolved")
         value = rho1 * sc.gamma / (e1 * (rho1 - 1.0)) * rho1 ** (-n)
@@ -218,7 +216,7 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if e1 is None:
         raise NumericalSingularityError("excursion series diverges at z=1")
     if cls.criticality is Criticality.SUPERCRITICAL:
-        rho1 = require_rho1(sc)
+        rho1 = sc.rho1
         if abs(rho1 - 1.0) < 1e-9:
             raise NumericalSingularityError("expectation constant degenerate at rho1=1")
         g = _altitude_derivative_ratio(model, rho1, small_branch_u1(model, rho1), sc.delta,

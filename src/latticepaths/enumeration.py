@@ -278,10 +278,19 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, readout: Optional[str] =
       of altitude times mass.
 
     Exact mode runs ``_packed_walk`` and float mode ``_float_walk``; both
-    record the same readouts, so no caller depends on the mode. With
-    ``underflow_ends``, a float state that underflows as a whole ends the
-    walk, every later readout and the final rows being 0, instead of
-    raising ``NumericalSingularityError``.
+    record the same readouts from length 1, so no caller depends on the
+    mode, and the length-0 readout is put first here. "row0" and "arches"
+    come back as arrays of ``arith.dtype``, unscaled: exact numerators of
+    the length-t entry over den**t, or floats; the other readouts as lists.
+
+    A float "row0" or "arches" entry between 0 and the smallest normal
+    float is row 0 underflowing on its own while the mass above it stays
+    normal (a state that underflows as a whole raises in the stepper); the
+    entries after it fall to 0, so such a series raises
+    ``NumericalSingularityError``. With ``underflow_ends`` (the returns
+    law's arches) the series is kept as it is, and a float state that
+    underflows as a whole ends the walk, every later readout and the final
+    rows being 0, instead of raising.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -289,13 +298,22 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, readout: Optional[str] =
         # altitude 0 sits at row n * c, after the n * c rows below it
         raise InvalidModelError("the walk on Z needs P to have a jump <= 0 and a jump >= 0")
     stepper = _packed_walk if arith.exact else _float_walk
-    return stepper(model, n, arith, readout, top, free, underflow_ends)
-
-
-def _start(readout: Optional[str], top: int) -> list:
-    """The readout list at length 0: mass 1 at altitude 0."""
-    start = {"row0": 1, "arches": 0, "total": 1, "moment": (0, 1)}
-    return [tuple(int(a == 0) for a in range(top)) if readout == "low" else start[readout]]
+    out = stepper(model, n, arith, readout, top, free, underflow_ends)
+    if readout is None:
+        return out
+    # the readout at length 0: mass 1 at altitude 0
+    first = {"row0": 1, "arches": 0, "total": 1, "moment": (0, 1),
+             "low": tuple(int(a == 0) for a in range(top))}[readout]
+    if readout not in ("row0", "arches"):
+        return [first, *out]
+    series = np.array([first, *out], dtype=arith.dtype)
+    if not (arith.exact or underflow_ends):
+        dust = np.flatnonzero((series > 0) & (series < _TINY))
+        if len(dust):
+            raise NumericalSingularityError(
+                f"float series underflowed at length {dust[0]} of {n}: "
+                f"{series[dust[0]]:.3g} is below {_TINY:.3g}")
+    return series
 
 
 def _field_bytes(grow: int, t: int) -> int:
@@ -366,7 +384,7 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
             moment = sum((k - fall + i) * p for k, p in terms.items())
             balance.append((mass - s0, moment - i * s0 - s1))
         total, moment = 1, 0
-    series = _start(readout, top) if readout else None
+    series = []
     state = 1
     nbytes = 1
     cap = 0  # the fields hold every numerator up to step cap
@@ -490,7 +508,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     vlo = vhi = -1
     if readout == "moment":
         idx = np.arange(size, dtype=float)
-    series = _start(readout, top) if readout else None
+    series = []
     multiply, reduce, tiny = np.multiply, np.add.reduce, _TINY  # locals read faster
     vec[lo] = 1
     hi = lo
@@ -591,41 +609,15 @@ def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") ->
     return [arith.series(rows) for rows in zip(*series)] if top > 0 else []
 
 
-def _row0(model: WalkModel, n: int, arith: _Arithmetic, *, arches: bool = False,
-          free: bool = False, underflow_ends: bool = False) -> np.ndarray:
-    """Row 0 after every length 0..n, unscaled: the excursion numerators
-    e_0..e_n (e_t over den**t in exact mode), with ``arches`` the arch
-    numerators a_0..a_n, row 0 being cleared after every step, or with
-    ``free`` the bridge numerators of the walk on Z.
-
-    A float entry between 0 and the smallest normal float is row 0
-    underflowing on its own while the mass above it stays normal (a state
-    that underflows as a whole raises in ``_walk``); the entries after it
-    fall to 0, so such a series raises ``NumericalSingularityError``. With
-    ``underflow_ends`` (the returns law's arches) the series is kept as it
-    is, and a float state that underflows as a whole ends it, its later
-    entries being 0, instead of raising."""
-    out = _walk(model, n, arith, "arches" if arches else "row0", free=free,
-                underflow_ends=underflow_ends)
-    series = np.array(out, dtype=arith.dtype)
-    if not (arith.exact or underflow_ends):
-        dust = np.flatnonzero((series > 0) & (series < _TINY))
-        if len(dust):
-            raise NumericalSingularityError(
-                f"float series underflowed at length {dust[0]} of {n}: "
-                f"{series[dust[0]]:.3g} is below {_TINY:.3g}")
-    return series
-
-
 def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
     arith = _Arithmetic(model, mode)
-    return arith.series(_row0(model, n, arith))
+    return arith.series(_walk(model, n, arith, "row0"))
 
 
 def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     arith = _Arithmetic(model, mode)
-    return arith.value(_row0(model, n, arith)[n], n)
+    return arith.value(_walk(model, n, arith, "row0")[n], n)
 
 
 def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
@@ -663,14 +655,14 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
     if not arith.exact and bridge < _TINY and n * model.c % model.period == 0:
         # a float 0 can be row 0 underflowed on its own: the series raises
         # then; at a length that the period skips, 0 is the bridge mass
-        bridge = _row0(model, n, arith, free=True)[n]
+        bridge = _walk(model, n, arith, "row0", free=True)[n]
     return arith.value(final.sum(), n), arith.value(bridge, n)
 
 
 def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Mass at altitude 0 of the unconstrained walk, for every length 0..n."""
     arith = _Arithmetic(model, mode)
-    return arith.series(_row0(model, n, arith, free=True))
+    return arith.series(_walk(model, n, arith, "row0", free=True))
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +673,14 @@ def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
     arith = _Arithmetic(model, mode)
-    return arith.series(_row0(model, n, arith, arches=True))
+    return arith.series(_walk(model, n, arith, "arches"))
 
 
 def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     if n < 1:
         raise ValueError("arches have length >= 1")
     arith = _Arithmetic(model, mode)
-    return arith.value(_row0(model, n, arith, arches=True)[n], n)
+    return arith.value(_walk(model, n, arith, "arches")[n], n)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +697,7 @@ def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact")
     arith = _Arithmetic(model, mode)
     if n == 0:
         return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
-    arch = _row0(model, n, arith, arches=True, underflow_ends=True)
+    arch = _walk(model, n, arith, "arches", underflow_ends=True)
     return _returns_from_arches(arch, n)
 
 
@@ -824,8 +816,9 @@ def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
 
 
 def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
-    """The returns law from the arch series a_0..a_n as ``_row0`` returns
-    it: exact numerators of a_m over D**m (``object``), or floats.
+    """The returns law from the arch series a_0..a_n as ``_walk``'s
+    "arches" readout gives it: exact numerators of a_m over D**m
+    (``object``), or floats.
 
     An excursion with exactly k returns is a k-sequence of arches, so the
     unnormalized weight w_k of k returns is the nth coefficient of the kth
@@ -904,7 +897,7 @@ def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Num
     if n == 0:
         zero = arith.value(0, 0)
         return zero, zero
-    return _moments_from_excursions(_row0(model, n, arith), arith)
+    return _moments_from_excursions(_walk(model, n, arith, "row0"), arith)
 
 
 @_overflow_raises()
@@ -914,7 +907,7 @@ def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     Entries are None where no excursion of that length exists.
     """
     arith = _Arithmetic(model, mode)
-    e = _row0(model, n, arith)
+    e = _walk(model, n, arith, "row0")
     s = _return_totals(e)
     return [arith.value(0, 0)] + [arith.ratio(x, y) if y else None for x, y in zip(s[1:], e[1:])]
 

@@ -29,9 +29,5 @@ class NumericalSingularityError(LatticePathError):
     """A linear system was singular or a root refinement failed to converge."""
 
 
-class NoRho1Error(LatticePathError):
-    """The denominator 1 - z*P0geq(u1(z)) has no root on (0, rho]."""
-
-
 class InconsistentCaseError(LatticePathError):
     """The (criticality, drift) combination has no formula (blank table cell)."""

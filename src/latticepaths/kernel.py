@@ -31,11 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BranchDegenerateError,
-    NoRho1Error,
-    NumericalSingularityError,
-)
+from .errors import BranchDegenerateError, NumericalSingularityError
 from .model import LaurentPolynomial, WalkModel, require_valid
 
 ROOT_RESIDUAL_TOL = 1e-12
@@ -515,12 +511,6 @@ def _altitude_derivative_ratio(model: WalkModel, z: float, u1: float, delta: flo
     return delta0geq * z / (1.0 - z) + delta * z * z * (
         q1 - float(model.P0geq(u1))
     ) / (1.0 - z) ** 2
-
-
-def require_rho1(constants: StructuralConstants) -> float:
-    if constants.rho1 is None:
-        raise NoRho1Error("boundary denominator has no root on (0, rho] (subcritical)")
-    return constants.rho1
 
 
 def structural_constants(model: WalkModel) -> StructuralConstants:

@@ -9,8 +9,9 @@ discrete / half-normal-or-Rayleigh / Gaussian across drift signs.
 
 A fit walks the exact CDF once, building one (x, exact CDF, law CDF) row
 per support point; the sup distance is taken over those rows, and they are
-the rows ``fit --plot`` prints, so plotting costs no second DP. The
-discrete law has no CDF and is rejected before any DP runs.
+the rows ``fit --plot`` prints, so plotting costs no second DP. One table,
+``_FAMILIES``, gives each law family's CDF at x and whether the family is
+continuous. The discrete law has no CDF and is rejected before any DP runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
 from .asymptotics import Criticality, DriftSign, _constants_and_class
@@ -74,7 +76,7 @@ def half_normal_cdf(x: float, scale: float = 1.0) -> float:
     return math.erf(x / (scale * math.sqrt(2.0)))
 
 
-def negbin2_cdf(lam: float, k: int) -> float:
+def negbin2_cdf(lam: float, k: float) -> float:
     if k < 0:
         return 0.0
     return 1.0 - lam ** (k + 1) * ((k + 2) - (k + 1) * lam)
@@ -160,11 +162,13 @@ def _distribution_points(model: WalkModel, statistic: Statistic, n: int, mode: s
     return [(k, float(p)) for k, p in sorted(dist.prob.items())]
 
 
-# the continuous families, as (x, scale) -> CDF at x
-_CONTINUOUS_CDF: dict[str, Callable[[float, float], float]] = {
-    "gaussian": lambda x, scale: std_normal_cdf(x),
-    "rayleigh": rayleigh_cdf,
-    "half-normal": half_normal_cdf,
+# every law family: (its params -> its CDF at x, whether it is continuous)
+_FAMILIES: dict[str, tuple[Callable[[Mapping[str, Any]], Callable[[float], float]], bool]] = {
+    "gaussian": (lambda params: std_normal_cdf, True),
+    "rayleigh": (lambda params: partial(rayleigh_cdf, scale=float(params.get("scale", 1.0))), True),
+    "half-normal": (
+        lambda params: partial(half_normal_cdf, scale=float(params.get("scale", 1.0))), True),
+    "negbin2": (lambda params: partial(negbin2_cdf, float(params["lam"])), False),
 }
 
 
@@ -192,38 +196,21 @@ def _normalizer(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode
     return lambda k: float(k)
 
 
-def _law_at(law: LimitLawSpec, n: int, points: list[tuple[int, float]], mode: str
-            ) -> Callable[[int], tuple[float, float]]:
-    """k -> (x, law CDF at x) for a support point k of the distribution."""
-    if law.family == "negbin2":
-        lam = float(law.params["lam"])
-        shift = 1 if law.normalization == NORM_SHIFT_ONE else 0
-        return lambda k: (float(k - shift), negbin2_cdf(lam, k - shift))
-    cdf = _CONTINUOUS_CDF.get(law.family)
-    if cdf is None:
-        raise LatticePathError(f"no continuous CDF for law family {law.family!r}")
-    scale = float(law.params.get("scale", 1.0))
-    x_of = _normalizer(law, n, points, mode)
-
-    def continuous_at(k: int) -> tuple[float, float]:
-        x = x_of(k)
-        return x, cdf(x, scale)
-
-    return continuous_at
-
-
 def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int, mode: str
               ) -> list[tuple[float, float, float]]:
     """(x, exact CDF, law CDF) at every support point, in order of k."""
     if not points:
         raise LatticePathError("empty distribution")
-    at = _law_at(law, n, points, mode)
+    if law.family not in _FAMILIES:
+        raise LatticePathError(f"no CDF for law family {law.family!r}")
+    cdf = _FAMILIES[law.family][0](law.params)
+    x_of = _normalizer(law, n, points, mode)
     rows = []
     cum = 0.0
     for k, p in points:
         cum += p
-        x, law_cdf = at(k)
-        rows.append((x, cum, law_cdf))
+        x = x_of(k)
+        rows.append((x, cum, cdf(x)))
     return rows
 
 
@@ -234,7 +221,7 @@ def kolmogorov_distance(rows: list[tuple[float, float, float]], law: LimitLawSpe
     CDF: the left limit is the previous row's exact CDF. Step laws are
     compared at the rows only.
     """
-    continuous = law.family in _CONTINUOUS_CDF
+    continuous = _FAMILIES[law.family][1]
     worst = 0.0
     left = 0.0
     for _, exact, at_law in rows:

@@ -37,8 +37,8 @@ from latticepaths.enumeration import (
     _moments_from_excursions,
     _return_totals,
     _returns_from_arches,
-    _row0,
     _truncated_product,
+    _walk,
     bridge_mass_series,
     bridge_paths,
     enumerate_meander_paths,
@@ -123,11 +123,40 @@ def test_float_bridge_mass_past_the_float_range_raises(models, monkeypatch):
     assert bridge_and_walk_mass(model, 8000, "float")[1] == bridge_mass_series(
         model, 8000, "float")[8000] > 0
     # a Dyck walk has no bridge of odd length: there 0 is the float value,
-    # read without walking row 0 again
-    from latticepaths import enumeration
-
-    monkeypatch.setattr(enumeration, "_row0", None)
+    # read from the one walk on Z without walking row 0 again
+    walk, calls = enumeration._walk, []
+    monkeypatch.setattr(enumeration, "_walk", lambda *a, **k: calls.append(a) or walk(*a, **k))
     assert bridge_and_walk_mass(models["dyck_reflection"], 7, "float") == (1.0, 0.0)
+    assert len(calls) == 1
+
+
+def test_walk_starts_every_readout_at_mass_one_at_zero(models):
+    # _walk puts the length-0 readout first, for both steppers; row 0 and
+    # the arches come back as arrays in the mode's dtype
+    n = 12
+    for name, free in (("motzkin_absorption", False), ("two_down_reflection", False),
+                       ("motzkin_absorption", True)):
+        model = models[name]
+        c = model.c
+        start = {"row0": 1, "arches": 0, "low": (1,) + (0,) * (c - 1), "total": 1,
+                 "moment": (0, 1)}
+        for mode in ("exact", "float"):
+            arith = _Arithmetic(model, mode)
+            for readout, first in start.items():
+                series = _walk(model, n, arith, readout, top=c, free=free)
+                assert len(series) == n + 1
+                assert series[0] == first
+                if readout in ("row0", "arches"):
+                    assert isinstance(series, np.ndarray) and series.dtype == arith.dtype
+    # row 0 of this walk on Z falls below the smallest normal float on its
+    # own: _walk raises, unless the walk may end in underflow
+    model = models["drift_up_absorption"]
+    arith = _Arithmetic(model, "float")
+    with pytest.raises(NumericalSingularityError, match="float series underflowed") as info:
+        _walk(model, 8000, arith, "row0", free=True)
+    assert info.traceback[-1].name == "_walk"
+    series = _walk(model, 8000, arith, "row0", free=True, underflow_ends=True)
+    assert len(series) == 8001 and ((series > 0) & (series < TINY)).any()
 
 
 def test_returns_examples(models):
@@ -229,8 +258,8 @@ def test_excursions_are_arch_sequences(models, random_models):
     # the returns law takes e_n from the arch numerators this way
     for model in [*models.values(), *random_models]:
         arith = _Arithmetic(model, "exact")
-        arches = _row0(model, 120, arith, arches=True)
-        assert list(_excursions_from_arches(arches)) == list(_row0(model, 120, arith))
+        arches = _walk(model, 120, arith, "arches")
+        assert list(_excursions_from_arches(arches)) == list(_walk(model, 120, arith, "row0"))
 
 
 def test_returns_row_sums(models):
@@ -492,7 +521,7 @@ def test_excursions_from_arches_by_doubling(models, random_models):
     # e_t = sum_m a_m·e_(t-m), and float ones agree with the walk's exact
     # row 0 over D**t
     for model in [*models.values(), *random_models]:
-        arches = _row0(model, 200, _Arithmetic(model, "exact"), arches=True)
+        arches = _walk(model, 200, _Arithmetic(model, "exact"), "arches")
         want = [1]
         for t in range(1, 201):
             want.append(np.array(want[::-1], dtype=object) @ arches[1 : t + 1])
@@ -500,8 +529,8 @@ def test_excursions_from_arches_by_doubling(models, random_models):
     n = 600
     for model in models.values():
         arith = _Arithmetic(model, "exact")
-        exact = arith.series(_row0(model, n, arith))
-        flt = _excursions_from_arches(_row0(model, n, _Arithmetic(model, "float"), arches=True))
+        exact = arith.series(_walk(model, n, arith, "row0"))
+        flt = _excursions_from_arches(_walk(model, n, _Arithmetic(model, "float"), "arches"))
         for got, want in zip(flt, exact):
             assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
@@ -525,8 +554,8 @@ def test_exact_products_match_the_per_degree_dot_loop(models, random_models, n):
     # (the Dyck models' odd lengths, random9's period 3) included
     for model in [*models.values(), *random_models]:
         arith = _Arithmetic(model, "exact")
-        a = _row0(model, n, arith, arches=True)
-        e = _row0(model, n, arith)
+        a = _walk(model, n, arith, "arches")
+        e = _walk(model, n, arith, "row0")
         square = _dot_loop_product(a, a, n)
         for factor, x in ((a, a), (a, square), (square, a), (a, e), (e, a), (e, e)):
             assert list(_truncated_product(factor, n)(x)) == list(_dot_loop_product(factor, x, n))

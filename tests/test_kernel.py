@@ -23,8 +23,7 @@ from latticepaths import (
     u1_expansion_check,
 )
 from latticepaths.asymptotics import final_altitude_asymptotic
-from latticepaths.errors import NoRho1Error
-from latticepaths.kernel import boundary_denominator, require_rho1, u1_derivatives
+from latticepaths.kernel import boundary_denominator, u1_derivatives
 from conftest import random_model
 
 F = Fraction
@@ -218,12 +217,14 @@ def test_structural_constants_supercritical(models):
     assert sc.E_at_1 == pytest.approx(10.0, abs=1e-9)
 
 
-def test_require_rho1_raises_for_subcritical(models):
-    sc = structural_constants(models["motzkin_absorption"])
-    with pytest.raises(NoRho1Error):
-        require_rho1(sc)
-    sc = structural_constants(models["supercritical_drift_down"])
-    assert require_rho1(sc) == sc.rho1
+def test_rho1_exists_exactly_off_the_subcritical_sign(models, random_models):
+    # the supercritical formulas read sc.rho1 with no guard: rho1 is missing
+    # only where the criticality sign is negative, and lies in (0, rho]
+    for model in list(models.values()) + random_models:
+        sc = structural_constants(model)
+        assert (sc.rho1 is None) == (sc.sign < 0)
+        if sc.rho1 is not None:
+            assert 0 < sc.rho1 <= sc.rho
 
 
 def test_criticality_trichotomy(models, random_models):

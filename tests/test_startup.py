@@ -88,7 +88,7 @@ EXPORTED_FROM = {
     },
     "errors": {
         "BranchDegenerateError", "InconsistentCaseError", "InvalidModelError",
-        "LatticePathError", "ModelFileError", "NoRho1Error", "NotLukasiewiczError",
+        "LatticePathError", "ModelFileError", "NotLukasiewiczError",
         "NumericalSingularityError", "PeriodicModelError",
     },
     "kernel": {
@@ -107,7 +107,7 @@ SUBMODULES = ("enumeration", "kernel", "asymptotics", "laws", "verify", "model",
 
 
 def test_all_lists_the_exported_names_once():
-    assert len(EXPORTED) == 61
+    assert len(EXPORTED) == 60
     assert sorted(latticepaths.__all__) == sorted(EXPORTED | {"__version__"})
 
 
