@@ -200,7 +200,7 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
                 "negative drift forces the supercritical case in the reflection model"
             )
         ddQ1 = float(model.P0geq.derivative().derivative().total_weight())
-        value = (sc.delta0geq * ddP1 + sc.delta * ddQ1) / (
+        value = (sc.delta0geq * ddP1 - sc.delta * ddQ1) / (
             2.0 * sc.delta * (sc.delta - sc.delta0geq)
         )
         return AsymptoticEstimate(n, value, "final-altitude/reflection/supercritical")

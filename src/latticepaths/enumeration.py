@@ -272,7 +272,7 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, readout: Optional[str] =
     - "row0": the mass at altitude 0;
     - "arches": row 0, which is then cleared (an arch ends at its first
       return to 0);
-    - "low": the tuple of rows 0..top-1;
+    - "low": the tuple of the masses at altitudes 0..top-1;
     - "total": the total mass;
     - "moment": (first moment, total mass), the first moment being the sum
       of altitude times mass.
@@ -431,7 +431,7 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
             series.append(row0)
             state -= row0
         elif readout == "low":
-            low = state & ((1 << (top * w)) - 1)
+            low = (state >> (t * fall * w) if free else state) & ((1 << (top * w)) - 1)
             series.append(tuple((low >> (a * w)) & mask for a in range(top)))
         elif readout == "total":
             series.append(total)
@@ -548,7 +548,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
             series.append(vec.item(0))
             vec[0] = 0
         elif readout == "low":
-            series.append(tuple(vec[a] if a < size else 0 for a in range(top)))
+            series.append(tuple(vec[zero + a] if zero + a < size else 0 for a in range(top)))
         elif readout == "total":
             series.append(reduce(vec))
         else:

@@ -69,60 +69,65 @@ class BranchSet:
         return candidates[0]
 
 
-def _kernel_coeffs(model: WalkModel, z: complex) -> np.ndarray:
+def _kernel_coeffs(model: WalkModel, z: complex) -> list[complex]:
     """Coefficients (descending degree) of u**c - z * u**c * P(u); an absent
     jump subtracts an exact 0."""
-    coeffs = np.zeros(model.c + model.d + 1, dtype=complex)
+    coeffs = [0j] * (model.c + model.d + 1)
     coeffs[model.c] += 1.0
     for k, p in enumerate(model.P.float_coeffs):
         coeffs[k] -= z * p
     return coeffs[::-1]
 
 
-def _companion_roots(coeffs: np.ndarray) -> list[complex]:
+def _companion_roots(coeffs: list[complex]) -> list[complex]:
     """Roots of the polynomial with descending coefficients ``coeffs``.
 
-    The companion matrix and the trimming of zero end coefficients are those
-    of ``np.roots`` (a trailing zero is a root at 0), so the roots are the
-    same to the last bit; only the wrapper around the eigenvalue call is
-    skipped. The end coefficients are -z times the weights of the deepest
-    and highest jumps, 0 only when that product underflows.
+    Zero end coefficients are trimmed as ``np.roots`` trims them (a trailing
+    zero is a root at 0), and the companion matrix is the one it builds:
+    first row -p[1:]/p[0], divided by numpy, and ones on the subdiagonal.
+    The eigenvalue call is the same, so the roots are the same to the last
+    bit. The end coefficients are -z times the weights of the deepest and
+    highest jumps, 0 only when that product underflows.
     """
-    nonzero = np.flatnonzero(coeffs)
-    first, last = int(nonzero[0]), int(nonzero[-1])
+    nonzero = [i for i, v in enumerate(coeffs) if v]
+    first, last = nonzero[0], nonzero[-1]
     p = coeffs[first : last + 1]
+    m = len(p) - 1
     roots: list[complex] = []
-    if len(p) > 1:
-        companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-        companion[0, :] = -p[1:] / p[0]
+    if m:
+        companion = np.zeros((m, m), dtype=complex)
+        np.divide([-v for v in p[1:]], p[0], out=companion[0])
+        companion.flat[m :: m + 1] = 1.0  # the subdiagonal
         roots = np.linalg.eigvals(companion).tolist()
     return roots + [0j] * (len(coeffs) - 1 - last)
 
 
 def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolynomial
-                 ) -> complex:
+                 ) -> tuple[complex, complex]:
     """Newton steps on f(u) = 1 - z*P(u), with f'(u) = -z*P'(u); small
     branches are never 0. Newton stops before a step that is not finite:
     at tiny z, P's Horner overflows at a large root (3e155 at z = 1e-155 on
     the Motzkin walk), and the root is kept as the companion solve gave it.
 
-    P and its derivative dP are evaluated by their own Horner
-    (``LaurentPolynomial.__call__``), the evaluator that the residual check
-    in ``small_branches`` reads, so the root Newton stops at is the root
-    that check accepts or rejects.
+    Returns (u, f(u)) at the root Newton stops at. P and its derivative dP
+    are evaluated by their own Horner (``LaurentPolynomial.__call__``), so
+    f(u) is the residual that ``small_branches`` accepts or rejects; only
+    after the last of the 60 steps, which moves u past its last f, is f
+    evaluated once more.
     """
+    floor = _branch_residual_floor(z)
     for _ in range(60):
         fx = 1.0 - z * P(u)
-        if abs(fx) < _branch_residual_floor(z):
-            break
+        if abs(fx) < floor:
+            return u, fx
         dfx = -z * dP(u)
         if dfx == 0:
-            break
+            return u, fx
         nxt = u - fx / dfx
         if nxt == u or not cmath.isfinite(nxt):
-            break
+            return u, fx
         u = nxt
-    return u
+    return u, 1.0 - z * P(u)
 
 
 def _branch_residual_floor(z: complex) -> float:
@@ -143,12 +148,13 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     Roots come from the companion matrix of the cleared-denominator kernel
     polynomial and are refined by Newton iteration on P's Horner
     (``_refine_root``); each is accepted when its residual |1 - z*P(u)|,
-    from the same Horner, is at most ``ROOT_RESIDUAL_TOL``. A collision
-    between the c-th and (c+1)-th modulus is tolerated only for real z at
-    the point where the real branches merge (the square-root singularity);
-    elsewhere it means z left the disk of analyticity and is reported as
-    degenerate. A z so small that the companion solve loses the small
-    branches raises ``NumericalSingularityError``.
+    Newton's last evaluation at the root it stops at, is at most
+    ``ROOT_RESIDUAL_TOL``. A collision between the c-th and (c+1)-th
+    modulus is tolerated only for real z at the point where the real
+    branches merge (the square-root singularity); elsewhere it means z left
+    the disk of analyticity and is reported as degenerate. A z so small
+    that the companion solve loses the small branches raises
+    ``NumericalSingularityError``.
     """
     _require_both_jumps(model)
     if z == 0:
@@ -163,11 +169,13 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
         raise NumericalSingularityError(f"kernel companion solve failed at z={z}: {exc}") from exc
     if 0 in roots:
         raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
+    P, dP = model.P, model.P.derivative()
     try:
-        roots = [_refine_root(z, r, model.P, model.P.derivative()) for r in roots]
+        refined = [_refine_root(z, r, P, dP) for r in roots]
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
-    roots.sort(key=abs)
+    refined.sort(key=lambda pair: abs(pair[0]))
+    roots = [u for u, _ in refined]
     c = model.c
     # where P's Horner overflows at the largest root, Newton stopped there; a
     # lone c = 1 branch is still right, but for c >= 2 the boundary system
@@ -191,7 +199,7 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
                     f"small and large branches collide at z={z}: |u_c|={inner}, |u_c+1|={outer}"
                 )
     small = tuple(roots[:c])
-    residuals = tuple(abs(1.0 - z * complex(model.P(u))) for u in small)
+    residuals = tuple(abs(fx) for _, fx in refined[:c])
     # a merged pair is a double root: Newton stalls there but the residual
     # stays quadratically small, so only the tolerance is relaxed
     tol = 1e-6 if merged else ROOT_RESIDUAL_TOL
@@ -228,7 +236,7 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     """
     u = _branches_at(model, z, branches).branches
     A = np.array([[complex(r(ui)) for r in model.boundary_corrections] for ui in u])
-    b = np.full(model.c, 1.0 / z, dtype=complex)
+    b = np.array([1.0 / z] * model.c, dtype=complex)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -291,7 +299,7 @@ def excursion_gf_bf(model: WalkModel, z: float, branches: Optional[BranchSet] = 
     prod = 1.0 + 0j
     for b in u:
         prod *= b
-    p_minus_c = float(dict(model.P.terms())[-c])
+    p_minus_c = model.P.float_coeffs[0]
     return _real((-1.0) ** (c + 1) * prod / (z * p_minus_c), "boundary-free value", z)
 
 

@@ -217,10 +217,23 @@ def test_final_altitude_absorption_subcritical(models):
 def test_final_altitude_reflection_negative_drift_constant(models):
     model = models["drift_down_reflection"]
     est = final_altitude_asymptotic(model, 2000)
-    # (delta0*P''(1) + delta*P0geq''(1)) / (2 delta (delta - delta0)) = 15/14
+    # (delta0*P''(1) - delta*P0geq''(1)) / (2 delta (delta - delta0)) = 15/14
     assert est.value == pytest.approx(15 / 14, abs=1e-12)
     exact = float(final_altitude_expectation(model, 2000, "float"))
     assert exact == pytest.approx(est.value, rel=1e-6)
+
+
+def test_final_altitude_reflection_negative_drift_constant_with_a_curved_boundary():
+    # P0geq''(1) = 6/5 != 0, so the sign of its term shows: the limit law's
+    # PGF pi_0*(P0geq(u) - P(u))/(1 - P(u)), pi_0 = delta/(delta - delta0),
+    # has G'(1) = (delta0*P''(1) - delta*P0geq''(1)) / (2 delta (delta - delta0))
+    # = 158/105
+    model = parse_model("P: -1:7/10 0:1/5 2:1/10\nP0: 1:2/5 2:3/5\n")
+    est = final_altitude_asymptotic(model, 2000)
+    assert est.formula_id == "final-altitude/reflection/supercritical"
+    assert est.value == pytest.approx(158 / 105, abs=1e-12)
+    exact = float(final_altitude_expectation(model, 2000, "float"))
+    assert exact / est.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_final_altitude_absorption_negative_drift_constant(models):

@@ -159,6 +159,26 @@ def test_walk_starts_every_readout_at_mass_one_at_zero(models):
     assert len(series) == 8001 and ((series > 0) & (series < TINY)).any()
 
 
+def test_walk_low_readout_on_z_reads_altitudes_zero_up_in_both_modes(models):
+    # on the walk on Z, where altitude 0 is not row 0 of the state, "low"
+    # reads altitudes 0..top-1 in both modes, as "row0" reads altitude 0
+    n = 12
+    for name in ("motzkin_absorption", "two_down_reflection"):
+        model = models[name]
+        top = model.c + 1
+        low, row0 = {}, {}
+        for mode in ("exact", "float"):
+            arith = _Arithmetic(model, mode)
+            low[mode] = [arith.series(rows)
+                         for rows in zip(*_walk(model, n, arith, "low", top=top, free=True))]
+            row0[mode] = arith.series(_walk(model, n, arith, "row0", free=True))
+        for exact_rows, float_rows in zip(low["exact"], low["float"]):
+            for x, y in zip(exact_rows, float_rows):
+                assert float(x) == pytest.approx(y, abs=1e-12), name
+        assert low["exact"][0] == row0["exact"], name
+        assert low["float"][0] == row0["float"], name
+
+
 def test_returns_examples(models):
     assert returns_to_zero_distribution(models["dyck_reflection"], 2).prob == {1: F(1)}
     assert returns_to_zero_distribution(models["dyck_reflection"], 4).prob == {

@@ -421,6 +421,41 @@ def test_branches_and_boundary_quantities_repr_identical_to_np_roots(models, ran
                     lambda: quantity(model, z)), (quantity.__name__, str(model.P), z)
 
 
+def _reference_kernel_coeffs(model, z):
+    """The kernel polynomial's descending coefficients as a complex128 array,
+    with the same += and -= per element as the kernel's Python list."""
+    coeffs = np.zeros(model.c + model.d + 1, dtype=complex)
+    coeffs[model.c] += 1.0
+    for k, p in enumerate(model.P.float_coeffs):
+        coeffs[k] -= z * p
+    return coeffs[::-1]
+
+
+def test_coefficients_roots_and_residuals_bit_identical_to_a_numpy_reference(models,
+                                                                            random_models):
+    # the reference does not call the kernel's own coefficients, so a bit
+    # that changed there would show; repr compares signed zeros too
+    from latticepaths import kernel
+
+    checked = 0
+    for model in list(models.values()) + random_models:
+        for z in _z_points(model):
+            reference = _reference_kernel_coeffs(model, z)
+            coeffs = kernel._kernel_coeffs(model, z)
+            assert [repr(v) for v in coeffs] == [repr(complex(v)) for v in reference], (
+                str(model.P), z)
+            assert _outcome(lambda: kernel._companion_roots(coeffs)) == _outcome(
+                lambda: [complex(r) for r in np.roots(reference)]), (str(model.P), z)
+            try:
+                branches = small_branches(model, z)
+            except Exception:
+                continue
+            checked += 1
+            for u, r in zip(branches.branches, branches.residuals):
+                assert repr(r) == repr(abs(1.0 - z * complex(model.P(u)))), (str(model.P), z)
+    assert checked > 0
+
+
 def test_boundary_quantities_make_one_solve_or_none_when_handed_branches(models, monkeypatch):
     calls = _count_solves(monkeypatch)
     for model in models.values():
@@ -586,10 +621,11 @@ def test_r_is_computed_only_with_negative_drift(models, random_models):
 def test_small_branches_raise_on_a_nan_branch(models, monkeypatch):
     # a NaN root sorts among the small branches, and its NaN residual
     # compares false with the tolerance; Newton stops before a non-finite
-    # step, so a refinement that returns NaN stands in for one
+    # step, so a refinement that returns a NaN root and f(root) stands in for one
     from latticepaths import kernel
 
-    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: complex(math.nan, math.nan))
+    nan = complex(math.nan, math.nan)
+    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: (nan, nan))
     with pytest.raises(NumericalSingularityError, match="residual nan"):
         small_branches(models["motzkin_reflection"], 0.1)
 
