@@ -3,9 +3,9 @@
 Every estimate here is the leading term of a singularity analysis of the
 relevant generating function, specialized to aperiodic walks whose only
 down jump is -1. The regime is selected by two signs: the drift P'(1) and
-the comparison of the boundary weight P0geq(tau) against P(tau). Blank
-regime combinations (they cannot occur for the model kind) raise
-InconsistentCaseError; periodic or multi-down models are rejected up front.
+the comparison of the boundary weight P0geq(tau) against P(tau). Models
+that ``validate`` rejects, periodic models and multi-down models are
+rejected up front.
 """
 
 from __future__ import annotations
@@ -14,20 +14,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    InconsistentCaseError,
-    NotLukasiewiczError,
-    NumericalSingularityError,
-    PeriodicModelError,
-)
+from .errors import NotLukasiewiczError, NumericalSingularityError, PeriodicModelError
 from .kernel import (
     StructuralConstants,
     _altitude_derivative_ratio,
-    _require_both_jumps,
     small_branch_u1,
     structural_constants,
 )
-from .model import WalkModel
+from .model import WalkModel, require_valid
 
 
 class Criticality(enum.Enum):
@@ -56,6 +50,7 @@ class AsymptoticEstimate:
 
 
 def require_aperiodic(model: WalkModel) -> None:
+    require_valid(model)  # an invalid model is told validate's text first
     if not model.is_aperiodic:
         raise PeriodicModelError(
             f"step polynomial has period {model.period}; asymptotics need period 1"
@@ -63,7 +58,7 @@ def require_aperiodic(model: WalkModel) -> None:
 
 
 def require_lukasiewicz(model: WalkModel) -> None:
-    _require_both_jumps(model)
+    require_valid(model)
     if not model.is_lukasiewicz:
         raise NotLukasiewiczError(
             f"asymptotic formulas cover a single down jump of -1, model has c={model.c}"
@@ -146,10 +141,7 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
         q1 = float(model.P0geq.total_weight())
         return AsymptoticEstimate(n, 1.0 - (1.0 - q1) * e1, "meanders/positive-drift")
     if cls.drift_sign is DriftSign.ZERO:
-        if cls.criticality is not Criticality.SUBCRITICAL:
-            raise InconsistentCaseError(
-                "zero drift forces the subcritical case in the absorption model"
-            )
+        # tau = 1 exactly, and P0geq(1) < 1 makes the case subcritical
         value = e1 * sc.kappa / math.sqrt(math.pi * n)
         return AsymptoticEstimate(n, value, "meanders/subcritical/zero-drift")
     if cls.criticality is Criticality.SUPERCRITICAL:
@@ -188,28 +180,18 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if cls.drift_sign is DriftSign.POSITIVE:
         return AsymptoticEstimate(n, sc.delta * n, "final-altitude/positive-drift")
     if model.is_reflection:
-        if cls.drift_sign is DriftSign.ZERO:
-            if cls.criticality is not Criticality.CRITICAL:
-                raise InconsistentCaseError(
-                    "zero drift forces the critical case in the reflection model"
-                )
+        if cls.drift_sign is DriftSign.ZERO:  # critical: P0geq(1) = 1 at tau = 1
             value = math.sqrt(2.0 * ddP1 * n / math.pi)
             return AsymptoticEstimate(n, value, "final-altitude/reflection/critical")
-        if cls.criticality is not Criticality.SUPERCRITICAL:
-            raise InconsistentCaseError(
-                "negative drift forces the supercritical case in the reflection model"
-            )
+        # negative drift; the constant reads the drifts and second
+        # derivatives at 1, not the criticality sign
         ddQ1 = float(model.P0geq.derivative().derivative().total_weight())
         value = (sc.delta0geq * ddP1 - sc.delta * ddQ1) / (
             2.0 * sc.delta * (sc.delta - sc.delta0geq)
         )
         return AsymptoticEstimate(n, value, "final-altitude/reflection/supercritical")
     # absorption
-    if cls.drift_sign is DriftSign.ZERO:
-        if cls.criticality is not Criticality.SUBCRITICAL:
-            raise InconsistentCaseError(
-                "zero drift forces the subcritical case in the absorption model"
-            )
+    if cls.drift_sign is DriftSign.ZERO:  # subcritical, as for the meanders
         value = math.sqrt(ddP1 * math.pi * n / 2.0)
         return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical")
     e1 = sc.E_at_1

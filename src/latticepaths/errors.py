@@ -30,4 +30,5 @@ class NumericalSingularityError(LatticePathError):
 
 
 class InconsistentCaseError(LatticePathError):
-    """The (criticality, drift) combination has no formula (blank table cell)."""
+    """The regime's limit law cannot be fitted: ``laws.fit`` raises it for the
+    discrete final-altitude law, which has no closed-form CDF."""

@@ -96,7 +96,16 @@ def _companion_roots(coeffs: list[complex]) -> list[complex]:
     roots: list[complex] = []
     if m:
         companion = np.zeros((m, m), dtype=complex)
-        np.divide([-v for v in p[1:]], p[0], out=companion[0])
+        row = [-v for v in p[1:]]
+        if abs(p[0]) > 1e-290:
+            np.divide(row, p[0], out=companion[0])
+        else:
+            # p[0] is -z times P's top weight: this small (at subnormal z)
+            # the quotients overflow, eigvals rejects the inf/NaN matrix and
+            # small_branches reports it, so numpy need not warn as well.
+            # errstate costs about a tenth of a solve, hence the branch
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                np.divide(row, p[0], out=companion[0])
         companion.flat[m :: m + 1] = 1.0  # the subdiagonal
         roots = np.linalg.eigvals(companion).tolist()
     return roots + [0j] * (len(coeffs) - 1 - last)
@@ -134,14 +143,6 @@ def _branch_residual_floor(z: complex) -> float:
     return 1e-15 * (1.0 + abs(z))
 
 
-def _require_both_jumps(model: WalkModel) -> None:
-    """Raise ``InvalidModelError``, with ``validate``'s text, when P has no
-    negative or no positive jump: the kernel then has no small or no large
-    branch."""
-    if model.c < 1 or model.d < 1:
-        require_valid(model)
-
-
 def small_branches(model: WalkModel, z: complex) -> BranchSet:
     """Find the c small branches of the kernel equation at z.
 
@@ -154,9 +155,10 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     branches merge (the square-root singularity); elsewhere it means z left
     the disk of analyticity and is reported as degenerate. A z so small
     that the companion solve loses the small branches raises
-    ``NumericalSingularityError``.
+    ``NumericalSingularityError``. A model that ``validate`` rejects raises
+    ``InvalidModelError`` with its text.
     """
-    _require_both_jumps(model)
+    require_valid(model)
     if z == 0:
         raise ValueError("z must be nonzero; all small branches vanish at z=0")
     if not cmath.isfinite(z):
@@ -538,7 +540,7 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     ``Fraction``. tau and u* are roots found by safeguarded Newton in a
     bracket, each within about one ulp of the true root.
     """
-    _require_both_jumps(model)
+    require_valid(model)
     tau = _find_tau(model)
     p_tau = float(model.P(tau))
     dP = model.P.derivative()

@@ -218,6 +218,35 @@ class WalkModel:
     def kind(self) -> ModelKind:
         return ModelKind.REFLECTION if self.is_reflection else ModelKind.ABSORPTION
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The model invariants it breaks, found once per model and read by
+        ``validate`` and ``require_valid``. The asymptotics are stated for
+        probability weights with a walk that can leave 0: both lines sum to
+        1, P has a negative and a positive jump, P0 a positive one."""
+        found: list[str] = []
+        if self.P.is_zero:
+            found.append("P is identically zero")
+        if self.P0.is_zero:
+            found.append("P0 is identically zero")
+        for name, poly in (("P", self.P), ("P0", self.P0)):
+            for e, c in poly.terms():
+                if c < 0:
+                    found.append(f"{name} has negative weight {c} on jump {e}")
+        if not self.P.is_zero:
+            if self.P.total_weight() != 1:
+                found.append(f"P(1) = {self.P.total_weight()} != 1")
+            if self.c < 1:
+                found.append("P has no negative jump (c < 1)")
+            if self.d < 1:
+                found.append("P has no positive jump (d < 1)")
+        if not self.P0.is_zero:
+            if self.P0.total_weight() != 1:
+                found.append(f"P0(1) = {self.P0.total_weight()} != 1")
+            if self.P0.hi < 1:
+                found.append("P0 has no positive jump: the walk never leaves 0")
+        return tuple(found)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -230,27 +259,9 @@ class ValidationReport:
 
 def validate(model: WalkModel) -> ValidationReport:
     """Check every model invariant and report the violated ones."""
-    violations: list[str] = []
-    if model.P.is_zero:
-        violations.append("P is identically zero")
-    if model.P0.is_zero:
-        violations.append("P0 is identically zero")
-    for name, poly in (("P", model.P), ("P0", model.P0)):
-        for e, c in poly.terms():
-            if c < 0:
-                violations.append(f"{name} has negative weight {c} on jump {e}")
-    if not model.P.is_zero:
-        if model.P.total_weight() != 1:
-            violations.append(f"P(1) = {model.P.total_weight()} != 1")
-        if model.c < 1:
-            violations.append("P has no negative jump (c < 1)")
-        if model.d < 1:
-            violations.append("P has no positive jump (d < 1)")
-    if not model.P0.is_zero and model.P0.total_weight() != 1:
-        violations.append(f"P0(1) = {model.P0.total_weight()} != 1")
     return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
+        ok=not model.violations,
+        violations=model.violations,
         kind=model.kind(),
         lukasiewicz=model.is_lukasiewicz,
         period=model.period,
@@ -258,9 +269,10 @@ def validate(model: WalkModel) -> ValidationReport:
 
 
 def require_valid(model: WalkModel) -> None:
-    report = validate(model)
-    if not report.ok:
-        raise InvalidModelError("; ".join(report.violations))
+    """Raise ``InvalidModelError`` with ``validate``'s text; the one guard of
+    the kernel and asymptotic layers."""
+    if model.violations:
+        raise InvalidModelError("; ".join(model.violations))
 
 
 def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:

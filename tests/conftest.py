@@ -68,7 +68,9 @@ def _random_weights(rng: random.Random, exponents: list[int]) -> dict[int, Fract
 
 
 def random_model(rng: random.Random, *, lukasiewicz: bool = False) -> WalkModel:
-    """A valid random model: exact weights summing to 1 on both lines."""
+    """A random model with exact weights summing to 1 on both lines. Its P0
+    may have no positive jump, a boundary that never leaves 0, which
+    ``validate`` rejects."""
     c = 1 if lukasiewicz else rng.choice([1, 1, 2, 3])
     d = rng.randint(1, 3)
     exps = [-c, d] + [e for e in range(-c + 1, d) if rng.random() < 0.6]

@@ -271,9 +271,9 @@ def test_critical_negative_drift_cells(models):
 
 
 def test_impossible_cells_raise(models):
-    # an absorbing boundary with zero drift can only be subcritical, so the
-    # other two zero-drift cells are unreachable through classify; exercise
-    # the guard through the meander table instead, which shares it
+    # a valid model reaches every regime cell it classifies into; the models
+    # that have no cell are rejected before any: periodic ones, and those
+    # with a down jump below -1
     with pytest.raises(PeriodicModelError):
         final_altitude_asymptotic(models["dyck_reflection"], 100)
     with pytest.raises(NotLukasiewiczError):

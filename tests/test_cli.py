@@ -12,7 +12,7 @@ import pytest
 
 from latticepaths import enumeration, kernel, laws
 from latticepaths.cli import _write_rows, fmt, run
-from latticepaths.model import load_model
+from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
 from conftest import MODEL_NAMES, MODELS_DIR
 
@@ -21,6 +21,7 @@ DYCK_ABS = str(MODELS_DIR / "dyck_absorption.model")
 MOTZ_R = str(MODELS_DIR / "motzkin_reflection.model")
 MOTZ_A = str(MODELS_DIR / "motzkin_absorption.model")
 C2 = str(MODELS_DIR / "two_down_reflection.model")
+NEVER_LEAVES_0 = "P0 has no positive jump: the walk never leaves 0"
 
 
 def invoke(capsys, *argv):
@@ -267,16 +268,16 @@ def test_dist_returns_without_excursions_exits_one(capsys):
                                     ("two_down_reflection", "1e-155"),
                                     ("two_down_reflection", "1e-200"),
                                     ("motzkin_reflection", "1e-250"),
+                                    ("motzkin_reflection", "1e-320"),
                                     ("two_down_reflection", "1e-320")])
 def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
     # the companion solve returns the small branches as 0 here (at 1e-320
-    # its matrix overflows), or, from 1e-110 to 1e-200 with c = 2, P's
-    # Horner overflows at a large root, where the boundary system gives
-    # F_1 = 0 or -1.7e39 for about z/2; none of it may end in a traceback,
-    # a model error or a number
+    # its matrix overflows, silently), or, from 1e-110 to 1e-200 with
+    # c = 2, P's Horner overflows at a large root, where the boundary system
+    # gives F_1 = 0 or -1.7e39 for about z/2; none of it may end in a
+    # traceback, a warning, a model error or a number
     model = str(MODELS_DIR / f"{name}.model")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
+    code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
     assert code == 2
     assert out == ""
     assert err.startswith("numerical error:") and "Traceback" not in err
@@ -510,7 +511,9 @@ def test_models_without_a_jump_direction_exit_without_a_traceback(capsys, tmp_pa
                                                                    violation, told):
     # the exact commands answer; every kernel and asymptotic command exits
     # 1 with validate's own text, the asymptotic ones before they test for
-    # a single down jump of -1
+    # a single down jump of -1; the boundary P0: 0:1 never leaves 0, which
+    # validate reports too
+    violation += f"; {NEVER_LEAVES_0}"
     p = tmp_path / "one_way.model"
     p.write_text(f"P: {step}\nP0: 0:1\n")
     commands = [
@@ -529,6 +532,39 @@ def test_models_without_a_jump_direction_exit_without_a_traceback(capsys, tmp_pa
         if argv[0] in told:
             assert err == f"error: {violation}\n"
     assert f"FAIL\tmodel-valid\t{violation}" in out
+
+
+@pytest.mark.parametrize("text", [
+    "P: -1:1 0:1 1:1\nP0: 0:1 1:1\n",  # asym --what meanders printed 1 for 1.83e94
+    "P: -1:1/3 0:1/3 1:1/3\nP0: 0:1/4 1:1/4\n",  # ... and 1 for 0.0346
+    # never leaves 0: asym --what excursions died in a ZeroDivisionError,
+    # --what final-alt printed 29.13 for 0 at n = 2000
+    "P: -1:1/3 0:1/3 1:1/3\nP0: 0:1\n",
+    "P: 1:1\nP0: 0:1\n",
+    "P: -1:1\nP0: 0:1\n",
+    "P: -1:1 1:1\nP0: 1:1\n",  # periodic as well
+])
+def test_models_that_validate_rejects_exit_one_from_the_kernel_and_asymptotics(
+        capsys, tmp_path, text):
+    # validate is the one judge: every kernel and asymptotic command exits 1
+    # with its text, before any other test of the model, and verify fails
+    # on it; the exact commands take any model the parser accepts
+    p = tmp_path / "rejected.model"
+    p.write_text(text)
+    violations = "; ".join(validate(load_model(p)).violations)
+    assert violations
+    for argv in [("classify",), ("constants",), ("gf-eval", "--z", "0.2"),
+                 *(("asym", "--n", "200", "--what", what)
+                   for what in ("excursions", "arches", "meanders", "final-alt")),
+                 *(("fit", "--n", "50", "--what", what) for what in ("final-alt", "returns"))]:
+        assert invoke(capsys, *argv, str(p)) == (1, "", f"error: {violations}\n"), argv
+    code, out, _ = invoke(capsys, "verify", str(p))
+    assert (code, out) == (3, f"FAIL\tmodel-valid\t{violations}\n")
+    for argv in [("count", "--n", "6", "--what", "excursions"), ("table2",),
+                 ("dist", "--n", "6", "--what", "returns"),
+                 ("dist", "--n", "6", "--what", "final-alt")]:
+        code, out, err = invoke(capsys, *argv, str(p))
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_output_is_deterministic(capsys):
@@ -680,10 +716,13 @@ def test_exact_outputs_match_their_golden_digest(capsys):
 # SHA-256 over the stdout, stderr and exit code of every subcommand at small
 # n on the shipped models, on a model with no negative jump and on a missing
 # file, plus each subcommand's --help and two usage errors, taken before the
-# handlers took their model from ``run``. argparse lays out help differently
-# across Python versions and gf-eval's round-off residual moves with the
-# LAPACK build, so the digest is checked where it was taken.
-FRONT_END_SHA256 = "418d98beb71e2e38098b01aa235c66da9a5f20e89852ae3e91f17eb5188f89d3"
+# handlers took their model from ``run``. Only that model's lines changed
+# since: validate now also reports that its P0 never leaves 0, in its own
+# output, verify's and the 12 kernel and asymptotic errors. argparse lays
+# out help differently across Python versions and gf-eval's round-off
+# residual moves with the LAPACK build, so the digest is checked where it
+# was taken.
+FRONT_END_SHA256 = "30056e621f6a72e4fd514161a9d34a1c9875b291e646950770be09dbf6fd2c1b"
 FRONT_END_PLATFORM = ((3, 11), "2.4.6")
 FRONT_END_COMMANDS = [
     ("validate",), ("classify",), ("constants",),

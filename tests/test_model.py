@@ -64,6 +64,10 @@ def test_validate_reports_violations():
         require_valid(bad)
     no_down = parse_model("P: 0:1/2 1:1/2\nP0: 1:1\n")
     assert any("negative jump" in v for v in validate(no_down).violations)
+    short_boundary = parse_model("P: -1:1/2 1:1/2\nP0: -1:1/4 1:1/2\n")
+    assert validate(short_boundary).violations == ("P0(1) = 3/4 != 1",)
+    stays = parse_model("P: -1:1/2 1:1/2\nP0: -1:1/2 0:1/2\n")
+    assert validate(stays).violations == ("P0 has no positive jump: the walk never leaves 0",)
 
 
 def test_classify_kind(models):
@@ -89,6 +93,14 @@ def test_parse_errors():
         parse_model("P: -1:-1/2 1:3/2\nP0: 1:1\n")
     with pytest.raises(ModelFileError):
         parse_model("Q: -1:1/2 1:1/2\nP0: 1:1\n")
+    with pytest.raises(ModelFileError, match="^P line has no jump:weight pairs$"):
+        parse_model("P:\nP0: 1:1\n")
+    with pytest.raises(ModelFileError, match="^malformed pair '1' on P0 line$"):
+        parse_model("P: -1:1/2 1:1/2\nP0: 1\n")
+    with pytest.raises(ModelFileError, match="^duplicate jump -1 on P line$"):
+        parse_model("P: -1:1/4 -1:1/4 1:1/2\nP0: 1:1\n")
+    with pytest.raises(ModelFileError, match="^line 2: expected 'P:' or 'P0:' line$"):
+        parse_model("P: -1:1/2 1:1/2\nP0 1\nP0: 1:1\n")
 
 
 WEIGHT_SPELLINGS = ["1/3", "007/010", "0.3", "1e-1", "+1/2", "1_0/3", "١/٢", "0",
