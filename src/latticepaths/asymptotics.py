@@ -6,6 +6,12 @@ down jump is -1. The regime is selected by two signs: the drift P'(1) and
 the comparison of the boundary weight P0geq(tau) against P(tau). Models
 that ``validate`` rejects, periodic models and multi-down models are
 rejected up front.
+
+With an absorbing wall a walk alive at length n has not been absorbed yet,
+so m_n = (1 - P0geq(1))*(e_n + e_(n+1) + ...); without positive drift
+every walk is absorbed and 1 - P0geq(1) = 1/E(1). The meander estimates
+there are this tail sum of the excursion estimate and hold no constant of
+their own.
 """
 
 from __future__ import annotations
@@ -75,25 +81,36 @@ def drift_sign(model: WalkModel) -> DriftSign:
     return DriftSign.ZERO
 
 
-def classify(model: WalkModel, constants: StructuralConstants | None = None) -> Classification:
+def _classification(model: WalkModel, sc: StructuralConstants) -> Classification:
+    crit = {1: Criticality.SUPERCRITICAL, 0: Criticality.CRITICAL, -1: Criticality.SUBCRITICAL}
+    return Classification(criticality=crit[sc.sign], drift_sign=drift_sign(model))
+
+
+def classify(model: WalkModel) -> Classification:
     """(criticality, drift sign) for an aperiodic model."""
     require_aperiodic(model)
-    sc = constants or structural_constants(model)
-    crit = (
-        Criticality.SUPERCRITICAL
-        if sc.sign > 0
-        else Criticality.CRITICAL
-        if sc.sign == 0
-        else Criticality.SUBCRITICAL
-    )
-    return Classification(criticality=crit, drift_sign=drift_sign(model))
+    return _classification(model, structural_constants(model))
 
 
 def _constants_and_class(model: WalkModel) -> tuple[StructuralConstants, Classification]:
     require_aperiodic(model)
     require_lukasiewicz(model)
     sc = structural_constants(model)
-    return sc, classify(model, sc)
+    return sc, _classification(model, sc)
+
+
+def _excursions(sc: StructuralConstants, cls: Classification, n: int) -> AsymptoticEstimate:
+    """The excursion estimate of the regime cell (sc, cls)."""
+    if cls.criticality is Criticality.SUPERCRITICAL:
+        if sc.gamma is None:
+            raise NumericalSingularityError("supercritical pole not resolved")
+        value = sc.gamma * sc.rho1 ** (-n)
+    elif cls.criticality is Criticality.CRITICAL:
+        value = (1.0 / sc.kappa) * sc.rho ** (-n) / math.sqrt(math.pi * n)
+    else:
+        assert sc.E_at_rho is not None
+        value = sc.E_at_rho**2 * sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
+    return AsymptoticEstimate(n, value, f"excursions/{cls.criticality.value}")
 
 
 def excursion_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
@@ -101,17 +118,7 @@ def excursion_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     sc, cls = _constants_and_class(model)
     if n < 1:
         raise ValueError("asymptotic estimates need n >= 1")
-    if cls.criticality is Criticality.SUPERCRITICAL:
-        if sc.gamma is None:
-            raise NumericalSingularityError("supercritical pole not resolved")
-        value = sc.gamma * sc.rho1 ** (-n)
-        return AsymptoticEstimate(n, value, "excursions/supercritical")
-    if cls.criticality is Criticality.CRITICAL:
-        value = (1.0 / sc.kappa) * sc.rho ** (-n) / math.sqrt(math.pi * n)
-        return AsymptoticEstimate(n, value, "excursions/critical")
-    assert sc.E_at_rho is not None
-    value = sc.E_at_rho**2 * sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
-    return AsymptoticEstimate(n, value, "excursions/subcritical")
+    return _excursions(sc, cls, n)
 
 
 def arch_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
@@ -127,7 +134,8 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order surviving mass of length-n walks in the absorption model.
 
     Reflecting Lukasiewicz boundaries conserve mass, so the ratio is
-    identically 1 there.
+    identically 1 there. An absorbing wall without positive drift gives the
+    tail sum of the excursion estimate (module docstring).
     """
     sc, cls = _constants_and_class(model)
     if n < 1:
@@ -140,35 +148,15 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if cls.drift_sign is DriftSign.POSITIVE:
         q1 = float(model.P0geq.total_weight())
         return AsymptoticEstimate(n, 1.0 - (1.0 - q1) * e1, "meanders/positive-drift")
+    e_n = _excursions(sc, cls, n).value
     if cls.drift_sign is DriftSign.ZERO:
-        # tau = 1 exactly, and P0geq(1) < 1 makes the case subcritical
-        value = e1 * sc.kappa / math.sqrt(math.pi * n)
-        return AsymptoticEstimate(n, value, "meanders/subcritical/zero-drift")
-    if cls.criticality is Criticality.SUPERCRITICAL:
-        rho1 = sc.rho1
-        if sc.gamma is None:
-            raise NumericalSingularityError("supercritical pole not resolved")
-        value = rho1 * sc.gamma / (e1 * (rho1 - 1.0)) * rho1 ** (-n)
-        return AsymptoticEstimate(n, value, "meanders/supercritical/neg-drift")
-    if cls.criticality is Criticality.CRITICAL:
-        value = (
-            sc.rho
-            / (e1 * sc.kappa * (sc.rho - 1.0))
-            * sc.rho ** (-n)
-            / math.sqrt(math.pi * n)
-        )
-        return AsymptoticEstimate(n, value, "meanders/critical/neg-drift")
-    assert sc.E_at_rho is not None
-    value = (
-        sc.E_at_rho**2
-        / e1
-        * sc.kappa
-        * sc.rho
-        / (2.0 * (sc.rho - 1.0))
-        * sc.rho ** (-n)
-        / math.sqrt(math.pi * n**3)
-    )
-    return AsymptoticEstimate(n, value, "meanders/subcritical/neg-drift")
+        # rho = 1 and e_k ~ k**-1.5, whose tail from n is 2n*e_n; P0geq(1) < 1
+        # makes the case subcritical
+        return AsymptoticEstimate(n, e_n * 2.0 * n / e1, "meanders/subcritical/zero-drift")
+    # e_k falls like z0**-k at the excursion singularity z0
+    z0 = sc.rho1 if cls.criticality is Criticality.SUPERCRITICAL else sc.rho
+    value = e_n * z0 / ((z0 - 1.0) * e1)
+    return AsymptoticEstimate(n, value, f"meanders/{cls.criticality.value}/neg-drift")
 
 
 def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
@@ -197,21 +185,18 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     e1 = sc.E_at_1
     if e1 is None:
         raise NumericalSingularityError("excursion series diverges at z=1")
+    if cls.criticality is Criticality.SUBCRITICAL:
+        assert sc.E_at_rho is not None and sc.r is not None
+        value = sc.r * (1.0 - 1.0 / sc.rho) * e1 / sc.E_at_rho
+        return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical/neg-drift")
+    # the altitude derivative and the meander mass share the singular factor
+    # at z0 (1/kappa at a critical rho), which cancels in the ratio
     if cls.criticality is Criticality.SUPERCRITICAL:
-        rho1 = sc.rho1
-        if abs(rho1 - 1.0) < 1e-9:
+        if abs(sc.rho1 - 1.0) < 1e-9:
             raise NumericalSingularityError("expectation constant degenerate at rho1=1")
-        g = _altitude_derivative_ratio(model, rho1, small_branch_u1(model, rho1), sc.delta,
-                                       sc.delta0geq)
-        value = (1.0 - 1.0 / rho1) * e1 * g
-        return AsymptoticEstimate(n, value, "final-altitude/absorption/supercritical")
-    if cls.criticality is Criticality.CRITICAL:
-        # coefficient asymptotics of the altitude derivative and of the
-        # meander mass both carry 1/kappa, which cancels in the ratio
-        g = _altitude_derivative_ratio(model, sc.rho, sc.tau, sc.delta, sc.delta0geq)
-        value = (1.0 - 1.0 / sc.rho) * e1 * g
-        return AsymptoticEstimate(n, value, "final-altitude/absorption/critical")
-    assert sc.E_at_rho is not None and sc.r is not None
-    value = sc.r * (1.0 - 1.0 / sc.rho) * e1 / sc.E_at_rho
-    return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical/neg-drift")
-
+        z0, u0 = sc.rho1, small_branch_u1(model, sc.rho1)
+    else:
+        z0, u0 = sc.rho, sc.tau
+    g = _altitude_derivative_ratio(model, z0, u0, sc.delta, sc.delta0geq)
+    value = (1.0 - 1.0 / z0) * e1 * g
+    return AsymptoticEstimate(n, value, f"final-altitude/absorption/{cls.criticality.value}")

@@ -265,8 +265,10 @@ def _walk(model: WalkModel, n: int, arith: _Arithmetic, readout: Optional[str] =
     The walk starts with mass 1 at altitude 0. Mass at altitude 0 steps
     with P0, mass above it with P, and mass landing below 0 is absorbed.
     With ``free`` the walk lives on Z with no boundary (only P applies),
-    and row n*c of the final rows is altitude 0. ``readout`` names what is
-    recorded:
+    and row n*c of the final rows is altitude 0; it records only the final
+    rows, "row0" and "low", and its "arches", "total" and "moment" mean
+    nothing (the exact "total" reads -39 at n = 4 on the absorbing Motzkin
+    walk). ``readout`` names what is recorded:
 
     - None: nothing; the final rows are returned instead;
     - "row0": the mass at altitude 0;

@@ -490,7 +490,8 @@ def _criticality_sign(model: WalkModel, tau: float) -> int:
 def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
                ) -> tuple[Optional[float], Optional[float]]:
     """(rho1, u*) with rho1 = 1/P(u*) and u* the small branch there; u* is
-    None when rho1 is rho or does not exist.
+    None when the boundary is critical (rho1 is rho) or subcritical (there
+    is no rho1).
 
     u* is the root of P0geq - P on (0, tau): tau is the upper end of its
     bracket, the lower end is halved from tau until P0geq - P is negative,
@@ -500,9 +501,6 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
     if sign < 0:
         return None, None
     if sign == 0:
-        return rho, None
-    if boundary_denominator(model, rho * (1.0 - 1e-12)) > 0:
-        # tangency within tolerance; treat as the critical point rho
         return rho, None
     # D(1/P(u)) = (P(u) - P0geq(u))/P(u) for u in (0, tau): the opposite
     # sign of f = P0geq - P, which is positive at tau
@@ -527,12 +525,13 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     """Compute every structural constant that is finite for the model.
 
     Optional fields stay None when the quantity is infinite or does not
-    exist in the model's regime: rho1/alpha/alpha2/gamma need a strictly
-    supercritical pole, E_at_rho is finite only below criticality, E_at_1
-    only when the excursion series converges at z=1, and r is computed
-    only in the subcritical negative-drift regime where it is used (with
-    delta >= 0 it is a difference of terms that cancel, which no estimate
-    reads).
+    exist in the model's regime: rho1 is 1/P(u*) on every supercritical
+    model, and alpha/alpha2/gamma need it below rho*(1 - 1e-10), the one
+    rule for a pole resolved from rho; E_at_rho is finite only below
+    criticality, E_at_1 only when the excursion series converges at z=1,
+    and r is computed only in the subcritical negative-drift regime where
+    it is used (with delta >= 0 it is a difference of terms that cancel,
+    which no estimate reads).
 
     The exact values at u = 1 are coefficient sums (``total_weight``): the
     drifts delta and delta0geq, and the criticality sign when tau = 1, come

@@ -201,8 +201,6 @@ def _cdf_rows(points: list[tuple[int, float]], law: LimitLawSpec, n: int, mode: 
     """(x, exact CDF, law CDF) at every support point, in order of k."""
     if not points:
         raise LatticePathError("empty distribution")
-    if law.family not in _FAMILIES:
-        raise LatticePathError(f"no CDF for law family {law.family!r}")
     cdf = _FAMILIES[law.family][0](law.params)
     x_of = _normalizer(law, n, points, mode)
     rows = []
@@ -242,9 +240,10 @@ def fit(
 ) -> FitReport:
     """Measure the exact length-n distribution against a limit law.
 
-    The law defaults to the regime's law for the statistic; the discrete
-    law has no CDF and is rejected before the DP runs, as is n < 1, where
-    the normalizations divide by zero.
+    The law defaults to the regime's law for the statistic; a family with
+    no CDF in ``_FAMILIES``, the discrete law among them, is rejected
+    before the DP runs, as is n < 1, where the normalizations divide by
+    zero.
     """
     if n < 1:
         raise LatticePathError(f"a fit needs n >= 1, got n={n}")
@@ -254,8 +253,10 @@ def fit(
             if statistic is Statistic.RETURNS_TO_ZERO
             else final_altitude_law(model)
         )
-    if law.family == "discrete":
-        raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
+    if law.family not in _FAMILIES:
+        if law.family == "discrete":
+            raise InconsistentCaseError("the discrete limit law has no closed-form CDF to fit")
+        raise LatticePathError(f"no CDF for law family {law.family!r}")
     rows = _cdf_rows(_distribution_points(model, statistic, n, mode), law, n, mode)
     distance = kolmogorov_distance(rows, law)
     return FitReport(

@@ -56,6 +56,11 @@ ORACLE_MODEL_NAMES = [
 ]
 
 
+# absorbing, negative drift, lam = P0geq(tau)/P(tau) = 1 + 2.2e-7: just
+# supercritical, with rho1 within 1e-10 of rho
+NEAR_CRITICAL_MODEL = "P: -1:2/5 0:1/2 1:1/10\nP0: -1:5499999/10000000 1:4500001/10000000\n"
+
+
 @pytest.fixture(scope="session")
 def models() -> dict[str, WalkModel]:
     return {name: load_model(MODELS_DIR / f"{name}.model") for name in MODEL_NAMES}

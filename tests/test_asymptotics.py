@@ -10,6 +10,7 @@ from latticepaths import (
     Criticality,
     DriftSign,
     NotLukasiewiczError,
+    NumericalSingularityError,
     PeriodicModelError,
     arch_asymptotic,
     arch_mass,
@@ -26,6 +27,7 @@ from latticepaths import (
 )
 from latticepaths.asymptotics import require_lukasiewicz
 from latticepaths.kernel import composed_boundary_derivatives
+from conftest import NEAR_CRITICAL_MODEL
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,20 @@ def test_meander_ratio_supercritical(models):
     for n in (500, 1000):
         est = meander_ratio_asymptotic(model, n)
         assert meander_mass(model, n, "float") / est.value == pytest.approx(1.0, abs=0.01)
+    # the meanders are the tail sum of the excursion estimate, whose error
+    # falls geometrically here: 1.3e-13 at n = 2000
+    est = meander_ratio_asymptotic(model, 2000)
+    assert est.formula_id == "meanders/supercritical/neg-drift"
+    assert meander_mass(model, 2000, "float") / est.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_meander_estimate_raises_where_the_excursion_estimate_raises():
+    # lam = 1 + 2.2e-7: rho1 is 1e-14 below rho, too close for the pole
+    # constants, and the meanders read them through the excursion estimate
+    model = parse_model(NEAR_CRITICAL_MODEL)
+    for estimate in (excursion_asymptotic, meander_ratio_asymptotic):
+        with pytest.raises(NumericalSingularityError, match="^supercritical pole not resolved$"):
+            estimate(model, 100)
 
 
 def test_meander_ratio_subcritical_negative_drift():

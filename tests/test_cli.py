@@ -14,7 +14,7 @@ from latticepaths import enumeration, kernel, laws
 from latticepaths.cli import _write_rows, fmt, run
 from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
-from conftest import MODEL_NAMES, MODELS_DIR
+from conftest import MODEL_NAMES, MODELS_DIR, NEAR_CRITICAL_MODEL
 
 DYCK = str(MODELS_DIR / "dyck_reflection.model")
 DYCK_ABS = str(MODELS_DIR / "dyck_absorption.model")
@@ -428,6 +428,18 @@ def test_verify_passes(capsys, name):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS\tmodel-valid" in out
+
+
+def test_verify_passes_on_a_just_supercritical_model(capsys, tmp_path):
+    # lam = 1 + 2.2e-7, so the trichotomy wants rho1 below rho: it is
+    # 1/P(u*), 1e-14 below, too close for the pole constants
+    path = tmp_path / "near_critical.model"
+    path.write_text(NEAR_CRITICAL_MODEL)
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS\tkernel/criticality-trichotomy" in out.splitlines()
+    assert "PASS\tkernel/rho1-is-root" in out.splitlines()
 
 
 @pytest.mark.parametrize("m", [1, 17, 60])

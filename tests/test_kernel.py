@@ -26,7 +26,7 @@ from latticepaths import (
 )
 from latticepaths.asymptotics import final_altitude_asymptotic
 from latticepaths.kernel import boundary_denominator, u1_derivatives
-from conftest import random_model
+from conftest import NEAR_CRITICAL_MODEL, random_model
 
 F = Fraction
 NEVER_LEAVES_0 = "P0 has no positive jump: the walk never leaves 0"
@@ -231,7 +231,8 @@ def test_rho1_exists_exactly_off_the_subcritical_sign(models, random_models):
 
 
 def test_criticality_trichotomy(models, random_models):
-    for model in list(models.values()) + random_models:
+    # the near-critical model has lam = 1 + 2.2e-7 and rho1 1e-14 below rho
+    for model in list(models.values()) + random_models + [parse_model(NEAR_CRITICAL_MODEL)]:
         sc = structural_constants(model)
         if sc.lam > 1 + 1e-9:
             assert sc.rho1 is not None and sc.rho1 < sc.rho
@@ -279,15 +280,14 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def test_structural_constants_makes_at_most_two_branch_solves(models, random_models, monkeypatch):
+def test_structural_constants_makes_at_most_one_branch_solve(models, random_models, monkeypatch):
     # rho1 is found in the branch variable, and alpha/alpha2 are taken at
-    # its root u*; only the tangency probe below rho and E(1) solve for the
-    # branches
+    # its root u*; only E(1) solves for the branches
     calls = _count_solves(monkeypatch)
     for model in list(models.values()) + random_models:
         calls.clear()
         structural_constants(model)
-        assert len(calls) <= 2, (str(model.P), str(model.P0), calls)
+        assert len(calls) <= 1, (str(model.P), str(model.P0), calls)
 
 
 def _z_bisection_rho1(model, rho):
@@ -585,7 +585,7 @@ def test_tau_and_rho1_within_an_ulp_of_high_precision_roots(models, random_model
     # 1.8e-16 for tau and 2.2e-16 for rho1 over 250 models
     import random
 
-    from conftest import random_model
+    from conftest import NEAR_CRITICAL_MODEL, random_model
     from latticepaths.kernel import _find_rho1
 
     mpmath = pytest.importorskip("mpmath")

@@ -207,15 +207,30 @@ def test_fit_distances_shrink(models):
         assert distances[-1] < distances[0]
 
 
-def test_fit_discrete_law_has_no_cdf(models, monkeypatch):
+def _count_dp_calls(monkeypatch) -> list:
+    """The argument tuples of every distribution DP that ``fit`` runs."""
     calls = []
     for name in ("meander_distribution", "returns_to_zero_distribution"):
         dp = getattr(laws, name)
         monkeypatch.setattr(laws, name, lambda *a, dp=dp, **k: calls.append(a) or dp(*a, **k))
+    return calls
+
+
+def test_fit_discrete_law_has_no_cdf(models, monkeypatch):
+    calls = _count_dp_calls(monkeypatch)
     for measure in (fit, fit_curve):
         with pytest.raises(InconsistentCaseError, match="no closed-form CDF"):
             measure(models["supercritical_drift_down"], Statistic.FINAL_ALTITUDE, 200)
     # rejected before any DP runs
+    assert calls == []
+
+
+def test_fit_unknown_law_family_raises_before_the_dp(models, monkeypatch):
+    calls = _count_dp_calls(monkeypatch)
+    law = LimitLawSpec(family="cauchy", params={}, normalization=NORM_SHIFT_ONE)
+    for statistic in Statistic:
+        with pytest.raises(LatticePathError, match="no CDF for law family 'cauchy'"):
+            fit(models["motzkin_reflection"], statistic, 50, law)
     assert calls == []
 
 
