@@ -12,6 +12,12 @@ so m_n = (1 - P0geq(1))*(e_n + e_(n+1) + ...); without positive drift
 every walk is absorbed and 1 - P0geq(1) = 1/E(1). The meander estimates
 there are this tail sum of the excursion estimate and hold no constant of
 their own.
+
+With negative drift the final altitude converges in law to a discrete law
+with PGF G(u) ~ (P0geq(u) - P(u))/(1 - z0*P(u)), z0 being the excursion
+singularity: rho1 when supercritical, rho otherwise, and 1 for a reflecting
+wall. The estimate is its mean G'(1) = (delta - delta0geq)/(1 - P0geq(1))
+- z0*delta/(z0 - 1), or that expression's limit at z0 = 1.
 """
 
 from __future__ import annotations
@@ -21,12 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotLukasiewiczError, NumericalSingularityError, PeriodicModelError
-from .kernel import (
-    StructuralConstants,
-    _altitude_derivative_ratio,
-    small_branch_u1,
-    structural_constants,
-)
+from .kernel import StructuralConstants, structural_constants
 from .model import WalkModel, require_valid
 
 
@@ -171,8 +172,8 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
         if cls.drift_sign is DriftSign.ZERO:  # critical: P0geq(1) = 1 at tau = 1
             value = math.sqrt(2.0 * ddP1 * n / math.pi)
             return AsymptoticEstimate(n, value, "final-altitude/reflection/critical")
-        # negative drift; the constant reads the drifts and second
-        # derivatives at 1, not the criticality sign
+        # negative drift: G'(1) at z0 = 1 (module docstring), which reads
+        # the drifts and second derivatives at 1, not the criticality sign
         ddQ1 = float(model.P0geq.derivative().derivative().total_weight())
         value = (sc.delta0geq * ddP1 - sc.delta * ddQ1) / (
             2.0 * sc.delta * (sc.delta - sc.delta0geq)
@@ -182,21 +183,17 @@ def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     if cls.drift_sign is DriftSign.ZERO:  # subcritical, as for the meanders
         value = math.sqrt(ddP1 * math.pi * n / 2.0)
         return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical")
-    e1 = sc.E_at_1
-    if e1 is None:
+    if sc.E_at_1 is None:
         raise NumericalSingularityError("excursion series diverges at z=1")
-    if cls.criticality is Criticality.SUBCRITICAL:
-        assert sc.E_at_rho is not None and sc.r is not None
-        value = sc.r * (1.0 - 1.0 / sc.rho) * e1 / sc.E_at_rho
-        return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical/neg-drift")
-    # the altitude derivative and the meander mass share the singular factor
-    # at z0 (1/kappa at a critical rho), which cancels in the ratio
+    # negative drift: G'(1) (module docstring)
+    z0 = sc.rho
     if cls.criticality is Criticality.SUPERCRITICAL:
         if abs(sc.rho1 - 1.0) < 1e-9:
             raise NumericalSingularityError("expectation constant degenerate at rho1=1")
-        z0, u0 = sc.rho1, small_branch_u1(model, sc.rho1)
-    else:
-        z0, u0 = sc.rho, sc.tau
-    g = _altitude_derivative_ratio(model, z0, u0, sc.delta, sc.delta0geq)
-    value = (1.0 - 1.0 / z0) * e1 * g
-    return AsymptoticEstimate(n, value, f"final-altitude/absorption/{cls.criticality.value}")
+        z0 = sc.rho1
+    q1 = float(model.P0geq.total_weight())
+    value = (sc.delta - sc.delta0geq) / (1.0 - q1) - z0 * sc.delta / (z0 - 1.0)
+    formula = f"final-altitude/absorption/{cls.criticality.value}"
+    if cls.criticality is Criticality.SUBCRITICAL:
+        formula += "/neg-drift"
+    return AsymptoticEstimate(n, value, formula)

@@ -88,7 +88,7 @@ def _cmd_constants(model, args) -> int:
 
     sc = kernel.structural_constants(model)
     names = ("tau", "rho", "C", "delta", "delta0geq", "lam", "kappa",
-             "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1", "r")
+             "rho1", "alpha", "alpha2", "gamma", "E_at_rho", "E_at_1")
     _write_rows([("# constant", "value"), *((name, getattr(sc, name)) for name in names)])
     return EXIT_OK
 

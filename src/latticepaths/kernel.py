@@ -357,9 +357,8 @@ class StructuralConstants:
     (0, tau) solves P0geq(u) = P(u). kappa = C*rho*(P0geq)'(tau).
     alpha, alpha2 are the first two z-derivatives of P0geq(u1(z)) at rho1,
     taken at u1 = u*, and gamma = 1/(alpha*rho1**2+1) is the residue
-    weight of the excursion pole. E_at_rho, E_at_1 are values of the excursion series where finite,
-    and r is the boundary part of the altitude derivative at rho used by the
-    negative-drift expectation cell.
+    weight of the excursion pole. E_at_rho, E_at_1 are values of the
+    excursion series where finite, for c = 1 only.
     """
 
     tau: float
@@ -376,7 +375,6 @@ class StructuralConstants:
     gamma: Optional[float] = None
     E_at_rho: Optional[float] = None
     E_at_1: Optional[float] = None
-    r: Optional[float] = None
 
 
 def _bracketed_newton(f, df, lo: float, hi: float) -> float:
@@ -511,16 +509,6 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
     return 1.0 / P(u), u
 
 
-def _altitude_derivative_ratio(model: WalkModel, z: float, u1: float, delta: float,
-                               delta0geq: float) -> float:
-    """F_u(z,1)/E(z) at a point z with small branch u1: the excursion factors
-    cancel, leaving an explicit form in the drifts delta and delta0geq."""
-    q1 = float(model.P0geq.total_weight())
-    return delta0geq * z / (1.0 - z) + delta * z * z * (
-        q1 - float(model.P0geq(u1))
-    ) / (1.0 - z) ** 2
-
-
 def structural_constants(model: WalkModel) -> StructuralConstants:
     """Compute every structural constant that is finite for the model.
 
@@ -528,10 +516,10 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     exist in the model's regime: rho1 is 1/P(u*) on every supercritical
     model, and alpha/alpha2/gamma need it below rho*(1 - 1e-10), the one
     rule for a pole resolved from rho; E_at_rho is finite only below
-    criticality, E_at_1 only when the excursion series converges at z=1,
-    and r is computed only in the subcritical negative-drift regime where
-    it is used (with delta >= 0 it is a difference of terms that cancel,
-    which no estimate reads).
+    criticality, E_at_1 only when the excursion series converges at z=1.
+    Both are left None when c >= 2: their closed forms hold for c = 1
+    only, and the boundary determinant that would replace them for c >= 2
+    (ROADMAP Q) is not built yet.
 
     The exact values at u = 1 are coefficient sums (``total_weight``): the
     drifts delta and delta0geq, and the criticality sign when tau = 1, come
@@ -557,18 +545,15 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     if u_star is not None and rho1 < rho * (1.0 - 1e-10):
         alpha, alpha2 = composed_boundary_derivatives(model, rho1, u_star)
         gamma = 1.0 / (alpha * rho1 * rho1 + 1.0)
-    E_at_rho = 1.0 / (1.0 - lam) if sign < 0 else None
-    E_at_1 = None
-    if rho > 1.0 + 1e-12:
-        den = boundary_denominator(model, 1.0)
-    else:
-        den = 1.0 - float(model.P0geq(tau))
-    if den > 1e-9:
-        E_at_1 = 1.0 / den
-    r = None
-    if delta < 0 and sign < 0 and rho > 1.0 + 1e-12:
-        f_u_rho = _altitude_derivative_ratio(model, rho, tau, delta, delta0) * E_at_rho
-        r = f_u_rho - delta * rho / (1.0 - rho) ** 2
+    E_at_rho = E_at_1 = None
+    if model.is_lukasiewicz:
+        E_at_rho = 1.0 / (1.0 - lam) if sign < 0 else None
+        if rho > 1.0 + 1e-12:
+            den = boundary_denominator(model, 1.0)
+        else:
+            den = 1.0 - float(model.P0geq(tau))
+        if den > 1e-9:
+            E_at_1 = 1.0 / den
     return StructuralConstants(
         tau=tau,
         rho=rho,
@@ -584,7 +569,6 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
         gamma=gamma,
         E_at_rho=E_at_rho,
         E_at_1=E_at_1,
-        r=r,
     )
 
 

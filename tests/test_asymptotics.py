@@ -1,6 +1,8 @@
 """Regime classification and asymptotic formulas against exact values."""
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +27,9 @@ from latticepaths import (
     small_branch_u1,
     structural_constants,
 )
-from latticepaths.asymptotics import require_lukasiewicz
+from latticepaths.asymptotics import drift_sign, require_lukasiewicz
 from latticepaths.kernel import composed_boundary_derivatives
-from conftest import NEAR_CRITICAL_MODEL
+from conftest import NEAR_CRITICAL_MODEL, random_model
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,108 @@ def test_critical_negative_drift_cells(models):
     assert est.value == pytest.approx(18 / 11, abs=1e-9)
     exact = float(final_altitude_expectation(model, 2000, "float"))
     assert exact / est.value == pytest.approx(1.0, abs=0.02)
+
+
+def _exact_limit_mean(model, z0):
+    """G'(1) for G(u) ~ (P0geq(u) - P(u))/(1 - z0*P(u)), in exact arithmetic:
+    both polynomials are cleared of u**-c and divided by (u - 1) while both
+    vanish at 1, and G'(1) is then N'(1)/N(1) - D'(1)/D(1)."""
+    c = model.c
+    width = c + max(model.P.hi, model.P0geq.hi) + 1
+    N, D = [Fraction(0)] * width, [Fraction(0)] * width
+    D[c] = Fraction(1)
+    for e, w in model.P0geq.terms():
+        N[e + c] += w
+    for e, w in model.P.terms():
+        N[e + c] -= w
+        D[e + c] -= z0 * w
+    while sum(N) == 0 and sum(D) == 0:
+        # synthetic division by (u - 1): q_(k-1) = sum of a_j over j >= k
+        N = [sum(N[k:]) for k in range(1, len(N))]
+        D = [sum(D[k:]) for k in range(1, len(D))]
+    return (sum(k * a for k, a in enumerate(N)) / sum(N)
+            - sum(k * a for k, a in enumerate(D)) / sum(D))
+
+
+# the curved reflecting boundary of the test above, the subcritical
+# absorbing model of test_final_altitude_absorption_subcritical_negative_drift
+# and a subcritical absorbing draw of random_model(random.Random(7))
+CURVED_REFLECTION = "P: -1:7/10 0:1/5 2:1/10\nP0: 1:2/5 2:3/5\n"
+INLINE_SUBCRITICAL = "P: -1:1/2 0:1/5 1:3/10\nP0: -1:7/10 1:3/10\n"
+SUBCRITICAL_DRAW = "P: -1:5/12 0:1/2 2:1/12\nP0: -1:1/2 2:1/2\n"
+
+
+@pytest.mark.parametrize("name,z0,mean", [
+    ("drift_down_reflection", Fraction(1), Fraction(15, 14)),
+    pytest.param(CURVED_REFLECTION, Fraction(1), Fraction(158, 105), id="curved-reflection"),
+    ("critical_drift_down", Fraction(10, 9), Fraction(18, 11)),
+])
+def test_final_altitude_mean_exactly(models, name, z0, mean):
+    # z0 is rational: 1 with a reflecting wall, rho = 1/P(2) = 10/9 at the
+    # critical boundary
+    model = models[name] if name in models else parse_model(name)
+    assert _exact_limit_mean(model, z0) == mean
+    for n in (1, 2000):
+        est = final_altitude_asymptotic(model, n)
+        assert abs(est.value / float(mean) - 1) <= 1e-14, est
+
+
+@pytest.mark.parametrize("name,mean", [
+    ("supercritical_drift_down", "2.481317235396"),
+    pytest.param(INLINE_SUBCRITICAL, "7.158697631922", id="subcritical-absorption"),
+    pytest.param(SUBCRITICAL_DRAW, "3.829744868219", id="subcritical-absorption-draw"),
+])
+def test_final_altitude_mean_at_50_digits(models, name, mean):
+    # z0 = rho1 = 1/P(u*) with P0geq(u*) = P(u*) when supercritical, rho =
+    # 1/P(tau) with P'(tau) = 0 otherwise; G'(1) is the derivative of the
+    # limit PGF's logarithm at 1, taken numerically at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    model = models[name] if name in models else parse_model(name)
+    cls = classify(model)
+    with mpmath.workdps(50):
+        def poly(lp, k=0):
+            terms = [(e, mpmath.mpf(w.numerator) / w.denominator) for e, w in lp.terms()]
+            return lambda u: mpmath.fsum(w * mpmath.ff(e, k) * u ** (e - k) for e, w in terms)
+
+        P, Q = poly(model.P), poly(model.P0geq)
+        # with negative drift tau > 1; P0geq - P rises from -inf at 0 to
+        # a positive value at tau when supercritical
+        tau = mpmath.findroot(poly(model.P, 1), (1, 100), solver="anderson")
+        z0 = 1 / P(tau)
+        if cls.criticality is Criticality.SUPERCRITICAL:
+            u_star = mpmath.findroot(lambda u: Q(u) - P(u), (mpmath.mpf("1e-3"), tau),
+                                     solver="anderson")
+            assert 0 < u_star < tau
+            z0 = 1 / P(u_star)
+        limit_mean = mpmath.diff(lambda u: mpmath.log((Q(u) - P(u)) / (1 - z0 * P(u))), 1)
+        assert mpmath.nstr(limit_mean, 13) == mean
+        for n in (1, 2000):
+            value = final_altitude_asymptotic(model, n).value
+            assert abs(value / limit_mean - 1) <= 1e-12, (name, value, limit_mean)
+
+
+def test_final_altitude_estimates_converge_on_random_negative_drift_walks():
+    # the 39 aperiodic negative-drift draws among 400 Lukasiewicz ones: 29
+    # reflecting, 3 absorbing supercritical and 7 absorbing subcritical; the
+    # relative error of the estimate against the float expectation must
+    # shrink by 0.7 from n = 500 to 2000 (the slowest, a subcritical draw,
+    # shrinks by 0.613) or sit at round-off; NaN, which an underflowed
+    # expectation gives, passes neither test
+    rng = random.Random(3)
+    cells = Counter()
+    for model in (random_model(rng, lukasiewicz=True) for _ in range(400)):
+        if model.violations or not model.is_aperiodic or drift_sign(model) is not DriftSign.NEGATIVE:
+            continue
+        est = final_altitude_asymptotic(model, 2000)
+        cells[est.formula_id] += 1
+        err = {n: abs(float(final_altitude_expectation(model, n, "float")) / est.value - 1)
+               for n in (500, 2000)}
+        assert err[2000] < 1e-9 or err[2000] <= 0.7 * err[500], (est.formula_id, err,
+                                                                  model.P.to_spec_string(),
+                                                                  model.P0.to_spec_string())
+    assert cells == {"final-altitude/reflection/supercritical": 29,
+                     "final-altitude/absorption/supercritical": 3,
+                     "final-altitude/absorption/subcritical/neg-drift": 7}
 
 
 def test_impossible_cells_raise(models):

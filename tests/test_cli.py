@@ -78,6 +78,7 @@ def test_constants_output(capsys):
     assert float(rows["C"]) == pytest.approx(3**0.5, abs=1e-11)
     assert float(rows["kappa"]) == pytest.approx(3**0.5 / 2, abs=1e-11)
     assert rows["alpha"] == "-"
+    assert list(rows)[-2:] == ["E_at_rho", "E_at_1"]
 
 
 def test_count_exact_matches_brute_force(capsys):
@@ -728,13 +729,13 @@ def test_exact_outputs_match_their_golden_digest(capsys):
 # SHA-256 over the stdout, stderr and exit code of every subcommand at small
 # n on the shipped models, on a model with no negative jump and on a missing
 # file, plus each subcommand's --help and two usage errors, taken before the
-# handlers took their model from ``run``. Only that model's lines changed
-# since: validate now also reports that its P0 never leaves 0, in its own
-# output, verify's and the 12 kernel and asymptotic errors. argparse lays
-# out help differently across Python versions and gf-eval's round-off
-# residual moves with the LAPACK build, so the digest is checked where it
-# was taken.
-FRONT_END_SHA256 = "30056e621f6a72e4fd514161a9d34a1c9875b291e646950770be09dbf6fd2c1b"
+# handlers took their model from ``run``. Two changes since: that model's
+# validate now also reports that its P0 never leaves 0, in its own output,
+# verify's and the 12 kernel and asymptotic errors; and constants prints no
+# r row, on any model. argparse lays out help differently across
+# Python versions and gf-eval's round-off residual moves with the LAPACK
+# build, so the digest is checked where it was taken.
+FRONT_END_SHA256 = "86904d536a557af27e8ae8af8e5f31392a425fea95bc296bbfc96c1032190c2b"
 FRONT_END_PLATFORM = ((3, 11), "2.4.6")
 FRONT_END_COMMANDS = [
     ("validate",), ("classify",), ("constants",),

@@ -611,25 +611,22 @@ def test_tau_and_rho1_within_an_ulp_of_high_precision_roots(models, random_model
     assert checked >= 10
 
 
-def test_r_is_computed_only_with_negative_drift(models, random_models):
-    # r is read only by the subcritical negative-drift final-altitude
-    # estimate; with delta >= 0 it would be a difference of terms that
-    # cancel: on this periodic model about 96 - 96, whose exact value is 0,
-    # and it read 2.7e-13
-    cancel = parse_model("P: -1:1/3 1:2/3\nP0: 0:2/3 1:1/3\n")
+def test_excursion_values_are_left_unset_for_c_ge_2():
+    # E_at_rho = 1/(1 - lam) and E_at_1 = 1/(1 - P0geq(u1(1))) hold for
+    # c = 1 only; for c >= 2 they were wrong wherever they were set (E_at_1
+    # on 97 and E_at_rho on 87 of the 151 valid c >= 2 draws below), here
+    # E(1) = 1.2857 where the boundary system and the summed series give 1.0551
+    model = parse_model("P: -2:1/2 -1:1/9 0:1/3 1:1/18\nP0: -2:7/9 1:2/9\n")
+    assert solve_boundary_gfs(model, 1.0)[0] == pytest.approx(1.0551040906, rel=1e-9)
+    assert sum(excursion_series(model, 400, "float")) == pytest.approx(1.0551040906, rel=1e-9)
     rng = random.Random(7)
-    sweep = [*models.values(), *random_models, cancel, *(random_model(rng) for _ in range(228))]
-    for model in sweep:
-        if model.P0.hi < 1:  # 50 of the 228 draws, which validate rejects
-            with pytest.raises(InvalidModelError, match=f"^{NEVER_LEAVES_0}$"):
-                structural_constants(model)
-            continue
-        sc = structural_constants(model)
-        if sc.delta >= 0:
-            assert sc.r is None, (str(model.P), str(model.P0))
-    for name in ("drift_up_absorption", "drift_up_reflection"):
-        assert structural_constants(models[name]).r is None
-    assert structural_constants(cancel).r is None
+    checked = 0
+    for model in [model, *(random_model(rng) for _ in range(400))]:
+        if model.c > 1 and not model.violations:
+            sc = structural_constants(model)
+            assert (sc.E_at_rho, sc.E_at_1) == (None, None), (str(model.P), str(model.P0))
+            checked += 1
+    assert checked == 1 + 151
 
 
 def test_small_branches_raise_on_a_nan_branch(models, monkeypatch):
@@ -662,25 +659,9 @@ def test_small_branches_reject_non_finite_z(models):
             small_branches(models["two_down_reflection"], z)
 
 
-@pytest.mark.parametrize("spec,r,value", [
-    ("P: -1:5/12 0:1/2 2:1/12\nP0: -1:1/2 2:1/2\n", 1179.047739706033, 3.8297448682194686),
-])
-def test_estimates_that_read_r_keep_their_values(spec, r, value):
-    # the one valid model of random_model(random.Random(7))'s first 228
-    # whose final-altitude estimate reads r (no shipped model does): r and
-    # the estimate keep every bit
-    model = parse_model(spec)
-    assert repr(structural_constants(model).r) == repr(r)
-    for n in (1, 1000):
-        estimate = final_altitude_asymptotic(model, n)
-        assert estimate.formula_id == "final-altitude/absorption/subcritical/neg-drift"
-        assert repr(estimate.value) == repr(value)
-
-
 def test_a_boundary_that_never_leaves_0_has_no_constants_or_estimate():
-    # the other draw whose estimate read r: from 0 the walk stays at 0 or is
-    # absorbed, so the exact final altitude is 0 at every n, where the
-    # estimate read 5.520734817053883
+    # from 0 the walk stays at 0 or is absorbed, so the exact final
+    # altitude is 0 at every n, where the estimate read 5.520734817053883
     model = parse_model("P: -1:4/13 0:7/13 1:2/13\nP0: -1:1/2 0:1/2\n")
     assert final_altitude_expectation(model, 40, "exact") == 0
     for call in (structural_constants, lambda m: final_altitude_asymptotic(m, 1000)):
