@@ -4,14 +4,14 @@ The kernel equation 1 - z*P(u) = 0 has c+d roots; the c of smallest modulus
 (the small branches, all vanishing as z -> 0) eliminate the unknown boundary
 series from the functional equation. This module finds the branches with
 one eigenvalue solve of the kernel polynomial's companion matrix plus Newton
-refinement, solves the resulting c x c linear system for the boundary
-generating functions, evaluates the closed product formula of the
-boundary-free model, and derives the structural constants that drive every
-asymptotic regime downstream.
+refinement, takes the boundary generating functions from E(z)'s closed
+form when c = 1 and from the resulting c x c linear system otherwise,
+evaluates the closed product formula of the boundary-free model, and
+derives the structural constants that drive every asymptotic regime.
 
-Every boundary quantity at z (the c x c system, E(z), the boundary-free
-product, the Vandermonde form and the perturbation identity) reads the same
-c branches, so each takes an optional ``BranchSet`` solved at that z and
+Every boundary quantity at z (the F_k, E(z), the boundary-free product,
+the Vandermonde form and the perturbation identity) reads the same c
+branches, so each takes an optional ``BranchSet`` solved at that z and
 then makes no solve of its own: one companion solve per z serves them all.
 
 The excursion pole rho1 is found in the branch variable: on (0, rho) the
@@ -232,11 +232,21 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
 
     Substituting each small branch into the functional equation kills the
     left side and leaves c linear equations sum_k r_k(u_i) F_k = 1/z, with
-    the r_k of ``WalkModel.boundary_corrections``. ``branches``, if given,
-    is the ``BranchSet`` at z, which is then not solved again; this holds
-    for every boundary quantity below.
+    the r_k of ``WalkModel.boundary_corrections``. For c = 1 its solution
+    is the closed form F_0 = E(z) = 1/(1 - z*P0geq(u1(z))), taken with no
+    linear solve; for c >= 2 LAPACK solves the system. ``branches``, if
+    given, is the ``BranchSet`` at z, which is then not solved again; this
+    holds for every boundary quantity below.
     """
-    u = _branches_at(model, z, branches).branches
+    branches = _branches_at(model, z, branches)
+    if model.is_lukasiewicz:
+        # the lone branch, real at any real z inside the disk, negative z too
+        u1 = _real(branches.branches[0], "small branch", z)
+        den = 1.0 - z * float(model.P0geq(u1))
+        if abs(den) < 1e-14:
+            raise NumericalSingularityError(f"excursion series pole at z={z}")
+        return [1.0 / den]
+    u = branches.branches
     A = np.array([[complex(r(ui)) for r in model.boundary_corrections] for ui in u])
     b = np.array([1.0 / z] * model.c, dtype=complex)
     try:
@@ -250,14 +260,7 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
 
 
 def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
-    """E(z) for the boundary model; closed form when c=1, system solve otherwise."""
-    if model.is_lukasiewicz:
-        # the lone branch, real at any real z inside the disk, negative z too
-        u1 = _real(_branches_at(model, z, branches).branches[0], "small branch", z)
-        den = 1.0 - z * float(model.P0geq(u1))
-        if abs(den) < 1e-14:
-            raise NumericalSingularityError(f"excursion series pole at z={z}")
-        return 1.0 / den
+    """E(z) = F_0(z) for the boundary model (``solve_boundary_gfs``)."""
     return solve_boundary_gfs(model, z, branches)[0]
 
 

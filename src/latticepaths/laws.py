@@ -91,7 +91,8 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the number of returns to zero of excursions."""
     sc, cls = _constants_and_class(model)
     if cls.criticality is Criticality.SUPERCRITICAL:
-        assert sc.rho1 is not None and sc.gamma is not None and sc.alpha2 is not None
+        if sc.rho1 is None or sc.gamma is None or sc.alpha2 is None:
+            raise NumericalSingularityError("supercritical pole not resolved")
         printed = (
             sc.alpha2 * (sc.rho1 * sc.gamma) ** 3
             - sc.gamma

@@ -498,6 +498,70 @@ def test_branches_from_another_z_raise(models):
             quantity(model, 0.2, branches)
 
 
+def _lukasiewicz_models(models):
+    """The shipped c = 1 models and the valid ones of 50 c = 1 draws."""
+    rng = random.Random(3)
+    draws = [random_model(rng, lukasiewicz=True) for _ in range(50)]
+    return [m for m in models.values() if m.c == 1] + [m for m in draws if not m.violations]
+
+
+def test_c1_boundary_value_is_the_excursion_closed_form_bit_for_bit(models):
+    # at c = 1, F_0 and E(z) are one float: 1/(1 - z*P0geq(u1(z))), on
+    # both sides of 0 and up to 0.99 of the nearer singularity
+    checked = 0
+    for model in _lukasiewicz_models(models):
+        sc = structural_constants(model)
+        top = min(sc.rho, sc.rho1 or sc.rho)
+        for t in (-0.99, -0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            z = t * (sc.rho if t < 0 else top)
+            u1 = small_branches(model, z).branches[0]
+            closed = 1.0 / (1.0 - z * float(model.P0geq(u1.real)))
+            got = solve_boundary_gfs(model, z)
+            assert repr(got) == repr([excursion_gf(model, z)]) == repr([closed]), (
+                str(model.P), str(model.P0), z)
+            checked += 1
+    assert checked == 12 * 56
+
+
+def test_c1_boundary_values_make_no_linear_solve(models, monkeypatch):
+    from latticepaths.verify import _kernel_checks
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called for a c = 1 model")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for model in _lukasiewicz_models(models):
+        rho = structural_constants(model).rho
+        for z in (-0.5 * rho, 0.25 * rho, 0.5 * rho):
+            solve_boundary_gfs(model, z)
+            excursion_gf(model, z)
+    for name, model in models.items():
+        if model.c == 1:
+            failed = [(check, detail) for check, ok, detail in _kernel_checks(model) if not ok]
+            assert failed == [], name
+
+
+def test_c_ge_2_boundary_values_are_the_linear_solve_bit_for_bit(models):
+    # ROADMAP J's contract: F_k is numpy's solve of sum_k r_k(u_i) F_k = 1/z,
+    # taken here outside the kernel at verify's points
+    rng = random.Random(7)
+    draws = [random_model(rng) for _ in range(100)]
+    chosen = [models["two_down_reflection"], *(m for m in draws if m.c >= 2 and not m.violations)]
+    checked = 0
+    for model in chosen:
+        rho = structural_constants(model).rho
+        for t in (0.05, 0.15, 0.25, 0.35, 0.45):
+            z = rho * t
+            branches = small_branches(model, z)
+            A = np.array([[complex(r(u)) for r in model.boundary_corrections]
+                          for u in branches.branches])
+            x = np.linalg.solve(A, np.array([1.0 / z] * model.c, dtype=complex))
+            assert repr(solve_boundary_gfs(model, z, branches)) == repr(
+                [float(v.real) for v in x]), (str(model.P), str(model.P0), z)
+            checked += 1
+    assert checked == 5 * 34
+
+
 def _count_evaluations(monkeypatch):
     """The argument of every polynomial evaluation from now on, in order."""
     from latticepaths.model import LaurentPolynomial
