@@ -10,7 +10,6 @@ enough to run on every model file.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -184,7 +183,8 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
         ))
 
     worst = kernel.u1_expansion_check(model, constants=sc)
-    yield "kernel/u1-expansion-bounded", math.isfinite(worst), f"max scaled residual {worst:.3g}"
+    yield ("kernel/u1-expansion-bounded", worst <= kernel.U1_EXPANSION_BOUND,
+           f"max scaled remainder {worst:.3g}")
 
     lam = sc.lam
     if lam > 1 + 1e-9:

@@ -265,6 +265,30 @@ def test_u1_expansion_residuals(models):
         assert u1_expansion_check(model, sc) < 10.0
 
 
+def test_u1_expansion_check_fails_where_c_is_one_percent_off(models):
+    from dataclasses import replace
+
+    from latticepaths.kernel import U1_EXPANSION_BOUND
+
+    for name, model in models.items():
+        sc = structural_constants(model)
+        assert u1_expansion_check(model, sc) < 0.6, name
+        for factor in (0.99, 1.01):
+            assert u1_expansion_check(model, replace(sc, C=sc.C * factor)) > U1_EXPANSION_BOUND
+
+
+def test_u1_expansion_check_passes_on_random_draws_and_where_the_next_term_is_zero(
+        random_models):
+    # the next term D is 0 when the third derivative of P vanishes at tau,
+    # as it does with jumps -1, 0 and 4 only
+    zero_d = parse_model("P: -1:1/2 0:1/4 4:1/4\nP0: -1:1/4 0:1/4 1:1/2\n")
+    rng = random.Random(5)
+    draws = [m for m in (random_model(rng) for _ in range(130)) if not m.violations]
+    assert len(draws) >= 100
+    for model in [zero_d, *random_models, *draws]:
+        assert u1_expansion_check(model, structural_constants(model)) < 0.7, str(model.P)
+
+
 def _count_solves(monkeypatch):
     """The z of every ``small_branches`` call from now on, in order."""
     from latticepaths import kernel
@@ -397,8 +421,10 @@ def _z_points(model):
 
 def test_branches_and_boundary_quantities_repr_identical_to_np_roots(models, random_models,
                                                                     monkeypatch):
-    # the companion solve finds the same roots as np.roots, and a quantity
-    # handed the BranchSet at z gives what it gives when it solves on its own
+    # a kernel of degree >= 3 takes the companion solve, which finds the
+    # same roots as np.roots (a quadratic takes its closed form, pinned by
+    # the accuracy test below); on every model a quantity handed the
+    # BranchSet at z gives what it gives when it solves on its own
     from latticepaths import kernel
 
     companion_roots = kernel._companion_roots
@@ -410,13 +436,15 @@ def test_branches_and_boundary_quantities_repr_identical_to_np_roots(models, ran
 
     for model in list(models.values()) + random_models:
         for z in _z_points(model):
-            coeffs = kernel._kernel_coeffs(model, z)
-            assert _outcome(lambda: companion_roots(coeffs)) == _outcome(lambda: np_roots(coeffs))
-            got = _outcome(lambda: small_branches(model, z))
-            monkeypatch.setattr(kernel, "_companion_roots", np_roots)
-            want = _outcome(lambda: small_branches(model, z))
-            monkeypatch.undo()
-            assert got == want, (str(model.P), z)
+            if model.c + model.d >= 3:
+                coeffs = kernel._kernel_coeffs(model, z)
+                assert _outcome(lambda: companion_roots(coeffs)) == _outcome(
+                    lambda: np_roots(coeffs))
+                got = _outcome(lambda: small_branches(model, z))
+                monkeypatch.setattr(kernel, "_companion_roots", np_roots)
+                want = _outcome(lambda: small_branches(model, z))
+                monkeypatch.undo()
+                assert got == want, (str(model.P), z)
             try:
                 branches = small_branches(model, z)
             except Exception:
@@ -449,9 +477,11 @@ def test_coefficients_roots_and_residuals_bit_identical_to_a_numpy_reference(mod
             coeffs = kernel._kernel_coeffs(model, z)
             assert [repr(v) for v in coeffs] == [repr(complex(v)) for v in reference], (
                 str(model.P), z)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                want = _outcome(lambda: [complex(r) for r in np.roots(reference)])
-            assert _outcome(lambda: kernel._companion_roots(coeffs)) == want, (str(model.P), z)
+            if model.c + model.d >= 3:  # a quadratic takes its closed form
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    want = _outcome(lambda: [complex(r) for r in np.roots(reference)])
+                assert _outcome(lambda: kernel._companion_roots(coeffs)) == want, (
+                    str(model.P), z)
             try:
                 branches = small_branches(model, z)
             except Exception:
@@ -460,6 +490,89 @@ def test_coefficients_roots_and_residuals_bit_identical_to_a_numpy_reference(mod
             for u, r in zip(branches.branches, branches.residuals):
                 assert repr(r) == repr(abs(1.0 - z * complex(model.P(u)))), (str(model.P), z)
     assert checked > 0
+
+
+def _quadratic_kernel_models(models):
+    """The shipped c = d = 1 models and the valid c = d = 1 ones of 60 c = 1
+    draws."""
+    rng = random.Random(11)
+    draws = [random_model(rng, lukasiewicz=True) for _ in range(60)]
+    return [m for m in [*models.values(), *draws] if m.c == m.d == 1 and not m.violations]
+
+
+def _mp_small_root(model, z):
+    """The small root of z*p1*u**2 + (z*p0 - 1)*u + z*p_-1 at 50 digits, with
+    the model's float weights, by the stable form of the quadratic formula,
+    and its condition number: how far a relative change of e in the
+    coefficients moves it, in units of e*|u|."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p_low, p0, p1 = (mpmath.mpf(p) for p in model.P.float_coeffs)
+        z = mpmath.mpf(z)
+        a, b, c = z * p1, z * p0 - 1, z * p_low
+        sd = mpmath.sqrt(b * b - 4 * a * c)
+        q = -(b + (sd if b >= 0 else -sd)) / 2
+        u = c / q
+        cond = (abs(a) * u * u + abs(b) * abs(u) + abs(c)) / abs(u * (2 * a * u + b))
+        return u, float(cond)
+
+
+def test_quadratic_kernel_branch_within_its_conditioning_of_a_50_digit_root(models):
+    # at c = d = 1 the small branch comes from the closed form and Newton:
+    # within 2 units of round-off times its condition number of the exact
+    # root, all the way to the branch point (the companion solve reads up
+    # to 3.1 units), which is 1.2e-15 or less inside 0.99 rho and 2e-9 or
+    # less nearer rho
+    import mpmath
+
+    unit = 2.0**-53
+    chosen = _quadratic_kernel_models(models)
+    checked = 0
+    for model in chosen:
+        rho = structural_constants(model).rho
+        ts = [k / 50 for k in range(-49, 50) if k] + [0.99, -0.99]
+        ts += [10.0**-k for k in range(3, 301, 9)] + [1 - 10.0**-k for k in range(4, 13, 2)]
+        for t in ts:
+            z = rho * t
+            u = small_branches(model, z).branches[0]
+            ref, cond = _mp_small_root(model, z)
+            err = float(abs((mpmath.mpc(u) - ref) / ref))
+            assert err <= 2 * unit * cond, (str(model.P), t, err, cond)
+            assert err <= (1.2e-15 if abs(t) <= 0.99 else 2e-9), (str(model.P), t, err)
+            checked += 1
+    assert len(chosen) >= 20 and checked == 139 * len(chosen)
+
+
+def test_quadratic_kernel_makes_no_eigenvalue_solve(models, monkeypatch):
+    from conftest import MODELS_DIR
+    from latticepaths.cli import run
+    from latticepaths.verify import _kernel_checks
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called for a quadratic kernel")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    for model in _quadratic_kernel_models(models):
+        rho = structural_constants(model).rho
+        for z in (-0.5 * rho, 1e-200, 0.25 * rho, 0.5 * rho, 0.3j * rho):
+            small_branches(model, z)
+        for quantity in BOUNDARY_QUANTITIES:
+            quantity(model, 0.25 * rho)
+    for name, model in models.items():
+        if model.c == model.d == 1:
+            failed = [(check, detail) for check, ok, detail in _kernel_checks(model) if not ok]
+            assert failed == [], name
+            assert run(["gf-eval", "--z", "0.1", str(MODELS_DIR / f"{name}.model")]) == 0
+    with pytest.raises(AssertionError, match="eigvals"):
+        small_branches(models["two_down_reflection"], 0.1)
+
+
+@pytest.mark.parametrize("z", [1e-250, 1e-300])
+def test_motzkin_branch_at_tiny_z_is_z_over_3(models, z):
+    # u1 = z/3 + O(z**2); Newton stops at the large root, whose Horner
+    # overflows, and the small one comes straight from the closed form
+    assert small_branch_u1(models["motzkin_reflection"], z) == pytest.approx(z / 3, rel=1e-12)
 
 
 def test_boundary_quantities_make_one_solve_or_none_when_handed_branches(models, monkeypatch):
