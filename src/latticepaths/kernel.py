@@ -11,9 +11,11 @@ evaluates the closed product formula of the boundary-free model, and
 derives the structural constants that drive every asymptotic regime.
 
 Every boundary quantity at z (the F_k, E(z), the boundary-free product,
-the Vandermonde form and the perturbation identity) reads the same c
-branches, so each takes an optional ``BranchSet`` solved at that z and
-then makes no solve of its own: one branch solve per z serves them all.
+E(z) = 1/(1 - z*L[P0geq]) over all c branches, which is the closed form
+at c = 1, and the perturbation identity) reads the same c branches, so
+each takes an optional ``BranchSet`` solved at that z and then makes no
+solve of its own: one branch solve per z serves them all. L is the
+divided difference over the branches (``_divided_difference``).
 
 The excursion pole rho1 is found in the branch variable: on (0, rho) the
 real small branch satisfies z = 1/P(u1(z)), so the boundary denominator
@@ -98,7 +100,16 @@ def _companion_roots(coeffs: list[complex]) -> list[complex]:
     """
     if len(coeffs) == 3 and coeffs[0] and coeffs[2]:
         a, b, c = coeffs
-        sd = cmath.sqrt(b * b - 4.0 * a * c)
+        disc = b * b - 4.0 * a * c
+        if not cmath.isfinite(disc):
+            # beyond |z| of about 1e154 the squares overflow: dividing the
+            # coefficients by a power of two near the largest of them is
+            # exact and leaves the roots as they are
+            top = max(abs(x) for v in coeffs for x in (v.real, v.imag))
+            s = math.ldexp(1.0, -math.frexp(top)[1])
+            a, b, c = a * s, b * s, c * s
+            disc = b * b - 4.0 * a * c
+        sd = cmath.sqrt(disc)
         if (b.conjugate() * sd).real < 0:
             sd = -sd
         q = -0.5 * (b + sd)
@@ -243,6 +254,31 @@ def _branches_at(model: WalkModel, z: complex, branches: Optional[BranchSet]) ->
     return branches
 
 
+def _divided_difference(g, u) -> complex:
+    """L[g] = sum_i g(u_i)*u_i**(c-1) / prod_{m != i}(u_i - u_m) over the c
+    branches u: the divided difference of u**(c-1)*g at them, so L[1] = 1
+    and L[g] = g(u_1) at c = 1. A float branch with a float g gives a float;
+    a float meets a complex as the complex with imaginary part 0 would."""
+    c = len(u)
+    total = 0.0
+    for i, ui in enumerate(u):
+        denom = 1.0
+        for m, um in enumerate(u):
+            if m != i:
+                denom *= ui - um
+        total += g(ui) * ui ** (c - 1) / denom
+    return total
+
+
+def _excursion_value(model: WalkModel, z: complex, u) -> complex:
+    """E(z) = 1/(1 - z*L[P0geq]) over the branches u; a denominator below
+    1e-14 is the excursion series' pole."""
+    den = 1.0 - z * _divided_difference(model.P0geq, u)
+    if abs(den) < 1e-14:
+        raise NumericalSingularityError(f"excursion series pole at z={z}")
+    return 1.0 / den
+
+
 def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet] = None
                        ) -> list[float]:
     """Values F_0(z)..F_{c-1}(z) of the boundary generating functions.
@@ -259,10 +295,7 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     if model.is_lukasiewicz:
         # the lone branch, real at any real z inside the disk, negative z too
         u1 = _real(branches.branches[0], "small branch", z)
-        den = 1.0 - z * float(model.P0geq(u1))
-        if abs(den) < 1e-14:
-            raise NumericalSingularityError(f"excursion series pole at z={z}")
-        return [1.0 / den]
+        return [_excursion_value(model, z, [u1])]
     u = branches.branches
     A = np.array([[complex(r(ui)) for r in model.boundary_corrections] for ui in u])
     b = np.array([1.0 / z] * model.c, dtype=complex)
@@ -283,34 +316,11 @@ def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = Non
 
 def excursion_gf_vandermonde(model: WalkModel, z: float, branches: Optional[BranchSet] = None
                              ) -> float:
-    """E(z) through the alternating Vandermonde-minor form over the branches.
-
-    For c=1 the minors are empty products and the expression collapses to
-    the closed single-branch form, so this delegates there.
-    """
-    if model.is_lukasiewicz:
-        return excursion_gf(model, z, branches)
+    """E(z) = 1/(1 - z*L[P0geq]) over all the small branches, with no linear
+    solve: Cramer's rule on the boundary system, its Vandermonde minors
+    summed into the divided difference L (``_divided_difference``)."""
     u = _branches_at(model, z, branches).branches
-    c = model.c
-
-    def minor(ell: int) -> complex:
-        v = 1.0 + 0j
-        for m in range(c):
-            for nn in range(m + 1, c):
-                if m != ell and nn != ell:
-                    v *= u[m] - u[nn]
-        return v
-
-    num = 0j
-    den = 0j
-    for ell in range(c):
-        sign = -1.0 if ell % 2 else 1.0
-        term = sign * u[ell] ** (c - 1) * minor(ell)
-        num += term
-        den += term * (1.0 - z * complex(model.P0geq(u[ell])))
-    if den == 0:
-        raise NumericalSingularityError(f"degenerate branch minors at z={z}")
-    return _real(num / den, "excursion value", z)
+    return _real(_excursion_value(model, z, u), "excursion value", z)
 
 
 def excursion_gf_bf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:
@@ -332,23 +342,15 @@ def perturbation_identity_residual(model: WalkModel, z: float,
     The boundary excursion series is the boundary-free one divided by
     1 - z*Efree(z) * L, where L is the divided-difference functional
     sum_i g(u_i) u_i**(c-1) / prod_{m != i}(u_i - u_m) applied to
-    g = P0geq - Pgeq. The factor vanishes exactly when P0 = P, which is
-    what makes it a measure of the boundary's perturbation. Contract:
-    residual <= 1e-9 well inside the disk of analyticity. One branch solve
-    serves both sides.
+    g = P0geq - Pgeq (``_divided_difference``). The factor vanishes exactly
+    when P0 = P, which is what makes it a measure of the boundary's
+    perturbation. Contract: residual <= 1e-9 well inside the disk of
+    analyticity. One branch solve serves both sides.
     """
     branches = _branches_at(model, z, branches)
-    u = branches.branches
-    c = model.c
     p_geq = model.P.nonneg_part()
-    lam_sum = 0j
-    for i, ui in enumerate(u):
-        denom = 1.0 + 0j
-        for m, um in enumerate(u):
-            if m != i:
-                denom *= ui - um
-        g = complex(model.P0geq(ui)) - complex(p_geq(ui))
-        lam_sum += g * ui ** (c - 1) / denom
+    lam_sum = _divided_difference(lambda u: complex(model.P0geq(u)) - complex(p_geq(u)),
+                                  branches.branches)
     e_free = excursion_gf_bf(model, z, branches)
     denominator = 1.0 - z * e_free * lam_sum
     if denominator == 0:
@@ -463,9 +465,13 @@ def _find_tau(model: WalkModel) -> float:
 
 
 def boundary_denominator(model: WalkModel, z: float) -> float:
-    """1 - z*P0geq(u1(z)); its root on (0, rho] is the excursion pole rho1."""
-    u1 = small_branch_u1(model, z)
-    return 1.0 - z * float(model.P0geq(u1))
+    """1 - z*P0geq(u1(z)); its root on (0, rho] is the excursion pole rho1.
+
+    It is 1 - z*L[P0geq] over the real branch u1 alone, also for c >= 2,
+    where it confirms the rho1 of ``structural_constants``; over all c
+    branches it would be 1/E(z), the switch ROADMAP Q makes with rho1.
+    """
+    return 1.0 - z * _divided_difference(model.P0geq, [small_branch_u1(model, z)])
 
 
 def u1_derivatives(model: WalkModel, z: float, u1: float) -> tuple[float, float, float]:
@@ -568,10 +574,9 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     E_at_rho = E_at_1 = None
     if model.is_lukasiewicz:
         E_at_rho = 1.0 / (1.0 - lam) if sign < 0 else None
-        if rho > 1.0 + 1e-12:
-            den = boundary_denominator(model, 1.0)
-        else:
-            den = 1.0 - float(model.P0geq(tau))
+        # rho = 1 (no drift) makes z = 1 the branch point, where u1 = tau
+        u1 = small_branch_u1(model, 1.0) if rho > 1.0 + 1e-12 else tau
+        den = 1.0 - _divided_difference(model.P0geq, [u1])
         if den > 1e-9:
             E_at_1 = 1.0 / den
     return StructuralConstants(

@@ -134,6 +134,12 @@ def test_gf_eval_beyond_rho_exits_two(capsys):
     assert "numerical" in err
 
 
+def test_gf_eval_far_beyond_rho_says_the_branches_collide(capsys):
+    code, out, err = invoke(capsys, "gf-eval", "--z", "1e200", MOTZ_R)
+    assert (code, out) == (2, "")
+    assert "collide" in err and "Traceback" not in err
+
+
 def test_fit_zero_variance_exit_code_follows_mode(capsys):
     # at n = 2 every excursion has one return: in exact mode that is the
     # model's own point mass, a model error, while in float mode a variance

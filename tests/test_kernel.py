@@ -141,9 +141,47 @@ def test_vandermonde_matches_system_c2(models):
         )
 
 
-def test_vandermonde_delegates_for_c1(models):
-    model = models["motzkin_reflection"]
-    assert excursion_gf_vandermonde(model, 0.3) == excursion_gf(model, 0.3)
+def test_vandermonde_is_the_closed_form_bit_for_bit_for_c1(models):
+    # at c = 1 both routes are 1/(1 - z*L[P0geq]) over the lone branch, the
+    # closed form over its real part: on a real branch they round alike
+    chosen = [model for model in models.values() if model.c == 1]
+    checked = 0
+    for model in chosen:
+        for z in _z_points(model):
+            try:
+                want = excursion_gf(model, z)
+                got = excursion_gf_vandermonde(model, z)
+            except NumericalSingularityError:
+                continue
+            assert repr(got) == repr(want), (str(model.P), str(model.P0), z)
+            checked += 1
+    assert checked == 7 * len(chosen)  # every real z of the grid
+
+
+def test_vandermonde_raises_at_the_excursion_pole_as_the_closed_form_does(models):
+    model = models["supercritical_drift_down"]
+    rho1 = structural_constants(model).rho1
+    for quantity in (excursion_gf, excursion_gf_vandermonde):
+        with pytest.raises(NumericalSingularityError, match=f"excursion series pole at z={rho1}"):
+            quantity(model, rho1)
+
+
+def test_divided_difference_of_one_is_one(models, random_models):
+    # L[1] is the divided difference of u**(c-1), its leading coefficient
+    from latticepaths.kernel import _divided_difference
+
+    chosen = list(models.values()) + [m for m in random_models if m.c >= 2]
+    assert {m.c for m in chosen} == {1, 2, 3}
+    checked = 0
+    for model in chosen:
+        for z in _z_points(model):
+            try:
+                u = small_branches(model, z).branches
+            except NumericalSingularityError:
+                continue
+            assert abs(_divided_difference(lambda _: 1.0, u) - 1.0) <= 1e-12, (str(model.P), z)
+            checked += 1
+    assert checked == 11 * len(chosen)  # all but the underflowing z
 
 
 def test_boundary_free_gf(models):
@@ -566,6 +604,35 @@ def test_quadratic_kernel_makes_no_eigenvalue_solve(models, monkeypatch):
             assert run(["gf-eval", "--z", "0.1", str(MODELS_DIR / f"{name}.model")]) == 0
     with pytest.raises(AssertionError, match="eigvals"):
         small_branches(models["two_down_reflection"], 0.1)
+
+
+@pytest.mark.parametrize("b", [-1e8 + 0j, complex(-6e7, 8e7)])
+def test_quadratic_formula_flips_the_square_root_against_b(b):
+    # with Re(conj(b)*sqrt(b**2 - 4ac)) < 0 the root's sign flips, so that
+    # b + sd adds and the small root, near 1/|b|, keeps its digits; the
+    # reference is (-b +- sqrt(b**2 - 4))/2 at 50 digits
+    import mpmath
+
+    from latticepaths import kernel
+
+    roots = kernel._companion_roots([1 + 0j, b, 1 + 0j])
+    with mpmath.workdps(50):
+        sd = mpmath.sqrt(mpmath.mpc(b) ** 2 - 4)
+        want = [(-mpmath.mpc(b) + sd) / 2, (-mpmath.mpc(b) - sd) / 2]
+    assert len(roots) == 2
+    for r in want:
+        got = min(roots, key=lambda v: abs(mpmath.mpc(v) - r))
+        assert abs(mpmath.mpc(got) - r) <= 1e-15 * abs(r), (got, r)
+
+
+@pytest.mark.parametrize("name", ["motzkin_reflection", "dyck_absorption",
+                                  "supercritical_drift_down"])
+@pytest.mark.parametrize("z", [1e160, 1e200, -1e200, 1e200j, 1e300])
+def test_quadratic_kernel_far_outside_the_disk_reports_the_collision(models, name, z):
+    # b**2 - 4ac overflows from |z| of about 1e154 unless the coefficients
+    # are scaled; there the branches of modulus 1 or so meet the large ones
+    with pytest.raises(BranchDegenerateError, match="small and large branches collide"):
+        small_branches(models[name], z)
 
 
 @pytest.mark.parametrize("z", [1e-250, 1e-300])
