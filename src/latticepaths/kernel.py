@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,13 +54,30 @@ def _real(v: complex, what: str, z: complex) -> float:
     return float(v.real)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class BranchSet:
     """The c small-modulus roots of 1 - z*P(u) = 0, sorted by modulus."""
 
     z: complex
     branches: tuple[complex, ...]
     residuals: tuple[float, ...]
+
+    # frozen by hand: the slots' own setters cost about half of what a frozen
+    # dataclass's object.__setattr__ does, and with slots its generated
+    # __setattr__ raises TypeError for a name that is not a field (3.11)
+    def __init__(self, z: complex, branches: tuple[complex, ...], residuals: tuple[float, ...]):
+        _set_z(self, z)
+        _set_branches(self, branches)
+        _set_residuals(self, residuals)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return BranchSet, (self.z, self.branches, self.residuals)
 
     @property
     def u1(self) -> float:
@@ -73,47 +90,46 @@ class BranchSet:
         return candidates[0]
 
 
+_set_z, _set_branches, _set_residuals = (
+    getattr(BranchSet, name).__set__ for name in ("z", "branches", "residuals"))
+
+
 def _kernel_coeffs(model: WalkModel, z: complex) -> list[complex]:
-    """Coefficients (descending degree) of u**c - z * u**c * P(u); an absent
-    jump subtracts an exact 0."""
-    coeffs = [0j] * (model.c + model.d + 1)
-    coeffs[model.c] += 1.0
-    for k, p in enumerate(model.P.float_coeffs):
-        coeffs[k] -= z * p
-    return coeffs[::-1]
+    """Coefficients (descending degree) of u**c - z * u**c * P(u): 0j - z*p
+    for each weight p of P, and (1 + 0j) - z*p at u**c, where an absent
+    jump's p is an exact 0."""
+    weights = model.P.float_coeffs
+    coeffs = []
+    for p in reversed(weights):
+        coeffs.append(0j - z * p)
+    c = model.c
+    coeffs[-1 - c] = (1 + 0j) - z * weights[c]
+    return coeffs
+
+
+def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
+    """Roots of a*u**2 + b*u + c, a and c nonzero: q/a and c/q with
+    q = -(b + sd)/2, sd = sqrt(b**2 - 4ac) signed so that b + sd adds."""
+    disc = b * b - 4.0 * a * c
+    if not cmath.isfinite(disc):
+        # beyond |z| of about 1e154 the squares overflow: dividing the
+        # coefficients by a power of two near the largest of them is
+        # exact and leaves the roots as they are
+        top = max(abs(x) for v in (a, b, c) for x in (v.real, v.imag))
+        s = math.ldexp(1.0, -math.frexp(top)[1])
+        a, b, c = a * s, b * s, c * s
+        disc = b * b - 4.0 * a * c
+    sd = cmath.sqrt(disc)
+    if (b.conjugate() * sd).real < 0:
+        sd = -sd
+    q = -0.5 * (b + sd)
+    return [q / a, c / q]
 
 
 def _companion_roots(coeffs: list[complex]) -> list[complex]:
-    """Roots of the polynomial with descending coefficients ``coeffs``.
-
-    A quadratic (c = d = 1) with both end coefficients nonzero takes the
-    cancellation-free formula: the sign of sd = sqrt(b**2 - 4ac) makes
-    Re(conj(b)*sd) >= 0, so b + sd adds, and with q = -(b + sd)/2 the
-    roots are q/a and c/q, with no eigenvalue solve. Any other polynomial
-    goes to the companion matrix: zero end coefficients are trimmed as
-    ``np.roots`` trims them (a trailing zero is a root at 0), and the
-    matrix is the one it builds, first row -p[1:]/p[0], divided by numpy,
-    and ones on the subdiagonal. The eigenvalue call is the same, so those
-    roots are np.roots' to the last bit. The end coefficients are -z times
-    the weights of the deepest and highest jumps, 0 only when that product
-    underflows.
-    """
-    if len(coeffs) == 3 and coeffs[0] and coeffs[2]:
-        a, b, c = coeffs
-        disc = b * b - 4.0 * a * c
-        if not cmath.isfinite(disc):
-            # beyond |z| of about 1e154 the squares overflow: dividing the
-            # coefficients by a power of two near the largest of them is
-            # exact and leaves the roots as they are
-            top = max(abs(x) for v in coeffs for x in (v.real, v.imag))
-            s = math.ldexp(1.0, -math.frexp(top)[1])
-            a, b, c = a * s, b * s, c * s
-            disc = b * b - 4.0 * a * c
-        sd = cmath.sqrt(disc)
-        if (b.conjugate() * sd).real < 0:
-            sd = -sd
-        q = -0.5 * (b + sd)
-        return [q / a, c / q]
+    """Roots of the polynomial with descending coefficients ``coeffs``, by
+    ``np.linalg.eigvals`` on the companion matrix that ``np.roots`` builds,
+    end zeros trimmed as it trims them: np.roots' roots to the last bit."""
     nonzero = [i for i, v in enumerate(coeffs) if v]
     first, last = nonzero[0], nonzero[-1]
     p = coeffs[first : last + 1]
@@ -136,53 +152,39 @@ def _companion_roots(coeffs: list[complex]) -> list[complex]:
     return roots + [0j] * (len(coeffs) - 1 - last)
 
 
-def _refine_root(z: complex, u: complex, P: LaurentPolynomial, dP: LaurentPolynomial
-                 ) -> tuple[complex, complex]:
-    """Newton steps on f(u) = 1 - z*P(u), with f'(u) = -z*P'(u); small
-    branches are never 0. Newton stops before a step that is not finite:
-    at tiny z, P's Horner overflows at a large root (3e155 at z = 1e-155 on
-    the Motzkin walk), and the root is kept as ``_companion_roots`` gave it.
-
-    Returns (u, f(u)) at the root Newton stops at. P and its derivative dP
-    are evaluated by their own Horner (``LaurentPolynomial.__call__``), so
-    f(u) is the residual that ``small_branches`` accepts or rejects; only
-    after the last of the 60 steps, which moves u past its last f, is f
-    evaluated once more.
-    """
-    floor = _branch_residual_floor(z)
-    for _ in range(60):
+def _refine_roots(z: complex, roots: list[complex], P: LaurentPolynomial,
+                  dP: LaurentPolynomial, floor: float) -> list[tuple[complex, complex]]:
+    """Newton on f(u) = 1 - z*P(u) from each root; (u, f(u)) where it stops:
+    |f| below ``floor``, f' = 0, a step that leaves u or is not finite (P's
+    Horner overflows at a large root at tiny z), or 60 steps."""
+    refined = []
+    for u in roots:
         fx = 1.0 - z * P(u)
-        if abs(fx) < floor:
-            return u, fx
-        dfx = -z * dP(u)
-        if dfx == 0:
-            return u, fx
-        nxt = u - fx / dfx
-        if nxt == u or not cmath.isfinite(nxt):
-            return u, fx
-        u = nxt
-    return u, 1.0 - z * P(u)
-
-
-def _branch_residual_floor(z: complex) -> float:
-    return 1e-15 * (1.0 + abs(z))
+        steps = 0
+        while not abs(fx) < floor and steps < 60:
+            dfx = -z * dP(u)
+            if dfx == 0:
+                break
+            nxt = u - fx / dfx
+            if nxt == u or not cmath.isfinite(nxt):
+                break
+            u = nxt
+            fx = 1.0 - z * P(u)
+            steps += 1
+        refined.append((u, fx))
+    return refined
 
 
 def small_branches(model: WalkModel, z: complex) -> BranchSet:
     """Find the c small branches of the kernel equation at z.
 
-    Roots of the cleared-denominator kernel polynomial come from
-    ``_companion_roots`` (the quadratic formula when c = d = 1, the
-    companion matrix otherwise) and are refined by Newton iteration on
-    P's Horner (``_refine_root``); each is accepted when its residual
-    |1 - z*P(u)|, Newton's last evaluation at the root it stops at, is at most
-    ``ROOT_RESIDUAL_TOL``. A collision between the c-th and (c+1)-th
-    modulus is tolerated only for real z at the point where the real
-    branches merge (the square-root singularity); elsewhere it means z left
-    the disk of analyticity and is reported as degenerate. A z so small
-    that the root solve loses the small branches raises
-    ``NumericalSingularityError``. A model that ``validate`` rejects raises
-    ``InvalidModelError`` with its text.
+    The roots of the kernel polynomial (``_quadratic_roots`` when it is a
+    quadratic with nonzero ends, ``_companion_roots`` otherwise), refined by
+    Newton (``_refine_roots``), are ordered by modulus; the c smallest are
+    accepted when each residual |1 - z*P(u)| is within
+    ``_residual_tolerance``. A root solve that fails or loses a small
+    branch raises ``NumericalSingularityError``, an invalid model
+    ``InvalidModelError``.
     """
     require_valid(model)
     if z == 0:
@@ -193,52 +195,65 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     # or returns the small roots, of size about z, as exactly 0; the
     # quadratic formula keeps them, but from about 1e-308 its large root,
     # about 1/z, overflows and Newton's Horner raises there
+    coeffs = _kernel_coeffs(model, z)
+    quadratic = len(coeffs) == 3 and coeffs[0] != 0 and coeffs[2] != 0
     try:
-        roots = _companion_roots(_kernel_coeffs(model, z))
+        roots = _quadratic_roots(*coeffs) if quadratic else _companion_roots(coeffs)
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(f"kernel companion solve failed at z={z}: {exc}") from exc
     if 0 in roots:
         raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
-    P, dP = model.P, model.P.derivative()
+    P = model.P
     try:
-        refined = [_refine_root(z, r, P, dP) for r in roots]
+        refined = _refine_roots(z, roots, P, P.derivative(), 1e-15 * (1.0 + abs(z)))
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
-    refined.sort(key=lambda pair: abs(pair[0]))
-    roots = [u for u, _ in refined]
-    c = model.c
-    # where P's Horner overflows at the largest root, Newton stopped there; a
-    # lone c = 1 branch is still right, but for c >= 2 the boundary system
-    # solved from the branches is far off (ROADMAP J, step 1), so the exit 2
-    # stays until a forward-error test can tell
-    if c > 1 and not cmath.isfinite(model.P(roots[-1])):
-        raise NumericalSingularityError(f"kernel polynomial overflows at a root at z={z}")
-    merged = False
-    if len(roots) > c:
-        inner, outer = abs(roots[c - 1]), abs(roots[c])
-        if outer - inner <= 1e-9 * max(outer, 1e-30):
-            merged = True
-            a, b = roots[c - 1], roots[c]
-            real_merge = (
-                abs(complex(z).imag) <= 1e-12 * (1.0 + abs(z))
-                and abs(a.imag) <= 1e-6 * (1.0 + abs(a.real))
-                and abs(b.imag) <= 1e-6 * (1.0 + abs(b.real))
-            )
-            if not real_merge:
-                raise BranchDegenerateError(
-                    f"small and large branches collide at z={z}: |u_c|={inner}, |u_c+1|={outer}"
-                )
-    small = tuple(roots[:c])
-    residuals = tuple(abs(fx) for _, fx in refined[:c])
-    # a merged pair is a double root: Newton stalls there but the residual
-    # stays quadratically small, so only the tolerance is relaxed
-    tol = 1e-6 if merged else ROOT_RESIDUAL_TOL
-    for u, r in zip(small, residuals):
+    if quadratic:
+        # c = d = 1: the small root and the large one; sort() would swap
+        # them on the same test, so a tie keeps its order
+        (u, fu), (v, _) = refined
+        if abs(v) < abs(u):
+            (v, _), (u, fu) = refined
+        tol = _residual_tolerance(z, u, v)
+        branches, residuals = (u,), (abs(fu),)
+    else:
+        refined.sort(key=lambda pair: abs(pair[0]))
+        c = model.c
+        # where P's Horner overflows at the largest root, Newton stopped
+        # there; a lone c = 1 branch is still right, but for c >= 2 the
+        # boundary system solved from the branches is far off (ROADMAP J,
+        # step 1), so the exit 2 stays until a forward-error test can tell
+        if c > 1 and not cmath.isfinite(P(refined[-1][0])):
+            raise NumericalSingularityError(f"kernel polynomial overflows at a root at z={z}")
+        tol = (_residual_tolerance(z, refined[c - 1][0], refined[c][0]) if len(refined) > c
+               else ROOT_RESIDUAL_TOL)
+        branches = tuple(u for u, _ in refined[:c])
+        residuals = tuple(abs(fx) for _, fx in refined[:c])
+    for u, r in zip(branches, residuals):
         if not r <= tol:  # a NaN branch, which overflow can leave, fails too
             raise NumericalSingularityError(
                 f"kernel root {u} at z={z} has residual {r} > {tol}"
             )
-    return BranchSet(z=complex(z), branches=small, residuals=residuals)
+    return BranchSet(complex(z), branches, residuals)
+
+
+def _residual_tolerance(z: complex, a: complex, b: complex) -> float:
+    """The residual tolerance of the c small branches, where a and b are the
+    c-th and (c+1)-th roots by modulus: ``ROOT_RESIDUAL_TOL`` while their
+    moduli differ. Where they meet, real z with real roots is the branch
+    point, a double root that Newton leaves with a quadratically small
+    residual, and the tolerance is 1e-6; anywhere else z has left the disk
+    of analyticity and the branches are degenerate."""
+    inner, outer = abs(a), abs(b)
+    if not outer - inner <= 1e-9 * max(outer, 1e-30):
+        return ROOT_RESIDUAL_TOL
+    if (abs(complex(z).imag) <= 1e-12 * (1.0 + abs(z))
+            and abs(a.imag) <= 1e-6 * (1.0 + abs(a.real))
+            and abs(b.imag) <= 1e-6 * (1.0 + abs(b.real))):
+        return 1e-6
+    raise BranchDegenerateError(
+        f"small and large branches collide at z={z}: |u_c|={inner}, |u_c+1|={outer}"
+    )
 
 
 def small_branch_u1(model: WalkModel, z: float) -> float:
@@ -260,6 +275,11 @@ def _divided_difference(g, u) -> complex:
     and L[g] = g(u_1) at c = 1. A float branch with a float g gives a float;
     a float meets a complex as the complex with imaginary part 0 would."""
     c = len(u)
+    if c == 1:
+        # the sum below is 0.0 + g(u_1)*u_1**0/1.0: g(u_1) to the bit for a
+        # finite value, but for the sign of a zero part, which every
+        # 1 - z*L drops
+        return g(u[0])
     total = 0.0
     for i, ui in enumerate(u):
         denom = 1.0
@@ -283,13 +303,11 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
                        ) -> list[float]:
     """Values F_0(z)..F_{c-1}(z) of the boundary generating functions.
 
-    Substituting each small branch into the functional equation kills the
-    left side and leaves c linear equations sum_k r_k(u_i) F_k = 1/z, with
-    the r_k of ``WalkModel.boundary_corrections``. For c = 1 its solution
-    is the closed form F_0 = E(z) = 1/(1 - z*P0geq(u1(z))), taken with no
-    linear solve; for c >= 2 LAPACK solves the system. ``branches``, if
-    given, is the ``BranchSet`` at z, which is then not solved again; this
-    holds for every boundary quantity below.
+    Each small branch u_i gives one equation sum_k r_k(u_i) F_k = 1/z, with
+    the r_k of ``WalkModel.boundary_corrections``. For c = 1 the solution
+    is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve; for c >= 2
+    LAPACK solves the system. ``branches``, here and in every boundary
+    quantity below, is the ``BranchSet`` at z, solved if not given.
     """
     branches = _branches_at(model, z, branches)
     if model.is_lukasiewicz:

@@ -86,28 +86,38 @@ class LaurentPolynomial:
         return tuple(float(c) for c in self.coeffs)
 
     @cached_property
-    def _complex_coeffs(self) -> tuple[complex, ...]:
-        return tuple(complex(c) for c in self.coeffs)
+    def _horner_float(self) -> tuple[float, ...]:
+        return self.float_coeffs[::-1]
+
+    @cached_property
+    def _horner_complex(self) -> tuple[complex, ...]:
+        return tuple(complex(c) for c in reversed(self.coeffs))
+
+    @cached_property
+    def _horner_exact(self) -> tuple[Fraction, ...]:
+        return self.coeffs[::-1]
 
     def __call__(self, x):
         """Horner evaluation; exact for int and Fraction arguments.
 
         Mixed ``Fraction`` arithmetic rounds each coefficient to
         ``float(c)`` or ``complex(c)`` before it meets a float or complex
-        argument, so those conversions are cached: the result, and its type
-        for numpy scalars too, is the same as Horner on the ``Fraction``
-        coefficients.
+        argument, so those conversions are cached, highest degree first:
+        the result, and its type for numpy scalars too, is the same as
+        Horner on the ``Fraction`` coefficients.
         """
-        if self.is_zero:
-            return 0 * x
-        if isinstance(x, complex):
-            coeffs = self._complex_coeffs
+        if type(x) is float:
+            coeffs = self._horner_float
+        elif isinstance(x, complex):
+            coeffs = self._horner_complex
         elif isinstance(x, float):
-            coeffs = self.float_coeffs
+            coeffs = self._horner_float
         else:
-            coeffs = self.coeffs
+            coeffs = self._horner_exact
+        if not coeffs:
+            return 0 * x
         acc = 0
-        for c in reversed(coeffs):
+        for c in coeffs:
             acc = acc * x + c
         return acc * x**self.lo
 

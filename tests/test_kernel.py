@@ -1,5 +1,6 @@
 """Kernel branches, generating-function evaluations, structural constants."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from latticepaths import (
     BranchDegenerateError,
+    BranchSet,
     InvalidModelError,
     NumericalSingularityError,
     excursion_gf,
@@ -604,6 +606,50 @@ def test_quadratic_kernel_makes_no_eigenvalue_solve(models, monkeypatch):
             assert run(["gf-eval", "--z", "0.1", str(MODELS_DIR / f"{name}.model")]) == 0
     with pytest.raises(AssertionError, match="eigvals"):
         small_branches(models["two_down_reflection"], 0.1)
+    # nor any other numpy call: the kernel's whole np fails on first use
+    from latticepaths import kernel
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} used for a quadratic kernel")
+
+    chosen = [(model, structural_constants(model).rho) for model in _quadratic_kernel_models(models)]
+    monkeypatch.setattr(kernel, "np", NoNumpy())
+    for model, rho in chosen:
+        for z in (-0.5 * rho, 1e-200, 0.25 * rho, 0.5 * rho, 0.3j * rho):
+            small_branches(model, z)
+        for quantity in (solve_boundary_gfs, excursion_gf, excursion_gf_bf,
+                         perturbation_identity_residual):
+            for z in (-0.5 * rho, 0.25 * rho, 0.5 * rho):
+                quantity(model, z)
+    with pytest.raises(AssertionError, match="np.linalg used"):
+        small_branches(models["two_down_reflection"], 0.1)
+
+
+def test_branch_set_is_a_frozen_record_of_its_fields(models):
+    import copy
+    import pickle
+    from dataclasses import fields
+
+    branches = small_branches(models["motzkin_reflection"], 0.3)
+    same = BranchSet(z=branches.z, branches=branches.branches, residuals=branches.residuals)
+    assert [f.name for f in fields(BranchSet)] == ["z", "branches", "residuals"]
+    assert same == branches and hash(same) == hash(branches)
+    assert same is not branches
+    assert BranchSet(branches.z, branches.branches, (1e-13,)) != branches
+    assert branches != (branches.z, branches.branches, branches.residuals)
+    assert repr(branches).startswith("BranchSet(z=(0.3+0j), branches=(")
+    assert repr(branches) == (f"BranchSet(z={branches.z!r}, branches={branches.branches!r}, "
+                              f"residuals={branches.residuals!r})")
+    for name in ("z", "branches", "residuals", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(branches, name, 0)
+    with pytest.raises(AttributeError):
+        del branches.z
+    assert not hasattr(branches, "__dict__")
+    assert copy.copy(branches) == pickle.loads(pickle.dumps(branches)) == branches
+    assert branches.u1 == branches.branches[0].real
+    assert branches == same
 
 
 @pytest.mark.parametrize("b", [-1e8 + 0j, complex(-6e7, 8e7)])
@@ -615,7 +661,7 @@ def test_quadratic_formula_flips_the_square_root_against_b(b):
 
     from latticepaths import kernel
 
-    roots = kernel._companion_roots([1 + 0j, b, 1 + 0j])
+    roots = kernel._quadratic_roots(1 + 0j, b, 1 + 0j)
     with mpmath.workdps(50):
         sd = mpmath.sqrt(mpmath.mpc(b) ** 2 - 4)
         want = [(-mpmath.mpc(b) + sd) / 2, (-mpmath.mpc(b) - sd) / 2]
@@ -880,7 +926,8 @@ def test_small_branches_raise_on_a_nan_branch(models, monkeypatch):
     from latticepaths import kernel
 
     nan = complex(math.nan, math.nan)
-    monkeypatch.setattr(kernel, "_refine_root", lambda z, u, P, dP: (nan, nan))
+    monkeypatch.setattr(kernel, "_refine_roots",
+                        lambda z, roots, P, dP, floor: [(nan, nan)] * len(roots))
     with pytest.raises(NumericalSingularityError, match="residual nan"):
         small_branches(models["motzkin_reflection"], 0.1)
 
@@ -911,3 +958,45 @@ def test_a_boundary_that_never_leaves_0_has_no_constants_or_estimate():
     for call in (structural_constants, lambda m: final_altitude_asymptotic(m, 1000)):
         with pytest.raises(InvalidModelError, match=f"^{NEVER_LEAVES_0}$"):
             call(model)
+
+
+# SHA-256 over the repr of every value, or the type and text of every raise,
+# of the kernel's public calls on the shipped c = d = 1 models at the points
+# of ``_golden_points``, taken before the quadratic solve lost its per-call
+# overhead. A change to any of these outputs must update it on purpose and
+# say why in CHANGES.md. These models take no LAPACK call, so the digest
+# holds on every numpy build.
+KERNEL_OUTPUTS_SHA256 = "3e3ac325bac8120f35f6ab35f76ca834d9e6a3771283090b442182753c5ad56d"
+KERNEL_OUTPUT_CALLS = (small_branches, solve_boundary_gfs, excursion_gf, excursion_gf_vandermonde,
+                       excursion_gf_bf, perturbation_identity_residual)
+
+
+def _golden_points(sc):
+    """verify's five z, eight evenly spread z of kernel-sweep's kind, points
+    toward and at rho, on the negative axis, at rho1, at extreme moduli and
+    off the axis."""
+    rho = sc.rho
+    zs = [rho * t for t in (0.05, 0.15, 0.25, 0.35, 0.45)]
+    zs += [rho * 0.5 * (i + 0.55) / 8 for i in range(8)]
+    zs += [0.9 * rho, 0.999 * rho, rho, -0.5 * rho, -0.9 * rho]
+    zs += [sc.rho1] if sc.rho1 is not None else []
+    return zs + [1e-100, 1e-300, 1e200, complex(0.3 * rho, 0.2 * rho)]
+
+
+def test_kernel_outputs_match_their_golden_digest(models):
+    digest = hashlib.sha256()
+    checked = 0
+    for name, model in models.items():
+        if not model.c == model.d == 1:
+            continue
+        sc = structural_constants(model)
+        digest.update(f"{name} constants\n{sc!r}\n".encode())
+        digest.update(f"{name} u1_expansion_check\n{_outcome(lambda: u1_expansion_check(model, sc))}\n"
+                      .encode())
+        for z in _golden_points(sc):
+            for call in KERNEL_OUTPUT_CALLS:
+                outcome = _outcome(lambda: call(model, z))
+                digest.update(f"{name} {call.__name__} {z!r}\n{outcome}\n".encode())
+                checked += 1
+    assert checked == 1218  # 9 models, 22 or 23 points, 6 calls
+    assert digest.hexdigest() == KERNEL_OUTPUTS_SHA256
