@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import NotLukasiewiczError, NumericalSingularityError, PeriodicModelError
 from .kernel import StructuralConstants, structural_constants
@@ -93,10 +94,15 @@ def classify(model: WalkModel) -> Classification:
     return _classification(model, structural_constants(model))
 
 
-def _constants_and_class(model: WalkModel) -> tuple[StructuralConstants, Classification]:
+def _constants_and_class(model: WalkModel, n: Optional[int] = None
+                         ) -> tuple[StructuralConstants, Classification]:
+    """The regime cell of a model the estimates and laws cover; given n,
+    the gate of an estimate at length n, checked after the model's."""
     require_aperiodic(model)
     require_lukasiewicz(model)
     sc = structural_constants(model)
+    if n is not None and n < 1:
+        raise ValueError("asymptotic estimates need n >= 1")
     return sc, _classification(model, sc)
 
 
@@ -108,25 +114,20 @@ def _excursions(sc: StructuralConstants, cls: Classification, n: int) -> Asympto
         value = sc.gamma * sc.rho1 ** (-n)
     elif cls.criticality is Criticality.CRITICAL:
         value = (1.0 / sc.kappa) * sc.rho ** (-n) / math.sqrt(math.pi * n)
-    else:
-        assert sc.E_at_rho is not None
+    else:  # c = 1 and sign < 0, where structural_constants sets E_at_rho
         value = sc.E_at_rho**2 * sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
     return AsymptoticEstimate(n, value, f"excursions/{cls.criticality.value}")
 
 
 def excursion_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order mass of length-n excursions."""
-    sc, cls = _constants_and_class(model)
-    if n < 1:
-        raise ValueError("asymptotic estimates need n >= 1")
+    sc, cls = _constants_and_class(model, n)
     return _excursions(sc, cls, n)
 
 
 def arch_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order mass of length-n arches, exponential factor included."""
-    sc, _ = _constants_and_class(model)
-    if n < 1:
-        raise ValueError("asymptotic estimates need n >= 1")
+    sc, _ = _constants_and_class(model, n)
     value = sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
     return AsymptoticEstimate(n, value, "arches")
 
@@ -138,9 +139,7 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     identically 1 there. An absorbing wall without positive drift gives the
     tail sum of the excursion estimate (module docstring).
     """
-    sc, cls = _constants_and_class(model)
-    if n < 1:
-        raise ValueError("asymptotic estimates need n >= 1")
+    sc, cls = _constants_and_class(model, n)
     if model.is_reflection:
         return AsymptoticEstimate(n, 1.0, "meanders/reflection-conserved")
     e1 = sc.E_at_1
@@ -162,9 +161,7 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
 
 def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order expected final altitude of surviving length-n walks."""
-    sc, cls = _constants_and_class(model)
-    if n < 1:
-        raise ValueError("asymptotic estimates need n >= 1")
+    sc, cls = _constants_and_class(model, n)
     ddP1 = float(model.P.derivative().derivative().total_weight())
     if cls.drift_sign is DriftSign.POSITIVE:
         return AsymptoticEstimate(n, sc.delta * n, "final-altitude/positive-drift")

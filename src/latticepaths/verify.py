@@ -186,13 +186,17 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
     yield ("kernel/u1-expansion-bounded", worst <= kernel.U1_EXPANSION_BOUND,
            f"max scaled remainder {worst:.3g}")
 
+    # the regime is the kernel's sign (a band of 1e-9*rho on lam, exact at
+    # zero drift); a band of this check's own would disagree with it near
+    # lam = 1. A sign that puts lam on the other side of 1 still fails
     lam = sc.lam
-    if lam > 1 + 1e-9:
-        ok = sc.rho1 is not None and sc.rho1 < rho
-    elif lam < 1 - 1e-9:
+    if sc.sign > 0:
+        ok = sc.rho1 is not None and 0 < sc.rho1 < rho
+    elif sc.sign < 0:
         ok = sc.rho1 is None
     else:
         ok = sc.rho1 is not None and abs(sc.rho1 - rho) <= 1e-10 * rho
+    ok = ok and sc.sign * (lam - 1) >= 0
     yield "kernel/criticality-trichotomy", ok, f"lam={lam:.6g}"
 
     if sc.rho1 is not None and 0 < sc.rho1 < rho:

@@ -1,5 +1,6 @@
 """Command-line driver: output format, determinism and exit codes."""
 
+import dataclasses
 import hashlib
 import itertools
 import subprocess
@@ -375,6 +376,19 @@ def test_asym_periodic_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("what", ["excursions", "arches", "meanders", "final-alt"])
+def test_asym_at_n_zero_exits_one_after_the_model_gates(capsys, what):
+    # the model is refused first: a periodic model names its period and a
+    # c = 2 model its down jump, whatever n is
+    for model, message in (
+        (MOTZ_R, "asymptotic estimates need n >= 1"),
+        (DYCK, "step polynomial has period 2; asymptotics need period 1"),
+        (C2, "asymptotic formulas cover a single down jump of -1, model has c=2"),
+    ):
+        code, out, err = invoke(capsys, "asym", "--n", "0", "--what", what, model)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), model
+
+
 def test_dist_output(capsys):
     code, out, _ = invoke(capsys, "dist", "--n", "4", "--what", "returns", "--exact", DYCK)
     assert code == 0
@@ -498,21 +512,58 @@ def test_near_critical_family_subcommands_raise_nothing(capsys, tmp_path, s):
 # at s = +1e-7 kernel/rho1-is-root re-solves the branch at rho1, next to
 # the branch point rho, and misses its 1e-9 bound (residual 3.2e-9); at
 # s = +1e-8 rho1 rounds to rho, which kernel/criticality-trichotomy rejects
-# for lam above 1 + 1e-9
+# under a supercritical sign
 VERIFY_FAILS_NEAR_CRITICAL = {
     Fraction(1, 10**7): "ROADMAP Z step 3: kernel/rho1-is-root",
     Fraction(1, 10**8): "ROADMAP Z step 3: kernel/criticality-trichotomy, rho1 rounds to rho",
 }
+# lam - 1 = +-1.05e-9, just outside a 1e-9 band on lam and inside the
+# kernel's band, which calls both critical; the trichotomy reads that sign
+TRICHOTOMY_BAND_S = [sign * Fraction(21, 20 * 10**9) for sign in (1, -1)]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [
     pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=VERIFY_FAILS_NEAR_CRITICAL[s]))
     if s in VERIFY_FAILS_NEAR_CRITICAL else s
-    for s in NEAR_CRITICAL_S], ids=lambda s: f"{float(s):+.0e}")
+    for s in NEAR_CRITICAL_S + TRICHOTOMY_BAND_S], ids=lambda s: f"{float(s):+.2e}"
+    if s in TRICHOTOMY_BAND_S else f"{float(s):+.0e}")
 def test_near_critical_family_verify_exits_zero(capsys, tmp_path, s):
     code, out, _ = invoke(capsys, "verify", _near_critical_model(tmp_path, s))
     assert code == 0, [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "PASS\tkernel/criticality-trichotomy" in out.splitlines()
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_trichotomy_on_a_zero_drift_model_reads_the_exact_sign(capsys, tmp_path):
+    # tau = 1, so the kernel's sign is exact: P0geq(1) - P(1) = -1e-12 is
+    # subcritical, and there is no rho1, though lam - 1 is inside 1e-9
+    path = tmp_path / "zero_drift.model"
+    path.write_text("P: -1:1/3 0:1/3 1:1/3\n"
+                    "P0: -1:1/1000000000000 1:999999999999/1000000000000\n")
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == 0, [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "PASS\tkernel/criticality-trichotomy" in out.splitlines()
+
+
+@pytest.mark.parametrize("fault", ["no rho1", "flipped sign"])
+def test_verify_trichotomy_fails_on_branches_or_sign_that_contradict(
+        capsys, monkeypatch, fault):
+    # on supercritical_drift_down (lam > 1): a missing rho1 contradicts the
+    # supercritical sign, and a subcritical sign contradicts lam
+    structural_constants = kernel.structural_constants
+
+    def wrong(model):
+        sc = structural_constants(model)
+        if fault == "no rho1":
+            return dataclasses.replace(sc, rho1=None)
+        return dataclasses.replace(sc, sign=-sc.sign)
+
+    monkeypatch.setattr(kernel, "structural_constants", wrong)
+    code, out, _ = invoke(capsys, "verify", str(MODELS_DIR / "supercritical_drift_down.model"))
+    assert code == 3
+    assert any(line.startswith("FAIL\tkernel/criticality-trichotomy\t")
+               for line in out.splitlines())
 
 
 @pytest.mark.parametrize("m", [1, 17, 60])
