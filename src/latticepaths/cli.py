@@ -8,6 +8,11 @@ significant digits. Diagnostics go to stderr. Exit codes: 0 success,
 argparse's own usage errors (a missing, unknown or malformed argument)
 exit 2 as well, before any model is read.
 
+``count``, ``dist`` and ``table2`` take their values from the DPs'
+private helpers, exact ones as (numerator, denominator) pairs of ints,
+and ``_cell`` writes each as ``fmt`` writes its ``Fraction``, float or
+None, so the public functions' ``Fraction``s are never made.
+
 Only the model layer is imported with this module. Each handler imports
 the layers it calls (``from . import enumeration``) when it runs, so
 ``validate``, ``--help``, usage errors and model-file errors never import
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .errors import (
@@ -57,6 +63,23 @@ def _write_rows(rows) -> None:
         sys.stdout.write("".join(lines))
 
 
+def _cell(v) -> str:
+    """An exact, float or missing value as ``fmt`` spells its ``Fraction``,
+    float or None, with no ``Fraction`` made: an exact (numerator,
+    denominator) pair as the reduced a/b (a alone when b is 1), a float
+    with 12 significant digits, None as -."""
+    if type(v) is tuple:
+        x, y = v
+        g = math.gcd(x, y)
+        return f"{x // g}" if y == g else f"{x // g}/{y // g}"
+    return "-" if v is None else f"{v:.12g}"
+
+
+def _value_lines(rows) -> list[str]:
+    """One "key<TAB>value" line per (key, value) row, the value a ``_cell``."""
+    return [f"{key}\t{_cell(v)}\n" for key, v in rows]
+
+
 def _cmd_validate(model, args) -> int:
     report = validate(model)
     _write_rows([
@@ -94,14 +117,17 @@ def _cmd_constants(model, args) -> int:
 
 
 # names, not function objects: the series is looked up in ``enumeration`` at
-# call time, so a wrapper installed there (a tracer, a test double) applies
+# call time, so a wrapper installed there (a tracer, a test double) applies.
+# Each names the private helper of a public series, which returns exact
+# values as (numerator, denominator) pairs; bench/tracer.py wraps only the
+# public names.
 _COUNT_SERIES = {
-    "excursions": "excursion_series",
-    "meanders": "meander_mass_series",
-    "arches": "arch_series",
-    "bridges": "bridge_mass_series",
-    "returns": "returns_mean_series",
-    "final-alt": "final_altitude_series",
+    "excursions": "_excursion_series",
+    "meanders": "_meander_mass_series",
+    "arches": "_arch_series",
+    "bridges": "_bridge_mass_series",
+    "returns": "_returns_mean_series",
+    "final-alt": "_final_altitude_series",
 }
 
 
@@ -109,7 +135,7 @@ def _cmd_count(model, args) -> int:
     from . import enumeration
 
     series = getattr(enumeration, _COUNT_SERIES[args.what])(model, args.n, args.mode)
-    _write_rows([("# n", args.what), *enumerate(series)])
+    sys.stdout.write("".join([f"# n\t{args.what}\n", *_value_lines(enumerate(series))]))
     return EXIT_OK
 
 
@@ -167,17 +193,15 @@ def _cmd_dist(model, args) -> int:
 
     n = args.n
     if args.what == "final-alt":
-        dist = enumeration.meander_distribution(model, n, args.mode)
-
-        def rows():  # the mass goes out even when no walk survives
-            yield "# meander_mass", dist.total()
-            yield "# altitude", "probability"
-            yield from sorted(dist.conditional().items())
-
-        _write_rows(rows())
+        masses, mass = enumeration._final_masses(model, n, args.mode)
+        lines = [f"# meander_mass\t{_cell(mass)}\n# altitude\tprobability\n"]
+        try:  # the mass goes out even when no walk survives
+            lines += _value_lines(enumeration._over_survivors(masses, mass, n).items())
+        finally:
+            sys.stdout.write("".join(lines))
     else:
-        dist = enumeration.returns_to_zero_distribution(model, n, args.mode)
-        _write_rows([("# returns", "probability"), *sorted(dist.prob.items())])
+        law = enumeration._returns_law(model, n, args.mode)
+        sys.stdout.write("".join(["# returns\tprobability\n", *_value_lines(law.items())]))
     return EXIT_OK
 
 
@@ -204,14 +228,14 @@ def _cmd_table2(model, args) -> int:
     paths = enumeration.bridge_paths(model, n)
     rules = list(enumeration.BoundaryRule)
 
-    def rows():
-        yield "# path", *(rule.value for rule in rules)
+    lines = ["\t".join(["# path", *(rule.value for rule in rules)]) + "\n"]
+    try:
         # one column per rule, each from one tally lookup
-        columns = [enumeration.path_probabilities(rule, model, paths) for rule in rules]
+        columns = [enumeration._path_probabilities(rule, model, paths) for rule in rules]
         for path, *probs in zip(paths, *columns):
-            yield " ".join(str(j) for j in path), *probs
-
-    _write_rows(rows())
+            lines.append("\t".join([" ".join(map(str, path)), *map(_cell, probs)]) + "\n")
+    finally:
+        sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -13,15 +13,21 @@ One entry point, ``_walk``, runs every recurrence and records the readout
 its caller names (row 0, the arches, the low rows, the total, the first
 moment) or returns the final rows, in either mode. Exact mode works on
 integers: every weight is an integer over D, the lcm of the denominators in
-``P`` and ``P0``, so the state after t steps holds Python ints over D**t,
-and a value becomes a ``Fraction`` only when it is output, over a running
-power of D. The exact state is one Python int with row i in bits
-[i*w, (i+1)*w) (Kronecker substitution): a step is one shift and at most
-one small-int multiply per jump, a small correction for row 0's boundary
-weights, and a right shift that drops the fields landing below 0. The
-field width grows, by one repack, as the numerators do. Per-step readouts
-read only the low fields; the total and the first moment come from exact
-mass balance on the rows below c.
+``P`` and ``P0``, so the state after t steps holds Python ints over D**t.
+The exact state is one Python int with row i in bits [i*w, (i+1)*w)
+(Kronecker substitution): a step is one shift and at most one small-int
+multiply per jump, a small correction for row 0's boundary weights, and a
+right shift that drops the fields landing below 0. The field width grows,
+by one repack, as the numerators do. Per-step readouts read only the low
+fields; the total and the first moment come from exact mass balance on the
+rows below c.
+
+Each statistic that ``count`` and ``dist`` print has one private helper
+(``_excursion_series``, ``_final_masses``, ``_returns_law``, ...) that
+returns its exact values as (numerator, denominator) pairs of those ints,
+a numerator over D**t or a ratio of two masses, and its float values as
+floats. The public function makes each pair a ``Fraction``; the CLI
+prints the pairs as they are, with no ``Fraction`` made.
 
 Float mode runs the same recurrence on one float64 numpy array indexed by
 altitude, in place. Each step touches only the live window of rows that
@@ -81,6 +87,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -108,38 +115,30 @@ class AltitudeDistribution:
     n: int
     mass: dict[int, Number]
 
-    def _scaled(self) -> tuple[dict[int, Number], Number, int]:
-        """(masses, their sum, L). Rational masses become integer
-        numerators over L, the lcm of their denominators, so exact sums add
-        integers and each quotient is one ``Fraction``; float masses stay
-        as they are, with L = 0."""
+    def _scaled(self) -> tuple[dict[int, Number], object]:
+        """(masses, their sum) in ``_final_masses``' form. Rational masses
+        become integer numerators over L, the lcm of their denominators,
+        so exact sums add integers, and their sum is the pair (sum, L);
+        float masses and their sum are floats."""
         masses = self.mass
         if not all(isinstance(w, (int, Fraction)) for w in masses.values()):
-            return masses, sum(masses.values()), 0
+            return masses, sum(masses.values())
         den = math.lcm(*(w.denominator for w in masses.values()))
         nums = {k: w.numerator * (den // w.denominator) for k, w in masses.items()}
-        return nums, sum(nums.values()), den
-
-    def _surviving(self) -> tuple[dict[int, Number], Number, Callable[[Number, Number], Number]]:
-        """``_scaled``'s masses and sum, and the division to apply to them;
-        raises when no mass survives."""
-        masses, total, den = self._scaled()
-        if not total:
-            raise LatticePathError(f"no surviving mass at n={self.n}")
-        return masses, total, Fraction if den else operator.truediv
+        return nums, (sum(nums.values()), den)
 
     def total(self) -> Number:
-        _, total, den = self._scaled()
-        return Fraction(total, den) if den else total
+        return _number(self._scaled()[1])
 
     def expectation(self) -> Number:
         """Mean altitude conditioned on survival."""
-        masses, total, divide = self._surviving()
-        return divide(sum(k * w for k, w in masses.items()), total)
+        masses, mass = self._scaled()
+        moment = sum(k * w for k, w in masses.items())
+        return _number(_over_survivors({0: moment}, mass, self.n)[0])
 
     def conditional(self) -> dict[int, Number]:
-        masses, total, divide = self._surviving()
-        return {k: divide(w, total) for k, w in sorted(masses.items())}
+        law = _over_survivors(*self._scaled(), self.n)
+        return {k: _number(p) for k, p in sorted(law.items())}
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,31 @@ class ReturnsDistribution:
     def variance(self) -> Number:
         m = self.mean()
         return sum(k * k * p for k, p in self.prob.items()) - m * m
+
+
+def _number(v):
+    """An exact value's (numerator, denominator) pair as a ``Fraction``; a
+    float or None as it is."""
+    return Fraction(*v) if type(v) is tuple else v
+
+
+def _numbers(values) -> list:
+    """``_number`` of each of the values."""
+    return [Fraction(*v) if type(v) is tuple else v for v in values]
+
+
+def _over_survivors(xs: dict, mass, n: int) -> dict:
+    """Each of xs over the surviving mass after n steps, ``mass`` as
+    ``_final_masses`` gives it: integer numerators over the pair
+    (total, L) give the pairs (x, total), floats x / total. Raises when
+    no mass survives."""
+    exact = type(mass) is tuple
+    total = mass[0] if exact else mass
+    if not total:
+        raise LatticePathError(f"no surviving mass at n={n}")
+    if exact:
+        return {k: (x, total) for k, x in xs.items()}
+    return {k: x / total for k, x in xs.items()}
 
 
 @contextlib.contextmanager
@@ -208,6 +232,10 @@ class _Arithmetic:
     den**t; ``bulk`` holds (jump, weight) for P and ``rim`` for P0geq
     (negative boundary jumps are absorbed), both as those integers. Float:
     float64, with den = 1.
+
+    A value leaves the DP in the mode's output form: an exact one as the
+    (numerator, denominator) pair of ints, which ``_number`` makes a
+    ``Fraction``, a float one as a float.
     """
 
     def __init__(self, model: WalkModel, mode: Mode):
@@ -220,33 +248,23 @@ class _Arithmetic:
             self.bulk = _scaled_terms(model.P, self.den)
             self.rim = _scaled_terms(model.P0geq, self.den)
 
-    def value(self, x, t: int) -> Number:
-        """A mass accumulated over t steps, in the mode's output type."""
-        return Fraction(x, self.den**t) if self.exact else float(x)
-
-    def values(self, xs, t: int) -> list:
-        """The masses xs, each accumulated over t steps, in the mode's
-        output type."""
-        if not self.exact:
-            return [float(x) for x in xs]
-        scale = self.den**t
-        return [Fraction(x, scale) for x in xs]
+    def value(self, x, t: int):
+        """A mass accumulated over t steps: (x, den**t), or a float."""
+        return (x, self.den**t) if self.exact else float(x)
 
     def series(self, xs) -> list:
-        """The masses xs[t], each accumulated over t steps, in the mode's
-        output type: exact ones over a running power of den."""
+        """The masses xs[t], each accumulated over t steps: the pairs
+        (xs[t], den**t), or floats."""
         if not self.exact:
             return [float(x) for x in xs]
-        out = []
-        scale = 1
-        for x in xs:
-            out.append(Fraction(x, scale))
-            scale *= self.den
-        return out
+        powers = itertools.accumulate(itertools.repeat(self.den, len(xs) - 1), operator.mul,
+                                      initial=1)
+        return list(zip(xs, powers))
 
-    def ratio(self, x, y) -> Number:
-        """x / y for two masses of the same step (the scale cancels)."""
-        return Fraction(x, y) if self.exact else float(x) / float(y)
+    def ratio(self, x, y):
+        """x / y for two masses of the same step (the scale cancels): the
+        pair (x, y), or a float."""
+        return (x, y) if self.exact else float(x) / float(y)
 
 
 def _max_rise(model: WalkModel) -> int:
@@ -477,6 +495,10 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
     zeroed row) with the same edge flush after every step: a reduce along
     the leading axis adds the rows in that order, and padding rows, absent
     jumps, the zeroed row 0 and rows outside the window add an exact +0.0.
+    The "total" and "moment" readouts read the whole state as the
+    full-width update holds it: the total by one reduce, the first moment
+    by one ``dot`` with the row indices (the BLAS dot product that ``@``
+    calls, without the matmul dispatch), so they keep every bit too.
     """
     # the bounded walk's lo falls too: trimming can lift it off row 0, which
     # a period-2 walk leaves empty after every other step
@@ -554,7 +576,7 @@ def _float_walk(model, n, arith, readout, top, free, underflow_ends):
         elif readout == "total":
             series.append(reduce(vec))
         else:
-            series.append((idx @ vec, reduce(vec)))
+            series.append((idx.dot(vec), reduce(vec)))
         # trim past the edge rows below tiny; edge ends as vec[lo]
         edge = vec.item(hi)
         while edge < tiny and hi > lo:
@@ -596,41 +618,60 @@ def _dense_floats(poly: LaurentPolynomial, lo: int) -> np.ndarray:
     return np.array([0.0] * (poly.lo - lo) + list(poly.float_coeffs))
 
 
-def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> AltitudeDistribution:
-    """Altitude distribution after n steps, starting at 0, boundary applied."""
+def _final_masses(model: WalkModel, n: int, mode: Mode) -> tuple[dict[int, Number], object]:
+    """(the mass of each altitude with mass after n steps, ascending; their
+    sum): exact masses are integer numerators over L = D**n and their sum
+    the pair (sum, L), float masses and their sum are floats."""
     arith = _Arithmetic(model, mode)
     final = _walk(model, n, arith)
     rows = np.flatnonzero(final)
-    return AltitudeDistribution(n=n, mass=dict(zip(rows.tolist(), arith.values(final[rows], n))))
+    masses = dict(zip(rows.tolist(), final[rows].tolist()))
+    return masses, arith.value(sum(masses.values()), n)
+
+
+def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> AltitudeDistribution:
+    """Altitude distribution after n steps, starting at 0, boundary applied."""
+    masses, mass = _final_masses(model, n, mode)
+    if type(mass) is tuple:
+        masses = {k: Fraction(w, mass[1]) for k, w in masses.items()}
+    return AltitudeDistribution(n=n, mass=masses)
 
 
 def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") -> list[list]:
     """For each altitude 0..top-1, its mass after every length 0..n (one DP pass)."""
     arith = _Arithmetic(model, mode)
     series = _walk(model, n, arith, "low", top=top)
-    return [arith.series(rows) for rows in zip(*series)] if top > 0 else []
+    return [_numbers(arith.series(rows)) for rows in zip(*series)] if top > 0 else []
 
 
-def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
-    """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
+def _excursion_series(model: WalkModel, n: int, mode: Mode) -> list:
     arith = _Arithmetic(model, mode)
     return arith.series(_walk(model, n, arith, "row0"))
 
 
+def excursion_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
+    """e_0..e_n, the per-length masses of walks pinned back to altitude 0."""
+    return _numbers(_excursion_series(model, n, mode))
+
+
 def excursion_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     arith = _Arithmetic(model, mode)
-    return arith.value(_walk(model, n, arith, "row0")[n], n)
+    return _number(arith.value(_walk(model, n, arith, "row0")[n], n))
 
 
-def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
-    """m_0..m_n, the surviving mass per length (1 for every n iff nothing absorbs)."""
+def _meander_mass_series(model: WalkModel, n: int, mode: Mode) -> list:
     arith = _Arithmetic(model, mode)
     return arith.series(_walk(model, n, arith, "total"))
 
 
+def meander_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
+    """m_0..m_n, the surviving mass per length (1 for every n iff nothing absorbs)."""
+    return _numbers(_meander_mass_series(model, n, mode))
+
+
 def meander_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     arith = _Arithmetic(model, mode)
-    return arith.value(_walk(model, n, arith).sum(), n)
+    return _number(arith.value(_walk(model, n, arith).sum(), n))
 
 
 def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
@@ -638,11 +679,15 @@ def final_altitude_expectation(model: WalkModel, n: int, mode: Mode = "exact") -
     return meander_distribution(model, n, mode).expectation()
 
 
-def final_altitude_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
-    """Expected final altitude (conditioned on survival) for every length 0..n."""
+def _final_altitude_series(model: WalkModel, n: int, mode: Mode) -> list:
     arith = _Arithmetic(model, mode)
     series = _walk(model, n, arith, "moment")
     return [arith.ratio(moment, total) if total else None for moment, total in series]
+
+
+def final_altitude_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
+    """Expected final altitude (conditioned on survival) for every length 0..n."""
+    return _numbers(_final_altitude_series(model, n, mode))
 
 
 def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tuple[Number, Number]:
@@ -658,13 +703,17 @@ def bridge_and_walk_mass(model: WalkModel, n: int, mode: Mode = "exact") -> tupl
         # a float 0 can be row 0 underflowed on its own: the series raises
         # then; at a length that the period skips, 0 is the bridge mass
         bridge = _walk(model, n, arith, "row0", free=True)[n]
-    return arith.value(final.sum(), n), arith.value(bridge, n)
+    return _number(arith.value(final.sum(), n)), _number(arith.value(bridge, n))
+
+
+def _bridge_mass_series(model: WalkModel, n: int, mode: Mode) -> list:
+    arith = _Arithmetic(model, mode)
+    return arith.series(_walk(model, n, arith, "row0", free=True))
 
 
 def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
     """Mass at altitude 0 of the unconstrained walk, for every length 0..n."""
-    arith = _Arithmetic(model, mode)
-    return arith.series(_walk(model, n, arith, "row0", free=True))
+    return _numbers(_bridge_mass_series(model, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +721,21 @@ def bridge_mass_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
 # ---------------------------------------------------------------------------
 
 
-def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
-    """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
+def _arch_series(model: WalkModel, n: int, mode: Mode) -> list:
     arith = _Arithmetic(model, mode)
     return arith.series(_walk(model, n, arith, "arches"))
+
+
+def arch_series(model: WalkModel, n: int, mode: Mode = "exact") -> list:
+    """a_0..a_n with a_0 = 0; a_m is the mass of arches of length m."""
+    return _numbers(_arch_series(model, n, mode))
 
 
 def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
     if n < 1:
         raise ValueError("arches have length >= 1")
     arith = _Arithmetic(model, mode)
-    return arith.value(_walk(model, n, arith, "arches")[n], n)
+    return _number(arith.value(_walk(model, n, arith, "arches")[n], n))
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +746,18 @@ def arch_mass(model: WalkModel, n: int, mode: Mode = "exact") -> Number:
 
 
 @_overflow_raises()
+def _returns_law(model: WalkModel, n: int, mode: Mode) -> dict:
+    arith = _Arithmetic(model, mode)
+    if n == 0:
+        return {0: arith.value(1, 0)}
+    return _returns_from_arches(_walk(model, n, arith, "arches", underflow_ends=True), n)
+
+
 def returns_to_zero_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> ReturnsDistribution:
     """Distribution of the number of returns to 0 among excursions of length
     n, from the powers of the arch series (``_returns_from_arches``)."""
-    arith = _Arithmetic(model, mode)
-    if n == 0:
-        return ReturnsDistribution(n=0, prob={0: arith.value(1, 0)})
-    arch = _walk(model, n, arith, "arches", underflow_ends=True)
-    return _returns_from_arches(arch, n)
+    law = _returns_law(model, n, mode)
+    return ReturnsDistribution(n=n, prob={k: _number(p) for k, p in law.items()})
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -817,10 +874,11 @@ def _excursions_from_arches(arch: np.ndarray) -> np.ndarray:
     return e if e.dtype == object else _finite(e)
 
 
-def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
-    """The returns law from the arch series a_0..a_n as ``_walk``'s
-    "arches" readout gives it: exact numerators of a_m over D**m
-    (``object``), or floats.
+def _returns_from_arches(arch: np.ndarray, n: int) -> dict:
+    """The returns law {k: probability}, ascending in k, from the arch
+    series a_0..a_n as ``_walk``'s "arches" readout gives it: exact
+    numerators of a_m over D**m (``object``), which give the pairs
+    (w_k, e_n), or floats.
 
     An excursion with exactly k returns is a k-sequence of arches, so the
     unnormalized weight w_k of k returns is the nth coefficient of the kth
@@ -856,11 +914,11 @@ def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
         raise LatticePathError(f"no excursion of length {n}")
     target = e_n if exact else e_n * (1.0 - 1e-13)
     weights = _arch_power_weights(arch, size)
-    prob: dict[int, Number] = {}
+    prob = {}
     cum = 0
     for k, w in zip(range(1, size + 1), weights):
         if w > 0 and (exact or w >= _TINY):
-            prob[k] = Fraction(w, e_n) if exact else float(w) / float(e_n)
+            prob[k] = (w, e_n) if exact else float(w) / float(e_n)
         cum += w
         if cum >= target:
             break
@@ -868,7 +926,7 @@ def _returns_from_arches(arch: np.ndarray, n: int) -> ReturnsDistribution:
         raise NumericalSingularityError(
             f"returns law at length {n}: the weights add up to {cum / e_n:.17g} of the "
             "excursion mass")
-    return ReturnsDistribution(n=n, prob=prob)
+    return prob
 
 
 def _return_totals(e: np.ndarray) -> np.ndarray:
@@ -887,8 +945,8 @@ def _moments_from_excursions(e: np.ndarray, arith: _Arithmetic) -> tuple[Number,
     if not e[n]:
         raise LatticePathError(f"no excursion of length {n}")
     s = _return_totals(e)
-    mean = arith.ratio(s[n], e[n])
-    return mean, arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n]) - mean * mean
+    mean = _number(arith.ratio(s[n], e[n]))
+    return mean, _number(arith.ratio(2 * (s[:n] @ e[n:0:-1]) + s[n], e[n])) - mean * mean
 
 
 @_overflow_raises()
@@ -897,21 +955,25 @@ def returns_moments(model: WalkModel, n: int, mode: Mode = "float") -> tuple[Num
     from products of the excursion series, so large n stay cheap."""
     arith = _Arithmetic(model, mode)
     if n == 0:
-        zero = arith.value(0, 0)
+        zero = _number(arith.value(0, 0))
         return zero, zero
     return _moments_from_excursions(_walk(model, n, arith, "row0"), arith)
 
 
 @_overflow_raises()
+def _returns_mean_series(model: WalkModel, n: int, mode: Mode) -> list:
+    arith = _Arithmetic(model, mode)
+    e = _walk(model, n, arith, "row0")
+    s = _return_totals(e)
+    return [arith.value(0, 0)] + [arith.ratio(x, y) if y else None for x, y in zip(s[1:], e[1:])]
+
+
 def returns_mean_series(model: WalkModel, n: int, mode: Mode = "float") -> list:
     """Expected number of returns among excursions, for every length 0..n.
 
     Entries are None where no excursion of that length exists.
     """
-    arith = _Arithmetic(model, mode)
-    e = _walk(model, n, arith, "row0")
-    s = _return_totals(e)
-    return [arith.value(0, 0)] + [arith.ratio(x, y) if y else None for x, y in zip(s[1:], e[1:])]
+    return _numbers(_returns_mean_series(model, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -1097,14 +1159,9 @@ def _rule_tally(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[int, dict
     return total, hits
 
 
-def path_probabilities(rule: BoundaryRule, model: WalkModel,
-                       paths: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Probability of each of the paths, all of one length n, under one of
-    the four boundary rules, conditioned on the rule's sample space
-    (bridges, or excursions of that length). Paths outside the sample space
-    get probability 0. The rule's walks are enumerated once
-    (``_rule_tally``), so n <= BRUTE_FORCE_MAX_LENGTH.
-    """
+def _path_probabilities(rule: BoundaryRule, model: WalkModel,
+                        paths: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """``path_probabilities`` as (numerator, denominator) pairs."""
     if not paths:
         return []
     n = len(paths[0])
@@ -1113,7 +1170,18 @@ def path_probabilities(rule: BoundaryRule, model: WalkModel,
     total, hits = _rule_tally(model, rule, n)
     # a walk hits the path itself, or folds onto it by absolute value
     keys = map(path_altitudes if rule is BoundaryRule.ABSOLUTE_VALUE else tuple, paths)
-    return [Fraction(hit, total) if hit else Fraction(0) for hit in map(hits.get, keys)]
+    return [(hit, total) if hit else (0, 1) for hit in map(hits.get, keys)]
+
+
+def path_probabilities(rule: BoundaryRule, model: WalkModel,
+                       paths: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Probability of each of the paths, all of one length n, under one of
+    the four boundary rules, conditioned on the rule's sample space
+    (bridges, or excursions of that length). Paths outside the sample space
+    get probability 0. The rule's walks are enumerated once
+    (``_rule_tally``), so n <= BRUTE_FORCE_MAX_LENGTH.
+    """
+    return _numbers(_path_probabilities(rule, model, paths))
 
 
 def path_probability(rule: BoundaryRule, model: WalkModel, path: Sequence[int]) -> Fraction:

@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
-from .asymptotics import Criticality, DriftSign, _constants_and_class
+from .asymptotics import (
+    Criticality,
+    DriftSign,
+    _constants_and_class,
+    drift_sign,
+    require_aperiodic,
+    require_lukasiewicz,
+)
 from .enumeration import meander_distribution, returns_to_zero_distribution
 from .errors import InconsistentCaseError, LatticePathError, NumericalSingularityError
 from .model import WalkModel
@@ -125,11 +132,17 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
 
 
 def final_altitude_law(model: WalkModel) -> LimitLawSpec:
-    """Predicted limit law for the final altitude of surviving walks."""
-    _, cls = _constants_and_class(model)
-    if cls.drift_sign is DriftSign.POSITIVE:
+    """Predicted limit law for the final altitude of surviving walks.
+
+    The law reads the drift sign and P''(1) alone, behind the gates of the
+    estimates' regime cell, so it takes no ``structural_constants`` solve.
+    """
+    require_aperiodic(model)
+    require_lukasiewicz(model)
+    sign = drift_sign(model)
+    if sign is DriftSign.POSITIVE:
         return LimitLawSpec(family="gaussian", params={}, normalization=NORM_STANDARDIZED)
-    if cls.drift_sign is DriftSign.ZERO:
+    if sign is DriftSign.ZERO:
         scale = math.sqrt(float(model.P.derivative().derivative().total_weight()))
         if model.is_reflection:
             return LimitLawSpec(

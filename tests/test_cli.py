@@ -13,6 +13,7 @@ import pytest
 
 from latticepaths import enumeration, kernel, laws
 from latticepaths.cli import _write_rows, fmt, run
+from latticepaths.errors import LatticePathError, NumericalSingularityError
 from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
 from conftest import MODEL_NAMES, MODELS_DIR, NEAR_CRITICAL_MODEL
@@ -733,6 +734,92 @@ def test_writer_spells_every_cell_kind(capsys):
     with pytest.raises(ZeroDivisionError):
         _write_rows(raising())
     assert capsys.readouterr().out == "# n\tvalue\n1\t1/2\n"
+
+
+PUBLIC_SERIES = {
+    "excursions": enumeration.excursion_series,
+    "meanders": enumeration.meander_mass_series,
+    "arches": enumeration.arch_series,
+    "bridges": enumeration.bridge_mass_series,
+    "returns": enumeration.returns_mean_series,
+    "final-alt": enumeration.final_altitude_series,
+}
+
+
+def _written_over_public_values(capsys, model, command, what=None, n=None, mode=None):
+    """(exit code, stdout) of ``count``, ``dist`` or ``table2`` as
+    ``_write_rows`` and ``fmt`` write the public functions' ``Fraction``s,
+    floats and Nones."""
+    try:
+        if command == "table2":
+            paths = enumeration.bridge_paths(model, 4)
+            rules = list(enumeration.BoundaryRule)
+
+            def rows():
+                yield "# path", *(rule.value for rule in rules)
+                columns = [enumeration.path_probabilities(rule, model, paths) for rule in rules]
+                for path, *probs in zip(paths, *columns):
+                    yield " ".join(str(j) for j in path), *probs
+
+            _write_rows(rows())
+        elif command == "count":
+            series = PUBLIC_SERIES[what](model, n, mode)
+            _write_rows([("# n", what), *enumerate(series)])
+        elif what == "final-alt":
+            dist = enumeration.meander_distribution(model, n, mode)
+
+            def rows():
+                yield "# meander_mass", dist.total()
+                yield "# altitude", "probability"
+                yield from sorted(dist.conditional().items())
+
+            _write_rows(rows())
+        else:
+            dist = enumeration.returns_to_zero_distribution(model, n, mode)
+            _write_rows([("# returns", "probability"), *sorted(dist.prob.items())])
+        code = 0
+    except NumericalSingularityError:
+        code = 2
+    except LatticePathError:
+        code = 1
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_count_dist_and_table2_rows_are_what_the_writer_prints_over_the_public_values(
+        capsys, tmp_path, random_models, mode):
+    # count, dist and table2 print the DP's values as pairs of ints or
+    # floats, with no Fraction made: the bytes must be those of the writer
+    # over the public functions, on the shipped and random models, a
+    # period-2 model with "-" rows (odd lengths have no excursion), and a
+    # model with no surviving mass, where dist --what final-alt writes its
+    # two headers and exits 1 (and table2 its header, with no reflection
+    # rule)
+    paths = {name: MODELS_DIR / f"{name}.model" for name in MODEL_NAMES}
+    for i, model in enumerate(random_models):
+        paths[f"random{i}"] = tmp_path / f"random{i}.model"
+        paths[f"random{i}"].write_text("".join(
+            f"{line}: {' '.join(f'{j}:{p}' for j, p in poly.terms())}\n"
+            for line, poly in (("P", model.P), ("P0", model.P0))))
+    paths["dead"] = tmp_path / "dead.model"
+    paths["dead"].write_text("P: -1:1/2 1:1/2\nP0: -1:1\n")
+    runs = [("count", what, n) for what in PUBLIC_SERIES for n in (0, 1, 2, 37, 60)]
+    runs += [("dist", what, n) for what in ("final-alt", "returns") for n in (0, 1, 13, 24)]
+    exact = ("--exact",) if mode == "exact" else ()
+    for name, path in paths.items():
+        model = load_model(path)
+        for command, what, n in runs:
+            code, out, _ = invoke(capsys, command, "--n", str(n), "--what", what, *exact,
+                                  str(path))
+            want = _written_over_public_values(capsys, model, command, what, n, mode)
+            assert (code, out) == want, (name, command, what, n)
+        if mode == "exact":  # table2 is exact in both runs
+            code, out, _ = invoke(capsys, "table2", str(path))
+            assert (code, out) == _written_over_public_values(capsys, model, "table2"), name
+    assert "\n37\t-\n" in invoke(capsys, "count", "--n", "37", "--what", "returns", *exact,
+                                 str(paths["dyck_reflection"]))[1]
+    assert invoke(capsys, "dist", "--n", "13", "--what", "final-alt", *exact,
+                  str(paths["dead"]))[:2] == (1, "# meander_mass\t0\n# altitude\tprobability\n")
 
 
 def fresh_process(*argv):

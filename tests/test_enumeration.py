@@ -35,6 +35,7 @@ from latticepaths.enumeration import (
     _Arithmetic,
     _excursions_from_arches,
     _moments_from_excursions,
+    _numbers,
     _return_totals,
     _returns_from_arches,
     _truncated_product,
@@ -169,9 +170,9 @@ def test_walk_low_readout_on_z_reads_altitudes_zero_up_in_both_modes(models):
         low, row0 = {}, {}
         for mode in ("exact", "float"):
             arith = _Arithmetic(model, mode)
-            low[mode] = [arith.series(rows)
+            low[mode] = [_numbers(arith.series(rows))
                          for rows in zip(*_walk(model, n, arith, "low", top=top, free=True))]
-            row0[mode] = arith.series(_walk(model, n, arith, "row0", free=True))
+            row0[mode] = _numbers(arith.series(_walk(model, n, arith, "row0", free=True)))
         for exact_rows, float_rows in zip(low["exact"], low["float"]):
             for x, y in zip(exact_rows, float_rows):
                 assert float(x) == pytest.approx(y, abs=1e-12), name
@@ -423,7 +424,7 @@ def test_live_window_matches_full_width_float_dp(models, random_models, name, n)
     assert np.all(np.abs(from_arches - e)[normal] <= 1e-11 * e[normal])
     # the float returns law is the arch series' powers over that e_n
     if excursions[n] > 0.0:
-        assert returns_to_zero_distribution(model, n, "float") == _returns_from_arches(
+        assert returns_to_zero_distribution(model, n, "float").prob == _returns_from_arches(
             np.array(arches), n)
     else:
         with pytest.raises(LatticePathError):
@@ -549,7 +550,7 @@ def test_excursions_from_arches_by_doubling(models, random_models):
     n = 600
     for model in models.values():
         arith = _Arithmetic(model, "exact")
-        exact = arith.series(_walk(model, n, arith, "row0"))
+        exact = _numbers(arith.series(_walk(model, n, arith, "row0")))
         flt = _excursions_from_arches(_walk(model, n, _Arithmetic(model, "float"), "arches"))
         for got, want in zip(flt, exact):
             assert got == pytest.approx(float(want), rel=1e-12, abs=0)
