@@ -8,6 +8,15 @@ significant digits. Diagnostics go to stderr. Exit codes: 0 success,
 argparse's own usage errors (a missing, unknown or malformed argument)
 exit 2 as well, before any model is read.
 
+The grammar is declared once, in ``COMMANDS``. ``run`` reads a well-formed
+command line straight off it (``_read_argv``: the subcommand, options
+spelled in full, each once, values its types and choices accept, one model
+path) into the namespace argparse would make; argparse, built from the same
+table by ``build_parser``, is imported only for ``--help``, a usage error or
+a shape the reader leaves to it (an abbreviation, ``--n=5``, ``--``, a
+value starting with ``-``, a repeated option), so its text and its errors
+are the only ones there are.
+
 ``count``, ``dist`` and ``table2`` take their values from the DPs'
 private helpers, exact ones as (numerator, denominator) pairs of ints,
 and ``_cell`` writes each as ``fmt`` writes its ``Fraction``, float or
@@ -21,10 +30,10 @@ numpy, and ``count``, ``dist`` and ``table2`` load the DPs alone.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     BranchDegenerateError,
@@ -256,55 +265,116 @@ def _cmd_verify(model, args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+_N = ("--n", {"type": int, "required": True})
+_LAWS = ("--what", {"choices": ["final-alt", "returns"], "required": True})
+_EXACT = ("--exact", {"dest": "mode", "action": "store_const", "const": "exact",
+                      "default": "float"})
+
+# The command-line grammar, declared once: each subcommand's handler, its
+# help and its options, each option as its ``add_argument`` keywords, in
+# the order the help lists them. Every subcommand also takes one model path.
+# ``build_parser`` builds argparse from it, and ``_read_argv`` reads a
+# well-formed command line straight off it.
+COMMANDS = {
+    "validate": (_cmd_validate, "check the model invariants and report", ()),
+    "classify": (_cmd_classify, "criticality, drift sign and model kind", ()),
+    "constants": (_cmd_constants, "structural constants, one per line", ()),
+    "count": (_cmd_count, "exact or float series of a counting statistic", (
+        _N, ("--what", {"choices": sorted(_COUNT_SERIES), "required": True}), _EXACT)),
+    "gf-eval": (_cmd_gf_eval, "evaluate the generating functions at z", (
+        ("--z", {"type": float, "required": True}),)),
+    "asym": (_cmd_asym, "asymptotic estimate vs the exact value", (
+        _N, ("--what", {"choices": list(_ASYM), "required": True}))),
+    "dist": (_cmd_dist, "full distribution of a statistic at length n", (_N, _LAWS, _EXACT)),
+    "fit": (_cmd_fit, "Kolmogorov fit of the exact distribution vs its limit law", (
+        _N, _LAWS, _EXACT, ("--tolerance", {"type": float, "default": 0.05}),
+        ("--plot", {"action": "store_true", "help": "also emit CDF plot data"}))),
+    "table2": (_cmd_table2, "length-4 table under the four boundary rules", ()),
+    "verify": (_cmd_verify, "run the invariant suite on the model", ()),
+}
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of ``COMMANDS``: the source of every help text
+    and usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="latticepaths",
         description="Exact and asymptotic statistics of boundary walk models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (handler, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a model file")
         p.set_defaults(handler=handler)
-        return p
-
-    add("validate", _cmd_validate, "check the model invariants and report")
-    add("classify", _cmd_classify, "criticality, drift sign and model kind")
-    add("constants", _cmd_constants, "structural constants, one per line")
-
-    p = add("count", _cmd_count, "exact or float series of a counting statistic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", choices=sorted(_COUNT_SERIES), required=True)
-    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
-
-    p = add("gf-eval", _cmd_gf_eval, "evaluate the generating functions at z")
-    p.add_argument("--z", type=float, required=True)
-
-    p = add("asym", _cmd_asym, "asymptotic estimate vs the exact value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", choices=list(_ASYM), required=True)
-
-    p = add("dist", _cmd_dist, "full distribution of a statistic at length n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", choices=["final-alt", "returns"], required=True)
-    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
-
-    p = add("fit", _cmd_fit, "Kolmogorov fit of the exact distribution vs its limit law")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--what", choices=["final-alt", "returns"], required=True)
-    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="float")
-    p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--plot", action="store_true", help="also emit CDF plot data")
-
-    add("table2", _cmd_table2, "length-4 table under the four boundary rules")
-    add("verify", _cmd_verify, "run the invariant suite on the model")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
+# the add_argument keywords and actions ``_read_argv`` knows; an option
+# with any other falls back to argparse
+_KEYWORDS = frozenset({"type", "choices", "required", "action", "const", "dest", "default",
+                       "help"})
+_ACTIONS = ("store", "store_const", "store_true")
+
+
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight off ``COMMANDS``, or None where argv is not of the one shape
+    read here: the subcommand first; options spelled in full, each at most
+    once, a value (not starting with ``-``) converted by the option's type
+    and held by its choices; one model path; every required option given.
+    argparse parses, or reports, whatever else."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler}
+    spec = {}
+    for flag, keywords in options:
+        action = keywords.get("action", "store")
+        default = keywords.get("default", False if action == "store_true" else None)
+        if (not keywords.keys() <= _KEYWORDS or action not in _ACTIONS
+                or (isinstance(default, str) and "type" in keywords)):
+            return None
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        spec[flag] = dest, action, keywords
+        args.setdefault(dest, default)
+    models = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            models.append(token)
+            continue
+        if token not in spec:  # help, an abbreviation, --n=5, --, a repeat
+            return None
+        dest, action, keywords = spec.pop(token)
+        if action != "store":
+            args[dest] = keywords.get("const", True)
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    if len(models) != 1 or any(keywords.get("required") for _, _, keywords in spec.values()):
+        return None
+    args["model"] = models[0]
+    return SimpleNamespace(**args)
+
+
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(load_model(args.model), args)
     except (BranchDegenerateError, NumericalSingularityError) as exc:

@@ -90,7 +90,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -110,10 +110,13 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class AltitudeDistribution:
-    """Mass per altitude after n steps. Total mass can be below 1 (absorption)."""
+    """Mass per altitude after n steps. Total mass can be below 1 (absorption).
+    ``mode`` is the DP's mode, so that no mass at all sums to a float 0.0 in
+    float mode; it takes no part in equality."""
 
     n: int
     mass: dict[int, Number]
+    mode: Mode = field(default="exact", compare=False)
 
     def _scaled(self) -> tuple[dict[int, Number], object]:
         """(masses, their sum) in ``_final_masses``' form. Rational masses
@@ -121,8 +124,8 @@ class AltitudeDistribution:
         so exact sums add integers, and their sum is the pair (sum, L);
         float masses and their sum are floats."""
         masses = self.mass
-        if not all(isinstance(w, (int, Fraction)) for w in masses.values()):
-            return masses, sum(masses.values())
+        if self.mode == "float" or not all(isinstance(w, (int, Fraction)) for w in masses.values()):
+            return masses, sum(masses.values(), 0.0)
         den = math.lcm(*(w.denominator for w in masses.values()))
         nums = {k: w.numerator * (den // w.denominator) for k, w in masses.items()}
         return nums, (sum(nums.values()), den)
@@ -205,7 +208,7 @@ def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
                 continue  # absorbed
             new[tgt] = new.get(tgt, 0) + w * p
     new = {k: v for k, v in sorted(new.items()) if v}
-    return AltitudeDistribution(n=dist.n + 1, mass=new)
+    return AltitudeDistribution(n=dist.n + 1, mass=new, mode=dist.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +637,7 @@ def meander_distribution(model: WalkModel, n: int, mode: Mode = "exact") -> Alti
     masses, mass = _final_masses(model, n, mode)
     if type(mass) is tuple:
         masses = {k: Fraction(w, mass[1]) for k, w in masses.items()}
-    return AltitudeDistribution(n=n, mass=masses)
+    return AltitudeDistribution(n=n, mass=masses, mode=mode)
 
 
 def altitude_series(model: WalkModel, n: int, top: int, mode: Mode = "exact") -> list[list]:

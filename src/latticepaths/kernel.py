@@ -156,21 +156,27 @@ def _refine_roots(z: complex, roots: list[complex], P: LaurentPolynomial,
                   dP: LaurentPolynomial, floor: float) -> list[tuple[complex, complex]]:
     """Newton on f(u) = 1 - z*P(u) from each root; (u, f(u)) where it stops:
     |f| below ``floor``, f' = 0, a step that leaves u or is not finite (P's
-    Horner overflows at a large root at tiny z), or 60 steps."""
+    Horner overflows at a large root at tiny z), or 60 steps. A step back
+    to an earlier iterate (Newton cycling between neighbouring floats whose
+    last-bit residuals stay above the floor) stops at the iterate of the
+    run with the smallest |f|."""
     refined = []
     for u in roots:
         fx = 1.0 - z * P(u)
-        steps = 0
-        while not abs(fx) < floor and steps < 60:
+        seen = {}
+        while not abs(fx) < floor and len(seen) < 60:
+            seen[u] = fx
             dfx = -z * dP(u)
             if dfx == 0:
                 break
             nxt = u - fx / dfx
             if nxt == u or not cmath.isfinite(nxt):
                 break
+            if nxt in seen:
+                u, fx = min(seen.items(), key=lambda item: abs(item[1]))
+                break
             u = nxt
             fx = 1.0 - z * P(u)
-            steps += 1
         refined.append((u, fx))
     return refined
 

@@ -1,8 +1,11 @@
 """Command-line driver: output format, determinism and exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticepaths import enumeration, kernel, laws
-from latticepaths.cli import _write_rows, fmt, run
+from latticepaths.cli import COMMANDS, _read_argv, _write_rows, build_parser, fmt, run
 from latticepaths.errors import LatticePathError, NumericalSingularityError
 from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
@@ -987,3 +992,109 @@ def test_front_end_outputs_match_their_golden_digest(capsys, monkeypatch, tmp_pa
         captured = capsys.readouterr()
         digest.update(f"{key}\n{code}\n{captured.out}\0{captured.err}\0".encode())
     assert digest.hexdigest() == FRONT_END_SHA256
+
+
+# The command-line reader: a well-formed command line is read straight off
+# the command table, anything else goes to argparse.
+TABLE_TOKENS = sorted({
+    *COMMANDS,
+    *(flag for _, _, options in COMMANDS.values() for flag, _ in options),
+    *(choice for _, _, options in COMMANDS.values() for _, keywords in options
+      for choice in keywords.get("choices", ())),
+})
+HOSTILE_TOKENS = ["--ex", "--n=5", "-h", "--help", "--", "-5", "-1e-3", "", "nan", "1_0",
+                  "0x10", " 7", "inf", "count", "m.model"]
+VALUES = {int: ["0", "7", "40", "1_0", " 3", "-5", "nan", "0x10", ""],
+          float: ["0.2", "1e-3", "nan", "inf", "-1e-3", "1_0", "x"]}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, edited): a command line built from the table, well formed
+    unless ``edited``: a required option left out, a value of the option's
+    type that is not a plain number, or a token of the table or a hostile
+    one put in, a token dropped or a token repeated."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    chunks, edited = [], False
+    for flag, keywords in COMMANDS[name][2]:
+        required = bool(keywords.get("required"))
+        if draw(st.integers(0, 9)) == 0 if required else draw(st.booleans()):  # left out
+            edited |= required
+            continue
+        if keywords.get("action", "store") != "store":
+            chunks.append([flag])
+        elif "choices" in keywords:
+            chunks.append([flag, draw(st.sampled_from(keywords["choices"]))])
+        else:
+            values = VALUES[keywords["type"]]
+            value = draw(st.sampled_from(values[:3]) | st.sampled_from(values[3:]))
+            edited |= value not in values[:3]
+            chunks.append([flag, value])
+    argv = [name, *itertools.chain.from_iterable(draw(st.permutations(chunks)))]
+    argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["m.model", "x", ""])))
+    edits = draw(st.just([]) | st.lists(st.tuples(
+        st.sampled_from(["insert", "drop", "repeat"]), st.integers(0, 12),
+        st.sampled_from(TABLE_TOKENS + HOSTILE_TOKENS + VALUES[int] + VALUES[float])),
+        min_size=1, max_size=2))
+    for edit, at, token in edits:
+        at %= len(argv) + (edit == "insert")
+        if edit == "insert":
+            argv.insert(at, token)
+        elif edit == "drop":
+            del argv[at]
+        else:
+            argv.insert(at, argv[at])
+        if not argv:
+            break
+    return argv, edited or bool(edits)
+
+
+def same_namespace(a, b):
+    """vars() of both equal, a NaN equal to a NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and a[k] != a[k] and b[k] != b[k]) for k in a)
+
+
+@settings(max_examples=1000)
+@given(command_lines())
+def test_reader_reads_what_argparse_reads_and_nothing_it_rejects(case):
+    argv, edited = case
+    read = _read_argv(list(argv))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(build_parser().parse_args(list(argv)))
+    except SystemExit:
+        assert read is None, argv
+        return
+    if read is not None:
+        assert same_namespace(vars(read), parsed), argv
+    assert read is not None or edited, argv
+
+
+def workload_command_lines(tmp_path):
+    """Every command line of the benchmark's workloads at seeds 1 and 2."""
+    bench = README.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    import latticepaths
+    argvs = {}
+    for name, build in workloads.WORKLOADS.items():
+        for seed in (1, 2):
+            ctx = workloads.Context(lp=latticepaths, root=README.parent,
+                                    scratch=tmp_path / f"{name}-{seed}", tiny=False)
+            ctx.scratch.mkdir()
+            argvs[name, seed] = [op.argv for op in build(ctx, random.Random(seed)) if op.argv]
+    return argvs
+
+
+def test_reader_takes_every_readme_and_workload_command_line(tmp_path):
+    readme = [line.split()[1:] for line in readme_block("CLI").splitlines()]
+    argvs = workload_command_lines(tmp_path)
+    assert len(argvs["exact-series", 1]) == 139 and len(argvs["float-large-n", 1]) > 100
+    for argv in readme + [argv for lines in argvs.values() for argv in lines]:
+        read = _read_argv(argv)
+        assert read is not None, argv
+        assert same_namespace(vars(read), vars(build_parser().parse_args(argv))), argv

@@ -810,6 +810,19 @@ def test_empty_distribution_has_zero_total_and_no_conditional():
         dist.expectation()
 
 
+@pytest.mark.parametrize("mode, zero", [("exact", F(0)), ("float", 0.0)])
+def test_no_surviving_mass_totals_zero_in_the_modes_own_numbers(mode, zero):
+    # every walk is absorbed at its first step from 0
+    model = parse_model("P: -1:1/2 1:1/2\nP0: -1:1\n")
+    dist = meander_distribution(model, 5, mode)
+    assert dist.mass == {}
+    total = dist.total()
+    assert type(total) is type(zero) and total == zero
+    assert type(meander_mass(model, 5, mode)) is type(zero)
+    # the mode takes no part in equality
+    assert dist == meander_distribution(model, 5, "exact" if mode == "float" else "float")
+
+
 def test_int_masses_give_the_values_of_fraction_masses():
     ints = AltitudeDistribution(n=2, mass={0: 1, 2: 3})
     fractions = AltitudeDistribution(n=2, mass={0: F(1), 2: F(3)})

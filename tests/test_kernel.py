@@ -26,6 +26,7 @@ from latticepaths import (
     structural_constants,
     u1_expansion_check,
 )
+from latticepaths import kernel
 from latticepaths.asymptotics import final_altitude_asymptotic
 from latticepaths.kernel import boundary_denominator, u1_derivatives
 from conftest import NEAR_CRITICAL_MODEL, random_model
@@ -67,6 +68,36 @@ def test_branches_at_complex_z(models):
     bs = small_branches(model, z)
     assert len(bs.branches) == 1
     assert max(bs.residuals) <= 1e-12
+
+
+def test_newton_stops_where_it_cycles_between_floats(monkeypatch):
+    # at z = rho/2, Newton from this model's large root (about -7.72) steps
+    # between neighbouring floats whose residuals stay just above the floor;
+    # it stops at its first revisit, where it ran all 60 steps (61 of the
+    # solve's 67 evaluations of P), and keeps the iterate with the smaller |f|
+    model = parse_model("P: -2:2/11 2:8/11 3:1/11\nP0: 1:1\n")
+    z = 0.5 * structural_constants(model).rho
+    refine, runs = kernel._refine_roots, []
+
+    def counted(z, roots, P, dP, floor):
+        refined = []
+        for root in roots:
+            residuals = []
+
+            def evaluated(u):
+                value = P(u)
+                residuals.append(abs(1.0 - z * value))
+                return value
+
+            refined += refine(z, [root], evaluated, dP, floor)
+            runs.append((residuals, abs(refined[-1][1])))
+        return refined
+
+    monkeypatch.setattr(kernel, "_refine_roots", counted)
+    branches = small_branches(model, z)
+    assert len(branches.branches) == 2 and max(branches.residuals) <= 1e-15
+    assert len(runs) == 5 and sum(len(residuals) for residuals, _ in runs) <= 10
+    assert all(kept == min(residuals) for residuals, kept in runs)
 
 
 def test_branch_at_rho_merges_to_tau(models):

@@ -2,8 +2,10 @@
 
 Each command runs as the first call of a fresh interpreter with no bytecode
 cache, as users run the CLI. Importing the package loads no layer; a
-command imports the layers its handler calls, and only those. These tests
-check which modules are loaded, not how long loading takes.
+command imports the layers its handler calls, and only those, and argparse
+only for help, a usage error or a command line the command table's reader
+leaves to it. These tests check which modules are loaded, not how long
+loading takes.
 """
 
 import importlib
@@ -58,6 +60,23 @@ def test_validate_help_and_errors_load_no_layer_and_no_numpy(argv, code):
     assert got == code
     assert "latticepaths.model" in modules
     assert modules & {"numpy", *(f"latticepaths.{layer}" for layer in LAYERS)} == set()
+
+
+@pytest.mark.parametrize("argv, code, argparse", [
+    (["validate", MODEL], 0, False),
+    (["count", "--n", "10", "--what", "excursions", "--exact", MODEL], 0, False),
+    (["table2", MODEL], 0, False),
+    (["validate", "/nonexistent/path.model"], 1, False),
+    (["--help"], 0, True),
+    (["count", "--what", "excursions", MODEL], 2, True),  # no --n
+    (["count", "--n=10", "--what", "excursions", MODEL], 0, True),
+])
+def test_argparse_is_imported_for_help_usage_errors_and_other_shapes_alone(argv, code, argparse):
+    # a well-formed command line is read off the command table; argparse
+    # prints help and usage errors and parses every other shape
+    got, modules = loaded_by(argv)
+    assert got == code
+    assert ("argparse" in modules) == argparse
 
 
 @pytest.mark.parametrize("argv", [
