@@ -265,6 +265,15 @@ def _cmd_verify(model, args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+def non_negative_float(text: str) -> float:
+    """``float(text)`` if it is a number >= 0; anything else raises
+    ValueError, which argparse reports as a usage error."""
+    value = float(text)
+    if not value >= 0:  # NaN too
+        raise ValueError(f"not a number >= 0: {text!r}")
+    return value
+
+
 _N = ("--n", {"type": int, "required": True})
 _LAWS = ("--what", {"choices": ["final-alt", "returns"], "required": True})
 _EXACT = ("--exact", {"dest": "mode", "action": "store_const", "const": "exact",
@@ -287,7 +296,7 @@ COMMANDS = {
         _N, ("--what", {"choices": list(_ASYM), "required": True}))),
     "dist": (_cmd_dist, "full distribution of a statistic at length n", (_N, _LAWS, _EXACT)),
     "fit": (_cmd_fit, "Kolmogorov fit of the exact distribution vs its limit law", (
-        _N, _LAWS, _EXACT, ("--tolerance", {"type": float, "default": 0.05}),
+        _N, _LAWS, _EXACT, ("--tolerance", {"type": non_negative_float, "default": 0.05}),
         ("--plot", {"action": "store_true", "help": "also emit CDF plot data"}))),
     "table2": (_cmd_table2, "length-4 table under the four boundary rules", ()),
     "verify": (_cmd_verify, "run the invariant suite on the model", ()),

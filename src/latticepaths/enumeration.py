@@ -219,7 +219,7 @@ def step(model: WalkModel, dist: AltitudeDistribution) -> AltitudeDistribution:
 
 def _denominator(model: WalkModel) -> int:
     """The lcm D of every weight's denominator in P and P0."""
-    return math.lcm(*(p.denominator for p in model.P.coeffs + model.P0.coeffs))
+    return model._integer_weights[0]
 
 
 def _scaled_terms(poly: LaurentPolynomial, den: int) -> list[tuple[int, int]]:
@@ -233,8 +233,9 @@ class _Arithmetic:
     Exact: every weight is an integer over ``den``, the lcm of the weights'
     denominators, so a mass accumulated over t steps is an integer over
     den**t; ``bulk`` holds (jump, weight) for P and ``rim`` for P0geq
-    (negative boundary jumps are absorbed), both as those integers. Float:
-    float64, with den = 1.
+    (negative boundary jumps are absorbed), both as those integers, built
+    once per model (``WalkModel._integer_weights``). Float: float64, with
+    den = 1.
 
     A value leaves the DP in the mode's output form: an exact one as the
     (numerator, denominator) pair of ints, which ``_number`` makes a
@@ -246,10 +247,10 @@ class _Arithmetic:
             raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
         self.exact = mode == "exact"
         self.dtype: type = object if self.exact else float
-        self.den = _denominator(model) if self.exact else 1
         if self.exact:
-            self.bulk = _scaled_terms(model.P, self.den)
-            self.rim = _scaled_terms(model.P0geq, self.den)
+            self.den, self.bulk, self.rim = model._integer_weights
+        else:
+            self.den = 1
 
     def value(self, x, t: int):
         """A mass accumulated over t steps: (x, den**t), or a float."""
@@ -415,7 +416,8 @@ def _packed_walk(model, n, arith, readout, top, free, underflow_ends):
         if t > cap:
             cap = min(n, t + max(16, t // 8))
             wider = _field_bytes(grow, cap)
-            state = _widen(state, nbytes, wider)
+            if state > 1:  # 0 and 1 read the same at any field width
+                state = _widen(state, nbytes, wider)
             nbytes = wider
             w = 8 * nbytes
             mask = (1 << w) - 1

@@ -248,8 +248,10 @@ def fit(
     The law defaults to the regime's law for the statistic; a family with
     no CDF in ``_FAMILIES``, the discrete law among them, is rejected
     before the DP runs, as is n < 1, where the normalizations divide by
-    zero.
+    zero, and a tolerance that is NaN or negative, which no fit passes.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance!r}")
     if n < 1:
         raise LatticePathError(f"a fit needs n >= 1, got n={n}")
     if law is None:

@@ -13,35 +13,80 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import os
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidModelError, ModelFileError
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 # a weight's exponent e makes Fraction build 10**|e|, in time that grows faster
 # than |e|; 4300 is also CPython's cap on the digits of an int read from text
 MAX_WEIGHT_EXPONENT = 4300
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class _Record:
+    """A frozen record: equal, and hashed, by the tuple of its ``_fields``,
+    with the repr ``Name(field=value, ...)`` and no attribute set or deleted
+    after ``__init__``, which writes ``__dict__``; the semantics of a frozen
+    dataclass, without importing ``dataclasses`` (and ``inspect``) at
+    start-up. ``cached_property`` values go into ``__dict__`` too."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _trimmed(weights: dict[int, Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+    """(lo, coeffs) of the polynomial with the given weights by exponent,
+    zero weights dropped."""
+    support = [e for e, w in weights.items() if w]
+    if not support:
+        return 0, ()
+    lo = min(support)
+    return lo, tuple(weights.get(e, _ZERO) for e in range(lo, max(support) + 1))
+
+
+class LaurentPolynomial(_Record):
     """Finite-support Laurent polynomial ``sum coeffs[k] * u**(lo + k)``.
 
     ``coeffs`` is trimmed: the first and last entries are non-zero unless
     the polynomial is identically zero (represented as ``lo=0, coeffs=()``).
     """
 
+    _fields = __match_args__ = ("lo", "coeffs")
     lo: int
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, lo: int, coeffs: tuple[Fraction, ...]):
+        self.__dict__.update(lo=lo, coeffs=coeffs)
 
     @classmethod
     def from_terms(
         cls,
-        terms: Union[Mapping[int, Rational], Iterable[tuple[int, Rational]]],
+        terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]],
         *,
         allow_negative_coeffs: bool = False,
     ) -> "LaurentPolynomial":
@@ -54,14 +99,7 @@ class LaurentPolynomial:
                 raise ModelFileError(f"negative weight {w} on jump {exp}")
             if w:
                 acc[exp] = acc[exp] + w if exp in acc else w
-        acc = {e: w for e, w in acc.items() if w}
-        if not acc:
-            return cls(0, ())
-        lo = min(acc)
-        hi = max(acc)
-        zero = Fraction(0)
-        coeffs = tuple(acc.get(e, zero) for e in range(lo, hi + 1))
-        return cls(lo, coeffs)
+        return cls(*_trimmed(acc))
 
     @property
     def is_zero(self) -> bool:
@@ -136,10 +174,13 @@ class LaurentPolynomial:
 
     @cached_property
     def _nonneg_part(self) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_terms(
-            ((e, c) for e, c in self.terms() if e >= 0),
-            allow_negative_coeffs=True,
-        )
+        # the coefficients from exponent 0 on, less their leading zeros; the
+        # last one is non-zero, so the zero polynomial is left with lo = 0
+        coeffs = self.coeffs[-self.lo:]
+        lo = 0
+        while lo < len(coeffs) and not coeffs[lo]:
+            lo += 1
+        return LaurentPolynomial(lo, coeffs[lo:])
 
     def total_weight(self) -> Fraction:
         """The exact value at u = 1, the sum of the coefficients: the same
@@ -165,16 +206,42 @@ class ModelKind(enum.Enum):
     ABSORPTION = "absorption"
 
 
-@dataclass(frozen=True)
-class WalkModel:
-    """Step polynomial ``P`` (positive altitude) and boundary polynomial ``P0``."""
+class WalkModel(_Record):
+    """Step polynomial ``P`` (positive altitude) and boundary polynomial ``P0``.
 
+    Each part derived from them is built once per model, on first use; the
+    hash too, since a model keys caches such as ``_rule_tally``'s.
+    """
+
+    _fields = __match_args__ = ("P", "P0")
     P: LaurentPolynomial
     P0: LaurentPolynomial
+
+    def __init__(self, P: LaurentPolynomial, P0: LaurentPolynomial):
+        self.__dict__.update(P=P, P0=P0)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.P, self.P0))
 
     @cached_property
     def P0geq(self) -> LaurentPolynomial:
         return self.P0.nonneg_part()
+
+    @cached_property
+    def _integer_weights(self) -> tuple[int, tuple, tuple]:
+        """(D, P's terms, P0geq's terms): D the lcm of the denominators of
+        every weight in P and P0, each term (jump, weight * D), all ints;
+        the weights of the exact walk."""
+        P, P0 = self.P, self.P0
+        p = [c.as_integer_ratio() for c in P.coeffs]
+        p0 = [c.as_integer_ratio() for c in P0.coeffs]
+        den = math.lcm(*[b for _, b in p], *[b for _, b in p0])
+        return (den, tuple([(e, a * (den // b)) for e, (a, b) in enumerate(p, P.lo) if a]),
+                tuple([(e, a * (den // b)) for e, (a, b) in enumerate(p0, P0.lo) if a and e >= 0]))
 
     @cached_property
     def boundary_corrections(self) -> tuple[LaurentPolynomial, ...]:
@@ -258,13 +325,18 @@ class WalkModel:
         return tuple(found)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
+    _fields = __match_args__ = ("ok", "violations", "kind", "lukasiewicz", "period")
     ok: bool
     violations: tuple[str, ...]
     kind: ModelKind
     lukasiewicz: bool
     period: int
+
+    def __init__(self, ok: bool, violations: tuple[str, ...], kind: ModelKind,
+                 lukasiewicz: bool, period: int):
+        self.__dict__.update(ok=ok, violations=violations, kind=kind, lukasiewicz=lukasiewicz,
+                             period=period)
 
 
 def validate(model: WalkModel) -> ValidationReport:
@@ -285,33 +357,45 @@ def require_valid(model: WalkModel) -> None:
         raise InvalidModelError("; ".join(model.violations))
 
 
+def _read_weight(weight_s: str, label: str) -> Fraction:
+    """The weight ``Fraction(weight_s)`` reads: ASCII digits ``a`` or ``a/b``
+    through ``int``, any other spelling through the exponent guard and
+    ``Fraction`` itself, so both routes fail, and succeed, alike."""
+    num_s, slash, den_s = weight_s.partition("/")
+    try:
+        if num_s.isascii() and num_s.isdigit() and (
+                not slash or den_s.isascii() and den_s.isdigit()):
+            return Fraction(int(num_s), int(den_s) if slash else 1)
+        _, e, exponent = weight_s.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_WEIGHT_EXPONENT:
+            raise ModelFileError(
+                f"weight {weight_s!r} on {label} line has |exponent| > {MAX_WEIGHT_EXPONENT}")
+        weight = Fraction(weight_s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
+    if weight < 0:
+        raise ModelFileError(f"negative weight {weight_s} on {label} line")
+    return weight
+
+
 def _parse_poly_line(body: str, label: str) -> LaurentPolynomial:
     pairs = body.split()
     if not pairs:
         raise ModelFileError(f"{label} line has no jump:weight pairs")
-    terms: dict[int, Fraction] = {}
+    weights: dict[int, Fraction] = {}
     for pair in pairs:
-        if ":" not in pair:
+        jump_s, colon, weight_s = pair.partition(":")
+        if not colon:
             raise ModelFileError(f"malformed pair {pair!r} on {label} line")
-        jump_s, weight_s = pair.split(":", 1)
         try:
             jump = int(jump_s)
         except ValueError as exc:
             raise ModelFileError(f"bad jump {jump_s!r} on {label} line") from exc
-        _, e, exponent = weight_s.lower().partition("e")
-        try:
-            if e and abs(int(exponent)) > MAX_WEIGHT_EXPONENT:
-                raise ModelFileError(
-                    f"weight {weight_s!r} on {label} line has |exponent| > {MAX_WEIGHT_EXPONENT}")
-            weight = Fraction(weight_s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
-        if weight < 0:
-            raise ModelFileError(f"negative weight {weight_s} on {label} line")
-        if jump in terms:
+        weight = _read_weight(weight_s, label)
+        if jump in weights:
             raise ModelFileError(f"duplicate jump {jump} on {label} line")
-        terms[jump] = weight
-    return LaurentPolynomial.from_terms(terms)
+        weights[jump] = weight
+    return LaurentPolynomial(*_trimmed(weights))
 
 
 def parse_model(text: str) -> WalkModel:
@@ -351,10 +435,12 @@ def format_model(model: WalkModel) -> str:
     return f"P: {model.P.to_spec_string()}\nP0: {model.P0.to_spec_string()}\n"
 
 
-def load_model(path: Union[str, Path]) -> WalkModel:
+def load_model(path: str | os.PathLike) -> WalkModel:
+    # one unbuffered read and one decode: the lines, and a decoding error,
+    # are those of a text-mode read, without the cost of its text layer
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb", buffering=0) as f:
+            data = f.read()
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model(text)
+    return parse_model(data.decode("utf-8"))

@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticepaths import enumeration, kernel, laws
-from latticepaths.cli import COMMANDS, _read_argv, _write_rows, build_parser, fmt, run
+from latticepaths.cli import (
+    COMMANDS,
+    _read_argv,
+    _write_rows,
+    build_parser,
+    fmt,
+    non_negative_float,
+    run,
+)
 from latticepaths.errors import LatticePathError, NumericalSingularityError
 from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
@@ -366,6 +374,35 @@ def test_fit_at_n_zero_exits_one(capsys, what, model, exact):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: a fit needs n >= 1, got n=0\n"
+
+
+@pytest.mark.parametrize("tolerance, message", [
+    *((t, f"invalid non_negative_float value: {t!r}") for t in ("nan", "NaN", "-1", "-0.5", "x", "")),
+    ("-1e-3", "expected one argument"),  # argparse takes -1e-3 for an option
+])
+def test_fit_tolerance_that_is_not_a_number_at_least_zero_is_a_usage_error(capsys, tolerance,
+                                                                           message):
+    # no fit passes a NaN or negative tolerance: argparse refuses the line
+    # (the command table's reader leaves it to argparse) before a model is read
+    argv = ["fit", "--n", "20", "--what", "final-alt", "--tolerance", tolerance, MOTZ_A]
+    assert _read_argv(argv) is None
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --tolerance: {message}\n")
+
+
+@pytest.mark.parametrize("tolerance, passed", [("0", "false"), ("-0", "false"), ("0.5", "true"),
+                                               ("inf", "true")])
+def test_fit_tolerance_at_least_zero_is_read(capsys, tolerance, passed):
+    argv = ["fit", "--n", "20", "--what", "final-alt", "--tolerance", tolerance, MOTZ_A]
+    args = _read_argv(argv) or build_parser().parse_args(argv)  # -0 goes to argparse
+    assert args.tolerance == float(tolerance)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[5] == passed
 
 
 def test_float_walk_with_no_surviving_mass_exits_one(capsys, tmp_path):
@@ -1005,7 +1042,8 @@ TABLE_TOKENS = sorted({
 HOSTILE_TOKENS = ["--ex", "--n=5", "-h", "--help", "--", "-5", "-1e-3", "", "nan", "1_0",
                   "0x10", " 7", "inf", "count", "m.model"]
 VALUES = {int: ["0", "7", "40", "1_0", " 3", "-5", "nan", "0x10", ""],
-          float: ["0.2", "1e-3", "nan", "inf", "-1e-3", "1_0", "x"]}
+          float: ["0.2", "1e-3", "nan", "inf", "-1e-3", "1_0", "x"],
+          non_negative_float: ["0.2", "1e-3", "0", "nan", "-1", "-1e-3", "inf", "1_0", "x"]}
 
 
 @st.composite

@@ -865,3 +865,31 @@ def test_deep_down_jump_arches():
     model = parse_model("P: -3:1/4 0:1/2 1:1/4\nP0: 0:1/4 6:3/4\n")
     for n in range(1, 9):
         assert arch_mass(model, n) == brute_force(model, n).arch_mass
+
+
+def test_exact_weights_are_the_models_integers_over_one_denominator(models, random_models):
+    invalid = [parse_model("P: -1:1/2 1:1/3\nP0: -2:1/7 1:1\n"), parse_model("P: 0:1\nP0: -1:1\n")]
+    for model in list(models.values()) + random_models + invalid:
+        den = math.lcm(*(c.denominator for c in model.P.coeffs + model.P0.coeffs))
+        arith = _Arithmetic(model, "exact")
+        assert arith.den == den == enumeration._denominator(model)
+        for got, poly in ((arith.bulk, model.P), (arith.rim, model.P0geq)):
+            assert list(got) == [(e, c.numerator * den // c.denominator) for e, c in poly.terms()]
+            assert all(type(w) is int for _, w in got)
+        assert _Arithmetic(model, "exact").bulk is arith.bulk  # built once per model
+
+
+def test_exact_walk_repacks_no_state_of_one_field_one(models, monkeypatch):
+    # 0 and 1 are the same integer at any field width
+    model = models["motzkin_reflection"]
+    want = enumeration._excursion_series(model, 60, "exact")
+    widened = []
+    widen = enumeration._widen
+
+    def spy(state, old, new):
+        widened.append(state)
+        return widen(state, old, new)
+
+    monkeypatch.setattr(enumeration, "_widen", spy)
+    assert enumeration._excursion_series(model, 60, "exact") == want
+    assert widened and min(widened) > 1

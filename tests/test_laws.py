@@ -171,6 +171,17 @@ def test_cdf_monotone_and_bounded():
     assert rayleigh_cdf(-1.0) == 0.0 and half_normal_cdf(-0.5) == 0.0
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, -1e-300, -math.inf])
+def test_fit_refuses_a_nan_or_negative_tolerance_before_the_dp(models, monkeypatch, tolerance):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(laws, "_distribution_points", no_dp)
+    for statistic in Statistic:
+        with pytest.raises(ValueError, match="^tolerance must be a number >= 0, got "):
+            fit(models["motzkin_absorption"], statistic, 20, tolerance=tolerance)
+
+
 def test_fit_final_altitude_rayleigh(models):
     report = fit(models["motzkin_absorption"], Statistic.FINAL_ALTITUDE, 2000)
     assert report.law.family == "rayleigh"

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticepaths import (
     InvalidModelError,
@@ -14,10 +16,11 @@ from latticepaths import (
     ModelKind,
     WalkModel,
     format_model,
+    load_model,
     parse_model,
     validate,
 )
-from latticepaths.model import require_valid
+from latticepaths.model import MAX_WEIGHT_EXPONENT, _parse_poly_line, require_valid
 from conftest import MODEL_NAMES, MODELS_DIR, random_model
 
 
@@ -312,3 +315,180 @@ def test_weight_exponent_beyond_the_bound_raises_at_once():
     # at the bound the weight is read exactly, as Fraction reads it
     p = parse_model("P: -1:1e-4300 1:1/2 2:1E4300\nP0: 0:1\n").P
     assert dict(p.terms()) == {-1: Fraction(1, 10**4300), 1: Fraction(1, 2), 2: 10**4300}
+
+
+def _parent_parse_poly_line(body, label):
+    """The parser as it read weights before ASCII a and a/b went through
+    int(): every weight through the exponent guard and Fraction(str)."""
+    pairs = body.split()
+    if not pairs:
+        raise ModelFileError(f"{label} line has no jump:weight pairs")
+    terms = {}
+    for pair in pairs:
+        if ":" not in pair:
+            raise ModelFileError(f"malformed pair {pair!r} on {label} line")
+        jump_s, weight_s = pair.split(":", 1)
+        try:
+            jump = int(jump_s)
+        except ValueError as exc:
+            raise ModelFileError(f"bad jump {jump_s!r} on {label} line") from exc
+        _, e, exponent = weight_s.lower().partition("e")
+        try:
+            if e and abs(int(exponent)) > MAX_WEIGHT_EXPONENT:
+                raise ModelFileError(
+                    f"weight {weight_s!r} on {label} line has |exponent| > {MAX_WEIGHT_EXPONENT}")
+            weight = Fraction(weight_s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelFileError(f"bad weight {weight_s!r} on {label} line") from exc
+        if weight < 0:
+            raise ModelFileError(f"negative weight {weight_s} on {label} line")
+        if jump in terms:
+            raise ModelFileError(f"duplicate jump {jump} on {label} line")
+        terms[jump] = weight
+    return LaurentPolynomial.from_terms(terms)
+
+
+def _outcome(parse, body, label):
+    try:
+        return parse(body, label)
+    except ModelFileError as exc:
+        return f"ModelFileError: {exc}"
+
+
+# well-formed weights three times in four, so that most lines parse; the
+# rest are spellings that int() and Fraction(str) read differently, or not at all
+GOOD_WEIGHTS = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(0, 10**12), st.integers(1, 10**6)),
+    st.sampled_from(["0", "0/5", "01/2", "007/010", "+1/3", "0.25", "1e-3", "1_0/3", "٣/4", "-0"]),
+)
+HOSTILE_WEIGHTS = st.one_of(
+    st.sampled_from(["1/0", "-1/3", "1e4301", "²", "1//3", "/3", "3/", "", "1/2/3", "1" * 4301,
+                     "1/" + "1" * 4301, "nan", "inf", "1.5/2", "x", "0e5", "1e-4300"]),
+    st.text(alphabet="0123456789/+-._eE٣²", max_size=7),
+)
+
+
+def _mostly(good, bad, odds):
+    """``good``, or one time in ``odds`` ``bad``."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == 1 else good)
+
+
+WEIGHTS = _mostly(GOOD_WEIGHTS, HOSTILE_WEIGHTS, 4)
+JUMPS = _mostly(st.integers(-4, 4).map(str), st.sampled_from(["+2", "-0", "٣", "x", "", "1.0"]), 8)
+PAIRS = _mostly(st.builds("{}:{}".format, JUMPS, WEIGHTS),
+                st.sampled_from(["1", "abc", "1:2:3", ":", "::"]), 12)
+
+
+@settings(max_examples=1000)
+@given(pairs=st.lists(PAIRS, max_size=5), label=st.sampled_from(["P", "P0"]),
+       sep=st.sampled_from([" ", "\t", "  "]))
+def test_parser_reads_each_line_as_the_fraction_str_parser_does(pairs, label, sep):
+    body = sep.join(pairs)
+    got = _outcome(_parse_poly_line, body, label)
+    want = _outcome(_parent_parse_poly_line, body, label)
+    if isinstance(want, str):
+        assert got == want, body
+    else:
+        _assert_same_poly(got, want)
+        assert (got.lo, got.coeffs) == (want.lo, want.coeffs)
+
+
+def _respelled(text, spell):
+    """The model file with each weight respelled by ``spell``."""
+    model = parse_model(text)
+    return "".join(f"{label}: " + " ".join(f"{e}:{spell(c)}" for e, c in poly.terms()) + "\n"
+                   for label, poly in (("P", model.P), ("P0", model.P0)))
+
+
+def _decimal(c):
+    """c as a decimal string where it has one (2/5 as 0.4), else as a/b."""
+    for k in range(30):
+        m, r = divmod(c.numerator * 10**k, c.denominator)
+        if not r:
+            digits = str(m).rjust(k + 1, "0")
+            return f"{digits[:-k]}.{digits[-k:]}" if k else digits
+    return str(c)
+
+
+def test_parsed_models_equal_and_hash_as_the_same_fractions_spelled_any_way(models, random_models):
+    texts = [(MODELS_DIR / f"{name}.model").read_text(encoding="utf-8") for name in MODEL_NAMES]
+    texts += [format_model(m) for m in random_models]
+    for text in texts:
+        model = parse_model(text)
+        built = WalkModel(LaurentPolynomial.from_terms(dict(model.P.terms())),
+                          LaurentPolynomial.from_terms(dict(model.P0.terms())))
+        doubled = _respelled(text, lambda c: f"{2 * c.numerator}/{2 * c.denominator}")
+        decimal = _respelled(text, _decimal)
+        for other in (built, parse_model(doubled), parse_model(decimal)):
+            assert model == other and hash(model) == hash(other), text
+            assert hash(model.P) == hash(other.P) and hash(model.P0) == hash(other.P0)
+            assert {other: True}[model]
+    assert "0.5" in _respelled("P: -1:1/2 1:1/2\nP0: 1:1\n", _decimal)
+
+
+def test_model_values_are_frozen_and_print_their_fields(models):
+    model = models["motzkin_absorption"]
+    report = validate(model)
+    for obj, name in ((model.P, "lo"), (model, "P"), (report, "ok")):
+        for attr in (name, "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, 1)
+            with pytest.raises(AttributeError):
+                delattr(obj, attr)
+    assert repr(LaurentPolynomial(-1, (Fraction(1, 2), Fraction(0), Fraction(1, 2)))) == (
+        "LaurentPolynomial(lo=-1, coeffs=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 2)))")
+    assert repr(WalkModel(P=LaurentPolynomial(0, ()), P0=LaurentPolynomial(1, (Fraction(1),)))) == (
+        "WalkModel(P=LaurentPolynomial(lo=0, coeffs=()), "
+        "P0=LaurentPolynomial(lo=1, coeffs=(Fraction(1, 1),)))")
+    assert repr(validate(models["dyck_reflection"])) == (
+        "ValidationReport(ok=True, violations=(), kind=<ModelKind.REFLECTION: 'reflection'>, "
+        "lukasiewicz=True, period=2)")
+    assert report == validate(parse_model(format_model(model)))
+    assert hash(report) == hash(validate(parse_model(format_model(model))))
+    assert model != model.P and model.P != (model.P.lo, model.P.coeffs)
+
+
+@pytest.mark.parametrize("p0", ["-1:11/20 1:9/20", "-2:1/2 -1:1/2", "-1:1/4 0:1/4 2:1/2",
+                                "-3:1/2 -1:1/4 1:1/4", "0:1", "1:1"])
+def test_sliced_p0geq_is_the_nonnegative_terms(p0):
+    model = parse_model(f"P: -1:1/2 1:1/2\nP0: {p0}\n")
+    want = _reference_from_terms([(e, c) for e, c in model.P0.terms() if e >= 0])
+    _assert_same_poly(model.P0geq, want)
+    assert (model.P0geq.lo, model.P0geq.coeffs) == (want.lo, want.coeffs)
+
+
+@pytest.mark.parametrize("data", [
+    b"P: -1:1/2 1:1/2\r\nP0: 1:1\r\n",
+    b"P: -1:1/2 1:1/2\rP0: 1:1\rP: 1:1\r",
+    b"P: -1:1/2 1:1/2\nP0: 1:1\n\xff\n",
+    b"P: -1:1/2 1:1/2\nP0: 1:1\n\xe2\x80",
+    b"\xef\xbb\xbfP: -1:1/2 1:1/2\nP0: 1:1\n",
+    b"P: -1:1/2 1:1/2\n\x0cP0: 1:1 1:0\n",
+    b"P: -1:1/2 1:1/2\nP0: 1:1\xe2\x80\xa8Q: 1\n",
+    b"",
+], ids=["crlf", "cr", "bad-utf8", "cut-utf8", "bom", "form-feed", "line-separator", "empty"])
+def test_load_model_reads_a_file_as_a_text_mode_read_does(tmp_path, data):
+    path = tmp_path / "m.model"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read()
+        except (ModelFileError, UnicodeDecodeError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    assert outcome(lambda: load_model(path)) == outcome(
+        lambda: parse_model(path.read_text(encoding="utf-8")))
+
+
+def test_nonneg_part_of_any_polynomial_is_its_nonnegative_terms():
+    rng = random.Random(9)
+    for _ in range(300):
+        terms = {rng.randint(-5, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(rng.randint(0, 6))}
+        poly = LaurentPolynomial.from_terms(terms, allow_negative_coeffs=True)
+        want = _reference_from_terms([(e, c) for e, c in terms.items() if e >= 0],
+                                     allow_negative_coeffs=True)
+        _assert_same_poly(poly.nonneg_part(), want)
+        assert (poly.nonneg_part().lo, poly.nonneg_part().coeffs) == (want.lo, want.coeffs)

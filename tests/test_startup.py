@@ -79,6 +79,19 @@ def test_argparse_is_imported_for_help_usage_errors_and_other_shapes_alone(argv,
     assert ("argparse" in modules) == argparse
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["validate", MODEL], 0),
+    (["validate", "/nonexistent/path.model"], 1),
+    (["--help"], 0),
+])
+def test_validate_help_and_model_file_errors_import_no_dataclasses(argv, code):
+    # the model layer is plain classes: dataclasses, and the inspect module
+    # it imports, would be most of the start-up of a command that reads a model
+    got, modules = loaded_by(argv)
+    assert got == code
+    assert modules & {"dataclasses", "inspect"} == set()
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--n", "10", "--what", "excursions", "--exact", MODEL],
     ["table2", MODEL],
