@@ -5,7 +5,10 @@ relevant generating function, specialized to aperiodic walks whose only
 down jump is -1. The regime is selected by two signs: the drift P'(1) and
 the comparison of the boundary weight P0geq(tau) against P(tau). Models
 that ``validate`` rejects, periodic models and multi-down models are
-rejected up front.
+rejected up front by the one gate of every estimate and limit law. A cell
+makes at most one kernel solve, and none where its formula reads only
+exact coefficient sums: the reflecting meander ratio, and the final
+altitude in every cell but an absorbing wall with negative drift.
 
 With an absorbing wall a walk alive at length n has not been absorbed yet,
 so m_n = (1 - P0geq(1))*(e_n + e_(n+1) + ...); without positive drift
@@ -25,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NotLukasiewiczError, NumericalSingularityError, PeriodicModelError
 from .kernel import StructuralConstants, structural_constants
@@ -83,51 +85,70 @@ def drift_sign(model: WalkModel) -> DriftSign:
     return DriftSign.ZERO
 
 
-def _classification(model: WalkModel, sc: StructuralConstants) -> Classification:
-    crit = {1: Criticality.SUPERCRITICAL, 0: Criticality.CRITICAL, -1: Criticality.SUBCRITICAL}
-    return Classification(criticality=crit[sc.sign], drift_sign=drift_sign(model))
+# the kernel's criticality sign (+1, 0, -1) to its class
+_CRITICALITY = dict(zip((1, 0, -1), Criticality))
 
 
 def classify(model: WalkModel) -> Classification:
     """(criticality, drift sign) for an aperiodic model."""
     require_aperiodic(model)
-    return _classification(model, structural_constants(model))
+    return Classification(_constants(model)[1], drift_sign(model))
 
 
-def _constants_and_class(model: WalkModel, n: Optional[int] = None
-                         ) -> tuple[StructuralConstants, Classification]:
-    """The regime cell of a model the estimates and laws cover; given n,
-    the gate of an estimate at length n, checked after the model's."""
+def _gate(model: WalkModel, n: int = 1) -> None:
+    """The one gate of the estimates at length n and the limit laws (no n):
+    an aperiodic model whose only down jump is -1, and n >= 1."""
     require_aperiodic(model)
     require_lukasiewicz(model)
-    sc = structural_constants(model)
-    if n is not None and n < 1:
+    if n < 1:
         raise ValueError("asymptotic estimates need n >= 1")
-    return sc, _classification(model, sc)
 
 
-def _excursions(sc: StructuralConstants, cls: Classification, n: int) -> AsymptoticEstimate:
-    """The excursion estimate of the regime cell (sc, cls)."""
-    if cls.criticality is Criticality.SUPERCRITICAL:
-        if sc.gamma is None:
-            raise NumericalSingularityError("supercritical pole not resolved")
-        value = sc.gamma * sc.rho1 ** (-n)
-    elif cls.criticality is Criticality.CRITICAL:
+def _constants(model: WalkModel) -> tuple[StructuralConstants, Criticality]:
+    """The one kernel solve of a regime cell, and the criticality it decides."""
+    sc = structural_constants(model)
+    return sc, _CRITICALITY[sc.sign]
+
+
+def _gamma(sc: StructuralConstants) -> float:
+    """The residue weight of the supercritical excursion pole, read by the
+    excursion estimate and the returns law."""
+    if sc.gamma is None:
+        raise NumericalSingularityError("supercritical pole not resolved")
+    return sc.gamma
+
+
+def _absorbed(model: WalkModel, sc: StructuralConstants, crit: Criticality
+              ) -> tuple[float, float, float]:
+    """(E(1), P0geq(1), excursion singularity z0) of an absorbing wall,
+    read by the meander and final-altitude estimates."""
+    if sc.E_at_1 is None:
+        raise NumericalSingularityError("excursion series diverges at z=1")
+    z0 = sc.rho1 if crit is Criticality.SUPERCRITICAL else sc.rho
+    return sc.E_at_1, float(model.P0geq.total_weight()), z0
+
+
+def _excursions(sc: StructuralConstants, crit: Criticality, n: int) -> AsymptoticEstimate:
+    """The excursion estimate of the regime cell (sc, crit)."""
+    if crit is Criticality.SUPERCRITICAL:
+        value = _gamma(sc) * sc.rho1 ** (-n)
+    elif crit is Criticality.CRITICAL:
         value = (1.0 / sc.kappa) * sc.rho ** (-n) / math.sqrt(math.pi * n)
     else:  # c = 1 and sign < 0, where structural_constants sets E_at_rho
         value = sc.E_at_rho**2 * sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
-    return AsymptoticEstimate(n, value, f"excursions/{cls.criticality.value}")
+    return AsymptoticEstimate(n, value, f"excursions/{crit.value}")
 
 
 def excursion_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order mass of length-n excursions."""
-    sc, cls = _constants_and_class(model, n)
-    return _excursions(sc, cls, n)
+    _gate(model, n)
+    return _excursions(*_constants(model), n)
 
 
 def arch_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order mass of length-n arches, exponential factor included."""
-    sc, _ = _constants_and_class(model, n)
+    _gate(model, n)
+    sc = structural_constants(model)
     value = sc.kappa * sc.rho ** (-n) / (2.0 * math.sqrt(math.pi * n**3))
     return AsymptoticEstimate(n, value, "arches")
 
@@ -139,58 +160,56 @@ def meander_ratio_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     identically 1 there. An absorbing wall without positive drift gives the
     tail sum of the excursion estimate (module docstring).
     """
-    sc, cls = _constants_and_class(model, n)
+    _gate(model, n)
     if model.is_reflection:
         return AsymptoticEstimate(n, 1.0, "meanders/reflection-conserved")
-    e1 = sc.E_at_1
-    if e1 is None:
-        raise NumericalSingularityError("excursion series diverges at z=1")
-    if cls.drift_sign is DriftSign.POSITIVE:
-        q1 = float(model.P0geq.total_weight())
+    sc, crit = _constants(model)
+    e1, q1, z0 = _absorbed(model, sc, crit)
+    sign = drift_sign(model)
+    if sign is DriftSign.POSITIVE:
         return AsymptoticEstimate(n, 1.0 - (1.0 - q1) * e1, "meanders/positive-drift")
-    e_n = _excursions(sc, cls, n).value
-    if cls.drift_sign is DriftSign.ZERO:
+    e_n = _excursions(sc, crit, n).value
+    if sign is DriftSign.ZERO:
         # rho = 1 and e_k ~ k**-1.5, whose tail from n is 2n*e_n; P0geq(1) < 1
         # makes the case subcritical
         return AsymptoticEstimate(n, e_n * 2.0 * n / e1, "meanders/subcritical/zero-drift")
     # e_k falls like z0**-k at the excursion singularity z0
-    z0 = sc.rho1 if cls.criticality is Criticality.SUPERCRITICAL else sc.rho
     value = e_n * z0 / ((z0 - 1.0) * e1)
-    return AsymptoticEstimate(n, value, f"meanders/{cls.criticality.value}/neg-drift")
+    return AsymptoticEstimate(n, value, f"meanders/{crit.value}/neg-drift")
 
 
 def final_altitude_asymptotic(model: WalkModel, n: int) -> AsymptoticEstimate:
     """Leading-order expected final altitude of surviving length-n walks."""
-    sc, cls = _constants_and_class(model, n)
-    ddP1 = float(model.P.derivative().derivative().total_weight())
-    if cls.drift_sign is DriftSign.POSITIVE:
-        return AsymptoticEstimate(n, sc.delta * n, "final-altitude/positive-drift")
+    _gate(model, n)
+    sign = drift_sign(model)
+    dP = model.P.derivative()
+    delta = float(dP.total_weight())
+    if sign is DriftSign.POSITIVE:
+        return AsymptoticEstimate(n, delta * n, "final-altitude/positive-drift")
+    ddP1 = float(dP.derivative().total_weight())
     if model.is_reflection:
-        if cls.drift_sign is DriftSign.ZERO:  # critical: P0geq(1) = 1 at tau = 1
+        if sign is DriftSign.ZERO:  # critical: P0geq(1) = 1 at tau = 1
             value = math.sqrt(2.0 * ddP1 * n / math.pi)
             return AsymptoticEstimate(n, value, "final-altitude/reflection/critical")
         # negative drift: G'(1) at z0 = 1 (module docstring), which reads
         # the drifts and second derivatives at 1, not the criticality sign
-        ddQ1 = float(model.P0geq.derivative().derivative().total_weight())
-        value = (sc.delta0geq * ddP1 - sc.delta * ddQ1) / (
-            2.0 * sc.delta * (sc.delta - sc.delta0geq)
-        )
+        dQ = model.P0geq.derivative()
+        delta0 = float(dQ.total_weight())
+        ddQ1 = float(dQ.derivative().total_weight())
+        value = (delta0 * ddP1 - delta * ddQ1) / (2.0 * delta * (delta - delta0))
         return AsymptoticEstimate(n, value, "final-altitude/reflection/supercritical")
     # absorption
-    if cls.drift_sign is DriftSign.ZERO:  # subcritical, as for the meanders
+    if sign is DriftSign.ZERO:  # subcritical, as for the meanders
         value = math.sqrt(ddP1 * math.pi * n / 2.0)
         return AsymptoticEstimate(n, value, "final-altitude/absorption/subcritical")
-    if sc.E_at_1 is None:
-        raise NumericalSingularityError("excursion series diverges at z=1")
-    # negative drift: G'(1) (module docstring)
-    z0 = sc.rho
-    if cls.criticality is Criticality.SUPERCRITICAL:
-        if abs(sc.rho1 - 1.0) < 1e-9:
-            raise NumericalSingularityError("expectation constant degenerate at rho1=1")
-        z0 = sc.rho1
-    q1 = float(model.P0geq.total_weight())
-    value = (sc.delta - sc.delta0geq) / (1.0 - q1) - z0 * sc.delta / (z0 - 1.0)
-    formula = f"final-altitude/absorption/{cls.criticality.value}"
-    if cls.criticality is Criticality.SUBCRITICAL:
+    # negative drift: G'(1) (module docstring), the one cell that reads
+    # kernel constants
+    sc, crit = _constants(model)
+    _, q1, z0 = _absorbed(model, sc, crit)
+    if crit is Criticality.SUPERCRITICAL and abs(z0 - 1.0) < 1e-9:
+        raise NumericalSingularityError("expectation constant degenerate at rho1=1")
+    value = (delta - sc.delta0geq) / (1.0 - q1) - z0 * delta / (z0 - 1.0)
+    formula = f"final-altitude/absorption/{crit.value}"
+    if crit is Criticality.SUBCRITICAL:
         formula += "/neg-drift"
     return AsymptoticEstimate(n, value, formula)

@@ -1145,9 +1145,11 @@ def _rule_tally(model: WalkModel, rule: BoundaryRule, n: int) -> tuple[int, dict
 
     The cache is keyed by the model's value, not its identity: equal models
     loaded by different commands in one process share a tally, so a second
-    ``table2`` on an equal model costs only lookups. Each lookup hashes the
-    model's ``Fraction`` weights, so callers look up once per rule
-    (``path_probabilities``), not once per path.
+    ``table2`` on an equal model costs only lookups. A model keeps its hash,
+    so only its first lookup hashes its ``Fraction`` weights; callers still
+    look up once per rule (``path_probabilities``), not once per path, since
+    each lookup builds a key and, for an equal model that is not the cached
+    object, compares the weights by value.
     """
     folded = rule is BoundaryRule.ABSOLUTE_VALUE
     bounded = rule in (BoundaryRule.REFLECTION, BoundaryRule.ABSORPTION)

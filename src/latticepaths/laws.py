@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
-from .asymptotics import (
-    Criticality,
-    DriftSign,
-    _constants_and_class,
-    drift_sign,
-    require_aperiodic,
-    require_lukasiewicz,
-)
+from .asymptotics import Criticality, DriftSign, _constants, _gamma, _gate, drift_sign
 from .enumeration import meander_distribution, returns_to_zero_distribution
 from .errors import InconsistentCaseError, LatticePathError, NumericalSingularityError
 from .model import WalkModel
@@ -102,23 +95,23 @@ def supercritical_returns_variance_rate(rho1: float, gamma: float, alpha2: float
 
 def returns_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the number of returns to zero of excursions."""
-    sc, cls = _constants_and_class(model)
-    if cls.criticality is Criticality.SUPERCRITICAL:
+    _gate(model)
+    sc, crit = _constants(model)
+    if crit is Criticality.SUPERCRITICAL:
         # rho1 is set under a supercritical sign; alpha2 and gamma are set
         # together, where the pole is resolved
-        if sc.gamma is None:
-            raise NumericalSingularityError("supercritical pole not resolved")
+        gamma = _gamma(sc)
         return LimitLawSpec(
             family="gaussian",
             params={
-                "mu_rate": sc.gamma,
+                "mu_rate": gamma,
                 "derived_variance_rate": supercritical_returns_variance_rate(
-                    sc.rho1, sc.gamma, sc.alpha2
+                    sc.rho1, gamma, sc.alpha2
                 ),
             },
             normalization=NORM_STANDARDIZED,
         )
-    if cls.criticality is Criticality.CRITICAL:
+    if crit is Criticality.CRITICAL:
         return LimitLawSpec(
             family="rayleigh",
             params={"scale": 1.0, "kappa": sc.kappa},
@@ -134,24 +127,17 @@ def returns_law(model: WalkModel) -> LimitLawSpec:
 def final_altitude_law(model: WalkModel) -> LimitLawSpec:
     """Predicted limit law for the final altitude of surviving walks.
 
-    The law reads the drift sign and P''(1) alone, behind the gates of the
-    estimates' regime cell, so it takes no ``structural_constants`` solve.
+    The law reads the drift sign and P''(1) alone, behind the estimates'
+    gate, so it takes no ``structural_constants`` solve.
     """
-    require_aperiodic(model)
-    require_lukasiewicz(model)
+    _gate(model)
     sign = drift_sign(model)
     if sign is DriftSign.POSITIVE:
         return LimitLawSpec(family="gaussian", params={}, normalization=NORM_STANDARDIZED)
     if sign is DriftSign.ZERO:
         scale = math.sqrt(float(model.P.derivative().derivative().total_weight()))
-        if model.is_reflection:
-            return LimitLawSpec(
-                family="half-normal",
-                params={"scale": scale},
-                normalization=NORM_SQRT_N,
-            )
         return LimitLawSpec(
-            family="rayleigh",
+            family="half-normal" if model.is_reflection else "rayleigh",
             params={"scale": scale},
             normalization=NORM_SQRT_N,
         )

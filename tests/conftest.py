@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from latticepaths import LaurentPolynomial, WalkModel, load_model
+from latticepaths import LaurentPolynomial, WalkModel, load_model, parse_model
 
 # every run, local or CI, draws the same examples, with no time limit per
 # example, and writes no example database
@@ -59,6 +59,38 @@ ORACLE_MODEL_NAMES = [
 # absorbing, negative drift, lam = P0geq(tau)/P(tau) = 1 + 2.2e-7: just
 # supercritical, with rho1 within 1e-10 of rho
 NEAR_CRITICAL_MODEL = "P: -1:2/5 0:1/2 1:1/10\nP0: -1:5499999/10000000 1:4500001/10000000\n"
+
+
+# one model in each reachable regime cell (boundary kind, drift sign,
+# criticality), by its shipped name or its text. Five keys are absent, since
+# no valid aperiodic Lukasiewicz model reaches them: a reflecting wall has
+# P0geq(1) = P(1) = 1, so at tau = 1 (zero drift) it is critical and with
+# negative drift (tau > 1) supercritical; an absorbing wall has P0geq(1) < 1,
+# so with zero drift it is subcritical. The two critical cells with positive
+# drift are built on tau = 1/2, where P(1/2) = 9/10 = P0geq(1/2) exactly.
+REGIME_CELLS = {
+    ("reflection", "positive", "subcritical"): "drift_up_reflection",
+    ("reflection", "positive", "critical"): "P: -1:1/10 0:1/2 1:2/5\nP0: 0:4/5 1:1/5\n",
+    ("reflection", "positive", "supercritical"): "P: -1:1/9 1:2/9 2:2/3\nP0: 0:2/5 1:3/5\n",
+    ("reflection", "zero", "critical"): "motzkin_reflection",
+    ("reflection", "negative", "supercritical"): "drift_down_reflection",
+    ("absorption", "positive", "subcritical"): "drift_up_absorption",
+    ("absorption", "positive", "critical"):
+        "P: -1:1/10 0:1/2 1:2/5\nP0: -1:1/20 0:17/20 1:1/10\n",
+    ("absorption", "positive", "supercritical"):
+        "P: -1:1/13 1:9/13 2:3/13\nP0: -1:3/14 0:3/7 1:5/14\n",
+    ("absorption", "zero", "subcritical"): "motzkin_absorption",
+    ("absorption", "negative", "subcritical"): "P: -1:1/2 0:1/4 1:1/4\nP0: -1:1/2 0:1/4 1:1/4\n",
+    ("absorption", "negative", "critical"): "critical_drift_down",
+    ("absorption", "negative", "supercritical"): "supercritical_drift_down",
+}
+
+
+def regime_cell_model(entry: str) -> WalkModel:
+    """The model of a ``REGIME_CELLS`` entry."""
+    if entry in MODEL_NAMES:
+        return load_model(MODELS_DIR / f"{entry}.model")
+    return parse_model(entry)
 
 
 @pytest.fixture(scope="session")

@@ -27,9 +27,10 @@ from latticepaths import (
     small_branch_u1,
     structural_constants,
 )
+from latticepaths import asymptotics, laws
 from latticepaths.asymptotics import drift_sign, require_lukasiewicz
 from latticepaths.kernel import composed_boundary_derivatives
-from conftest import NEAR_CRITICAL_MODEL, random_model
+from conftest import NEAR_CRITICAL_MODEL, REGIME_CELLS, random_model, regime_cell_model
 
 
 @dataclass(frozen=True)
@@ -434,3 +435,107 @@ def test_boundary_expansion_quadratic_case(models):
 def test_boundary_expansion_rejects_multi_down(models):
     with pytest.raises(NotLukasiewiczError):
         boundary_expansion_check(models["two_down_reflection"])
+
+
+# per regime cell: the formula ids of the excursion, meander and
+# final-altitude estimates at n = 2000 (the arch estimate is "arches" in
+# every cell), and the families of the returns and final-altitude laws
+CELL_OUTCOMES = {
+    ("reflection", "positive", "subcritical"): (
+        "excursions/subcritical", "meanders/reflection-conserved",
+        "final-altitude/positive-drift", "negbin2", "gaussian"),
+    ("reflection", "positive", "critical"): (
+        "excursions/critical", "meanders/reflection-conserved",
+        "final-altitude/positive-drift", "rayleigh", "gaussian"),
+    ("reflection", "positive", "supercritical"): (
+        "excursions/supercritical", "meanders/reflection-conserved",
+        "final-altitude/positive-drift", "gaussian", "gaussian"),
+    ("reflection", "zero", "critical"): (
+        "excursions/critical", "meanders/reflection-conserved",
+        "final-altitude/reflection/critical", "rayleigh", "half-normal"),
+    ("reflection", "negative", "supercritical"): (
+        "excursions/supercritical", "meanders/reflection-conserved",
+        "final-altitude/reflection/supercritical", "gaussian", "discrete"),
+    ("absorption", "positive", "subcritical"): (
+        "excursions/subcritical", "meanders/positive-drift",
+        "final-altitude/positive-drift", "negbin2", "gaussian"),
+    ("absorption", "positive", "critical"): (
+        "excursions/critical", "meanders/positive-drift",
+        "final-altitude/positive-drift", "rayleigh", "gaussian"),
+    ("absorption", "positive", "supercritical"): (
+        "excursions/supercritical", "meanders/positive-drift",
+        "final-altitude/positive-drift", "gaussian", "gaussian"),
+    ("absorption", "zero", "subcritical"): (
+        "excursions/subcritical", "meanders/subcritical/zero-drift",
+        "final-altitude/absorption/subcritical", "negbin2", "rayleigh"),
+    ("absorption", "negative", "subcritical"): (
+        "excursions/subcritical", "meanders/subcritical/neg-drift",
+        "final-altitude/absorption/subcritical/neg-drift", "negbin2", "discrete"),
+    ("absorption", "negative", "critical"): (
+        "excursions/critical", "meanders/critical/neg-drift",
+        "final-altitude/absorption/critical", "rayleigh", "discrete"),
+    ("absorption", "negative", "supercritical"): (
+        "excursions/supercritical", "meanders/supercritical/neg-drift",
+        "final-altitude/absorption/supercritical", "gaussian", "discrete"),
+}
+
+
+def _cell(model):
+    cls = classify(model)
+    return (model.kind().value, cls.drift_sign.value, cls.criticality.value)
+
+
+def test_regime_cells_table(models, random_models):
+    assert set(CELL_OUTCOMES) == set(REGIME_CELLS)
+    for key, entry in REGIME_CELLS.items():
+        model = regime_cell_model(entry)
+        assert _cell(model) == key, entry
+        outcome = (
+            excursion_asymptotic(model, 2000).formula_id,
+            meander_ratio_asymptotic(model, 2000).formula_id,
+            final_altitude_asymptotic(model, 2000).formula_id,
+            laws.returns_law(model).family,
+            laws.final_altitude_law(model).family,
+        )
+        assert outcome == CELL_OUTCOMES[key], key
+        assert arch_asymptotic(model, 2000).formula_id == "arches"
+    # every model the estimates take lands on a key of the table
+    rng = random.Random(3)
+    draws = [random_model(rng, lukasiewicz=True) for _ in range(400)]
+    reached = Counter()
+    for model in list(models.values()) + random_models + draws:
+        if model.violations or not (model.is_aperiodic and model.is_lukasiewicz):
+            continue
+        reached[_cell(model)] += 1
+    assert set(reached) <= set(REGIME_CELLS), reached
+
+
+def test_solve_counts(monkeypatch):
+    # a cell whose formula reads only coefficient sums makes no kernel
+    # solve: the reflecting meander ratio, the final altitude outside an
+    # absorbing wall with negative drift, and the final-altitude law; every
+    # other estimate and the returns law make exactly one
+    calls = []
+    solve = asymptotics.structural_constants
+
+    def counted(model):
+        calls.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(asymptotics, "structural_constants", counted)
+    for (kind, sign, _), entry in REGIME_CELLS.items():
+        model = regime_cell_model(entry)
+        expected = {
+            excursion_asymptotic: 1,
+            arch_asymptotic: 1,
+            meander_ratio_asymptotic: 0 if kind == "reflection" else 1,
+            final_altitude_asymptotic: 1 if (kind, sign) == ("absorption", "negative") else 0,
+        }
+        for estimate, count in expected.items():
+            calls.clear()
+            estimate(model, 2000)
+            assert len(calls) == count, (estimate.__name__, entry)
+        for law, count in ((laws.returns_law, 1), (laws.final_altitude_law, 0)):
+            calls.clear()
+            law(model)
+            assert len(calls) == count, (law.__name__, entry)

@@ -136,6 +136,19 @@ def test_gf_eval_output(capsys):
     assert f0[0.2] == pytest.approx(1.1200461887, abs=1e-9)
 
 
+def test_gf_eval_negative_z_in_exponent_notation_joined_to_its_option(capsys):
+    # argparse reads a separate token that starts with "-" as an option
+    # unless it looks like a plain negative number, so "--z -1e-3" depends
+    # on the Python version; the joined spelling and the plain decimal both
+    # work and give the same rows
+    joined = invoke(capsys, "gf-eval", "--z=-1e-3", MOTZ_R)
+    decimal = invoke(capsys, "gf-eval", "--z", "-0.001", MOTZ_R)
+    assert joined == decimal
+    code, out, err = joined
+    assert (code, err) == (0, "")
+    assert out.startswith("# quantity\tvalue\nF_0\t")
+
+
 def test_gf_eval_c2_includes_all_boundary_gfs(capsys):
     code, out, _ = invoke(capsys, "gf-eval", "--z", "0.3", C2)
     assert code == 0
