@@ -6,9 +6,10 @@ down jump is -1. The regime is selected by two signs: the drift P'(1) and
 the comparison of the boundary weight P0geq(tau) against P(tau). Models
 that ``validate`` rejects, periodic models and multi-down models are
 rejected up front by the one gate of every estimate and limit law. A cell
-makes at most one kernel solve, and none where its formula reads only
-exact coefficient sums: the reflecting meander ratio, and the final
-altitude in every cell but an absorbing wall with negative drift.
+reads at most one ``structural_constants`` record, which the model solves
+once and keeps, and none where its formula reads only exact coefficient
+sums: the reflecting meander ratio, and the final altitude in every cell
+but an absorbing wall with negative drift.
 
 With an absorbing wall a walk alive at length n has not been absorbed yet,
 so m_n = (1 - P0geq(1))*(e_n + e_(n+1) + ...); without positive drift
@@ -105,7 +106,8 @@ def _gate(model: WalkModel, n: int = 1) -> None:
 
 
 def _constants(model: WalkModel) -> tuple[StructuralConstants, Criticality]:
-    """The one kernel solve of a regime cell, and the criticality it decides."""
+    """The kernel constants of a regime cell, solved once per model, and
+    the criticality they decide."""
     sc = structural_constants(model)
     return sc, _CRITICALITY[sc.sign]
 

@@ -560,7 +560,14 @@ def _find_rho1(model: WalkModel, rho: float, tau: float, sign: int
 
 
 def structural_constants(model: WalkModel) -> StructuralConstants:
-    """Compute every structural constant that is finite for the model.
+    """Every structural constant that is finite for the model, solved once
+    per model object.
+
+    The record is kept in the model's ``__dict__`` beside its other derived
+    parts, as ``cached_property`` keeps them, and every later call on the
+    same object returns it; an equal model parsed separately makes its own
+    solve, and a solve that raises stores nothing. Concurrent first calls
+    each solve the same record, and all return the one stored first.
 
     Optional fields stay None when the quantity is infinite or does not
     exist in the model's regime: rho1 is 1/P(u*) on every supercritical
@@ -577,6 +584,15 @@ def structural_constants(model: WalkModel) -> StructuralConstants:
     ``Fraction``. tau and u* are roots found by safeguarded Newton in a
     bracket, each within about one ulp of the true root.
     """
+    derived = model.__dict__
+    try:
+        return derived["_structural_constants"]
+    except KeyError:
+        return derived.setdefault("_structural_constants", _solve_constants(model))
+
+
+def _solve_constants(model: WalkModel) -> StructuralConstants:
+    """The kernel solve behind ``structural_constants``."""
     require_valid(model)
     tau = _find_tau(model)
     p_tau = float(model.P(tau))

@@ -209,8 +209,11 @@ class ModelKind(enum.Enum):
 class WalkModel(_Record):
     """Step polynomial ``P`` (positive altitude) and boundary polynomial ``P0``.
 
-    Each part derived from them is built once per model, on first use; the
-    hash too, since a model keys caches such as ``_rule_tally``'s.
+    Each part derived from them is built once per model, on first use, and
+    kept in the model's ``__dict__``: the hash, since a model keys caches
+    such as ``_rule_tally``'s, the period, and the kernel's structural
+    constants, which ``structural_constants`` stores there on its first
+    solve. Equal models parsed separately each build their own.
     """
 
     _fields = __match_args__ = ("P", "P0")
@@ -277,7 +280,7 @@ class WalkModel(_Record):
     def is_lukasiewicz(self) -> bool:
         return self.c == 1
 
-    @property
+    @cached_property
     def period(self) -> int:
         """gcd of the support offsets of P; 1 means aperiodic."""
         sup = self.P.support()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from latticepaths import LaurentPolynomial, WalkModel, load_model, parse_model
+from latticepaths import LaurentPolynomial, WalkModel, format_model, load_model, parse_model
 
 # every run, local or CI, draws the same examples, with no time limit per
 # example, and writes no example database
@@ -96,6 +96,15 @@ def regime_cell_model(entry: str) -> WalkModel:
 @pytest.fixture(scope="session")
 def models() -> dict[str, WalkModel]:
     return {name: load_model(MODELS_DIR / f"{name}.model") for name in MODEL_NAMES}
+
+
+def fresh_copies(models) -> list[WalkModel]:
+    """Each model re-parsed from its text: an equal model that holds none of
+    the parts derived on the original, its structural constants and period
+    included, as a CLI command's freshly loaded model holds none. A test
+    that counts a solve runs on these, since the session fixtures keep
+    whatever earlier tests derived."""
+    return [parse_model(format_model(model)) for model in models]
 
 
 def _random_weights(rng: random.Random, exponents: list[int]) -> dict[int, Fraction]:

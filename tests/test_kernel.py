@@ -29,7 +29,7 @@ from latticepaths import (
 from latticepaths import kernel
 from latticepaths.asymptotics import final_altitude_asymptotic
 from latticepaths.kernel import boundary_denominator, u1_derivatives
-from conftest import NEAR_CRITICAL_MODEL, random_model
+from conftest import NEAR_CRITICAL_MODEL, fresh_copies, random_model
 
 F = Fraction
 NEVER_LEAVES_0 = "P0 has no positive jump: the walk never leaves 0"
@@ -379,10 +379,13 @@ def test_structural_constants_makes_at_most_one_branch_solve(models, random_mode
     # rho1 is found in the branch variable, and alpha/alpha2 are taken at
     # its root u*; only E(1) solves for the branches
     calls = _count_solves(monkeypatch)
-    for model in list(models.values()) + random_models:
+    solved = 0
+    for model in fresh_copies(list(models.values()) + random_models):
         calls.clear()
         structural_constants(model)
         assert len(calls) <= 1, (str(model.P), str(model.P0), calls)
+        solved += len(calls)
+    assert solved > 0
 
 
 def _z_bisection_rho1(model, rho):
@@ -848,7 +851,7 @@ def test_constants_and_estimates_evaluate_no_polynomial_at_a_fraction(models, ra
         for estimate in (excursion_asymptotic, arch_asymptotic, meander_ratio_asymptotic,
                          final_altitude_asymptotic)]
     evaluated = 0
-    for model in list(models.values()) + random_models:
+    for model in fresh_copies(list(models.values()) + random_models):
         for call in calls:
             args.clear()
             try:
@@ -858,6 +861,59 @@ def test_constants_and_estimates_evaluate_no_polynomial_at_a_fraction(models, ra
             evaluated += len(args)
             assert not [x for x in args if isinstance(x, Fraction)], str(model.P)
     assert evaluated > 0
+
+
+def test_structural_constants_are_solved_once_per_model_object(models, random_models,
+                                                                monkeypatch):
+    # the record is kept on the model: the first call solves, and a second
+    # returns the same object with no branch solve and no evaluation
+    solves = _count_solves(monkeypatch)
+    args = _count_evaluations(monkeypatch)
+    checked = 0
+    for model in fresh_copies(list(models.values()) + random_models):
+        if model.violations:
+            continue
+        args.clear()
+        first = structural_constants(model)
+        assert args, str(model.P)
+        solves.clear()
+        args.clear()
+        assert structural_constants(model) is first
+        assert (solves, args) == ([], []), str(model.P)
+        checked += 1
+    assert checked >= len(models)
+
+
+def test_an_equal_model_parsed_separately_makes_its_own_solve(models, monkeypatch):
+    # the record is kept per model object, not per process or per value
+    args = _count_evaluations(monkeypatch)
+    for model in models.values():
+        first = structural_constants(model)
+        (copy,) = fresh_copies([model])
+        args.clear()
+        again = structural_constants(copy)
+        assert copy == model and args, str(model.P)
+        assert again == first and again is not first
+
+
+def test_a_solve_that_raises_stores_nothing(models, monkeypatch):
+    # an invalid model raises on every call; a fault inside the solve
+    # raises on every call it lasts, and the next call after it solves
+    never = parse_model("P: -1:4/13 0:7/13 1:2/13\nP0: -1:1/2 0:1/2\n")
+    for _ in range(2):
+        with pytest.raises(InvalidModelError, match=f"^{NEVER_LEAVES_0}$"):
+            structural_constants(never)
+    (model,) = fresh_copies([models["supercritical_drift_down"]])
+
+    def fault(*args):
+        raise NumericalSingularityError("injected")
+
+    monkeypatch.setattr(kernel, "_criticality_sign", fault)
+    for _ in range(2):
+        with pytest.raises(NumericalSingularityError, match="^injected$"):
+            structural_constants(model)
+    monkeypatch.undo()
+    assert structural_constants(model) == structural_constants(models["supercritical_drift_down"])
 
 
 def test_tau_and_rho1_need_few_evaluations(models, monkeypatch):

@@ -1,5 +1,6 @@
 """Model types, parsing and validation."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,7 @@ from latticepaths import (
     validate,
 )
 from latticepaths.model import MAX_WEIGHT_EXPONENT, _parse_poly_line, require_valid
-from conftest import MODEL_NAMES, MODELS_DIR, random_model
+from conftest import MODEL_NAMES, MODELS_DIR, fresh_copies, random_model
 
 
 def test_laurent_evaluation_and_trimming():
@@ -232,6 +233,32 @@ def test_period_divides_support_offsets(models, random_models):
         g = model.period
         sup = model.P.support()
         assert all((e - sup[0]) % g == 0 for e in sup)
+
+
+def test_period_is_the_support_gcd_read_once_per_model(models, random_models, monkeypatch):
+    # period is derived once per model: the first read walks P's support,
+    # later reads return the stored gcd
+    support = LaurentPolynomial.support
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return support(self)
+
+    rng = random.Random(11)
+    cases = fresh_copies(list(models.values()) + random_models
+                         + [random_model(rng) for _ in range(50)])
+    monkeypatch.setattr(LaurentPolynomial, "support", counted)
+    for model in cases:
+        sup = support(model.P)
+        expected = math.gcd(*(e - sup[0] for e in sup)) or 1
+        calls.clear()
+        assert model.period == expected, str(model.P)
+        assert calls == [model.P]
+        calls.clear()
+        assert model.period == expected and model.is_aperiodic == (expected == 1)
+        assert calls == [], str(model.P)
+    assert {model.period for model in cases} >= {1, 2}
 
 
 def test_periodicity_values(models):
