@@ -10,6 +10,12 @@ form when c = 1 and from the resulting c x c linear system otherwise,
 evaluates the closed product formula of the boundary-free model, and
 derives the structural constants that drive every asymptotic regime.
 
+A branch is accepted where its residual is within the larger of the
+branch tolerance and the floor at which Newton stops, 1e-15*(1 + |z|):
+far outside the disk the residual's round-off grows with z. A c >= 2 system
+takes one LAPACK call, ``np.linalg.solve``; its residual is checked in
+plain complex arithmetic on the c-element rows.
+
 Every boundary quantity at z (the F_k, E(z), the boundary-free product,
 E(z) = 1/(1 - z*L[P0geq]) over all c branches, which is the closed form
 at c = 1, and the perturbation identity) reads the same c branches, so
@@ -30,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -188,9 +195,11 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     quadratic with nonzero ends, ``_companion_roots`` otherwise), refined by
     Newton (``_refine_roots``), are ordered by modulus; the c smallest are
     accepted when each residual |1 - z*P(u)| is within
-    ``_residual_tolerance``. A root solve that fails or loses a small
-    branch raises ``NumericalSingularityError``, an invalid model
-    ``InvalidModelError``.
+    ``_residual_tolerance`` or Newton's floor 1e-15*(1 + |z|), whichever is
+    larger: the floor is the larger only from |z| of about 999, far outside
+    the disk, where the residual's round-off grows with z. A root solve
+    that fails or loses a small branch raises ``NumericalSingularityError``,
+    an invalid model ``InvalidModelError``.
     """
     require_valid(model)
     if z == 0:
@@ -210,8 +219,9 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     if 0 in roots:
         raise NumericalSingularityError(f"kernel companion solve lost a small branch at z={z}")
     P = model.P
+    floor = 1e-15 * (1.0 + abs(z))
     try:
-        refined = _refine_roots(z, roots, P, P.derivative(), 1e-15 * (1.0 + abs(z)))
+        refined = _refine_roots(z, roots, P, P.derivative(), floor)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
     if quadratic:
@@ -235,6 +245,10 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
                else ROOT_RESIDUAL_TOL)
         branches = tuple(u for u, _ in refined[:c])
         residuals = tuple(abs(fx) for _, fx in refined[:c])
+    if tol < floor:
+        # far outside the disk the residual's round-off grows with the size
+        # of z*P's terms, so a root is accepted where Newton stops
+        tol = floor
     for u, r in zip(branches, residuals):
         if not r <= tol:  # a NaN branch, which overflow can leave, fails too
             raise NumericalSingularityError(
@@ -312,23 +326,26 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     Each small branch u_i gives one equation sum_k r_k(u_i) F_k = 1/z, with
     the r_k of ``WalkModel.boundary_corrections``. For c = 1 the solution
     is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve; for c >= 2
-    LAPACK solves the system. ``branches``, here and in every boundary
-    quantity below, is the ``BranchSet`` at z, solved if not given.
+    one LAPACK call, ``np.linalg.solve``, solves the system, and its
+    residual max_i |sum_k r_k(u_i) x_k - 1/z| is checked in plain complex
+    arithmetic on the c-element rows: above 1e-8*max(1, |1/z|) the system
+    is ill conditioned. ``branches``, here and in every boundary quantity
+    below, is the ``BranchSet`` at z, solved if not given.
     """
     branches = _branches_at(model, z, branches)
     if model.is_lukasiewicz:
         # the lone branch, real at any real z inside the disk, negative z too
         u1 = _real(branches.branches[0], "small branch", z)
         return [_excursion_value(model, z, [u1])]
-    u = branches.branches
-    A = np.array([[complex(r(ui)) for r in model.boundary_corrections] for ui in u])
-    b = np.array([1.0 / z] * model.c, dtype=complex)
+    corrections = model.boundary_corrections
+    rows = [[complex(r(ui)) for r in corrections] for ui in branches.branches]
+    rhs = 1.0 / z
     try:
-        x = np.linalg.solve(A, b)
+        x = np.linalg.solve(rows, [rhs] * model.c).tolist()
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(f"boundary system singular at z={z}") from exc
-    resid = float(np.max(np.abs(A @ x - b)))
-    if resid > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+    resid = max([abs(sum(map(mul, row, x)) - rhs) for row in rows])
+    if resid > 1e-8 * max(1.0, abs(rhs)):
         raise NumericalSingularityError(f"boundary system ill conditioned at z={z}")
     return [_real(v, "F_k value", z) for v in x]
 

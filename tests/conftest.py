@@ -56,6 +56,12 @@ ORACLE_MODEL_NAMES = [
 ]
 
 
+# the Python and numpy versions on which the golden digests of outputs that
+# go through LAPACK or argparse's layout were taken (test_cli's
+# FRONT_END_SHA256, test_kernel's C2_KERNEL_OUTPUTS_SHA256); elsewhere
+# those tests skip
+FRONT_END_PLATFORM = ((3, 11), "2.4.6")
+
 # absorbing, negative drift, lam = P0geq(tau)/P(tau) = 1 + 2.2e-7: just
 # supercritical, with rho1 within 1e-10 of rho
 NEAR_CRITICAL_MODEL = "P: -1:2/5 0:1/2 1:1/10\nP0: -1:5499999/10000000 1:4500001/10000000\n"

@@ -29,7 +29,7 @@ from latticepaths.cli import (
 from latticepaths.errors import LatticePathError, NumericalSingularityError
 from latticepaths.model import load_model, validate
 from latticepaths.verify import run_verification
-from conftest import MODEL_NAMES, MODELS_DIR, NEAR_CRITICAL_MODEL
+from conftest import FRONT_END_PLATFORM, MODEL_NAMES, MODELS_DIR, NEAR_CRITICAL_MODEL
 
 DYCK = str(MODELS_DIR / "dyck_reflection.model")
 DYCK_ABS = str(MODELS_DIR / "dyck_absorption.model")
@@ -1003,7 +1003,6 @@ def test_exact_outputs_match_their_golden_digest(capsys):
 # Python versions and the c >= 2 gf-eval residual still moves with the
 # LAPACK build, so the digest is checked where it was taken.
 FRONT_END_SHA256 = "4be84f2a2a32f49bc80af2b29faaa56099e258ce05f1122ab8cab23e7f3957c9"
-FRONT_END_PLATFORM = ((3, 11), "2.4.6")
 FRONT_END_COMMANDS = [
     ("validate",), ("classify",), ("constants",),
     *(("count", "--n", "8", "--what", what, *exact)
