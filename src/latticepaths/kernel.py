@@ -3,18 +3,21 @@
 The kernel equation 1 - z*P(u) = 0 has c+d roots; the c of smallest modulus
 (the small branches, all vanishing as z -> 0) eliminate the unknown boundary
 series from the functional equation. This module finds the roots of the
-kernel polynomial in closed form when it is a quadratic (c = d = 1) and
-with one eigenvalue solve of its companion matrix otherwise, refines them
-by Newton, takes the boundary generating functions from E(z)'s closed
+kernel polynomial, of degree c + d, in closed form through degree 3 (the
+quadratic formula at c = d = 1, Cardano and deflation at c + d = 3) and
+with one eigenvalue solve of its companion matrix from degree 4, refines
+them by Newton, takes the boundary generating functions from E(z)'s closed
 form when c = 1 and from the resulting c x c linear system otherwise,
 evaluates the closed product formula of the boundary-free model, and
 derives the structural constants that drive every asymptotic regime.
 
 A branch is accepted where its residual is within the larger of the
-branch tolerance and the floor at which Newton stops, 1e-15*(1 + |z|):
-far outside the disk the residual's round-off grows with z. A c >= 2 system
-takes one LAPACK call, ``np.linalg.solve``; its residual is checked in
-plain complex arithmetic on the c-element rows.
+branch tolerance and the floor at which Newton stops, 1e-15*(1 + |z|), or
+within the round-off of z*P's terms at it: far outside the disk the
+residual's round-off grows with z. A c >= 2 system takes one LAPACK call,
+``np.linalg.solve``; its residual and a first-order bound on each F_k's
+error are checked in plain complex arithmetic for c <= 3, and an F_k
+whose bound exceeds 1e-8 of itself raises (exit 2).
 
 Every boundary quantity at z (the F_k, E(z), the boundary-free product,
 E(z) = 1/(1 - z*L[P0geq]) over all c branches, which is the closed form
@@ -47,6 +50,8 @@ from .model import LaurentPolynomial, WalkModel, require_valid
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_REL_WIDTH = 1e-13
 U1_EXPANSION_BOUND = 10.0
+BOUNDARY_FORWARD_EPS = 1e-15
+BOUNDARY_FORWARD_TOL = 1e-8
 
 
 def _is_real(v: complex) -> bool:
@@ -133,6 +138,49 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
     return [q / a, c / q]
 
 
+_CUBE_ROOTS_OF_ONE = (1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -0.75**0.5))
+
+
+def _cubic_roots(a: complex, b: complex, c: complex, d: complex) -> list[complex]:
+    """Roots of a*u**3 + b*u**2 + c*u + d, a and d nonzero, dominant root
+    first: Cardano on u = t - b/(3a), t**3 + p*t + q = 0, gives the root of
+    largest modulus from the cube roots of -q/2 +- sqrt(q**2/4 + p**3/27),
+    the sign taken that adds, and backward deflation by that root, from the
+    constant term up, leaves the quadratic for the other two
+    (``_quadratic_roots``). Where p**3 or q**2 overflows (|z| below about
+    1e-52 at c = 2, 1e-103 at c = 1, d = 2) the terms are not finite, and
+    ``OverflowError`` is raised."""
+    B, C, D = b / a, c / a, d / a
+    s = B / 3.0
+    p = C - B * s
+    h = 0.5 * ((2.0 * s * s - C) * s + D)  # q/2
+    p3 = p / 3.0
+    disc = h * h + p3 * p3 * p3
+    if not cmath.isfinite(disc):
+        raise OverflowError("the cubic's closed form overflows")
+    sd = cmath.sqrt(disc)
+    if (h.conjugate() * sd).real > 0:
+        sd = -sd
+    w = sd - h
+    real = not (B.imag or C.imag or D.imag)
+    if not w:  # p = q = 0: a triple root
+        r = -s
+    else:
+        # with real coefficients, disc >= 0 leaves w real, and its real cube
+        # root keeps the one real root real; disc < 0 means three real roots
+        if real and not w.imag:
+            base = math.copysign(abs(w.real) ** (1.0 / 3.0), w.real)
+        else:
+            base = w ** (1.0 / 3.0)
+        r = max((k * base - p3 / (k * base) - s for k in _CUBE_ROOTS_OF_ONE), key=abs)
+        if real and w.imag:
+            r = complex(r.real)
+    gamma = -d / r
+    beta = (gamma - c) / r
+    alpha = (beta - b) / r
+    return [r, *_quadratic_roots(alpha, beta, gamma)]
+
+
 def _companion_roots(coeffs: list[complex]) -> list[complex]:
     """Roots of the polynomial with descending coefficients ``coeffs``, by
     ``np.linalg.eigvals`` on the companion matrix that ``np.roots`` builds,
@@ -191,15 +239,21 @@ def _refine_roots(z: complex, roots: list[complex], P: LaurentPolynomial,
 def small_branches(model: WalkModel, z: complex) -> BranchSet:
     """Find the c small branches of the kernel equation at z.
 
-    The roots of the kernel polynomial (``_quadratic_roots`` when it is a
-    quadratic with nonzero ends, ``_companion_roots`` otherwise), refined by
-    Newton (``_refine_roots``), are ordered by modulus; the c smallest are
-    accepted when each residual |1 - z*P(u)| is within
+    The roots of the kernel polynomial come in closed form when its degree
+    c + d is at most 3 and its end coefficients are nonzero
+    (``_quadratic_roots``, ``_cubic_roots``: no numpy call at all), and
+    from ``_companion_roots`` otherwise; refined by Newton
+    (``_refine_roots``), they are ordered by modulus, and the c smallest
+    are accepted when each residual |1 - z*P(u)| is within
     ``_residual_tolerance`` or Newton's floor 1e-15*(1 + |z|), whichever is
-    larger: the floor is the larger only from |z| of about 999, far outside
-    the disk, where the residual's round-off grows with z. A root solve
-    that fails or loses a small branch raises ``NumericalSingularityError``,
-    an invalid model ``InvalidModelError``.
+    larger, or failing both within 1e-15*(1 + |z|*P(|u|)), the round-off of
+    z*P's terms at u (P's weights are not negative): the floor is the larger
+    only from |z| of about 999, far outside the disk, where the residual's
+    round-off grows with z. A closed form whose terms overflow (the
+    quadratic from |z| of about 1e-308, the cubic from about 1e-52 at
+    c = 2 and 1e-103 at c = 1, d = 2), a root solve that fails or loses a
+    small branch raise ``NumericalSingularityError``, an invalid model
+    ``InvalidModelError``.
     """
     require_valid(model)
     if z == 0:
@@ -207,13 +261,19 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     if not cmath.isfinite(z):
         raise ValueError("z must be finite")
     # at tiny |z| the companion matrix, with entries of size 1/z, overflows
-    # or returns the small roots, of size about z, as exactly 0; the
-    # quadratic formula keeps them, but from about 1e-308 its large root,
-    # about 1/z, overflows and Newton's Horner raises there
+    # or returns the small roots, of size about z, as exactly 0; the closed
+    # forms keep them until their own terms overflow
     coeffs = _kernel_coeffs(model, z)
-    quadratic = len(coeffs) == 3 and coeffs[0] != 0 and coeffs[2] != 0
+    closed = len(coeffs) <= 4 and coeffs[0] != 0 and coeffs[-1] != 0
     try:
-        roots = _quadratic_roots(*coeffs) if quadratic else _companion_roots(coeffs)
+        if not closed:
+            roots = _companion_roots(coeffs)
+        elif len(coeffs) == 3:
+            roots = _quadratic_roots(*coeffs)
+        else:
+            roots = _cubic_roots(*coeffs)
+    except OverflowError as exc:  # caught first: this clause reads no numpy
+        raise NumericalSingularityError(f"kernel closed form overflows at a root at z={z}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(f"kernel companion solve failed at z={z}: {exc}") from exc
     if 0 in roots:
@@ -224,7 +284,7 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
         refined = _refine_roots(z, roots, P, P.derivative(), floor)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalSingularityError(f"kernel root refinement failed at z={z}: {exc}") from exc
-    if quadratic:
+    if len(refined) == 2:
         # c = d = 1: the small root and the large one; sort() would swap
         # them on the same test, so a tie keeps its order
         (u, fu), (v, _) = refined
@@ -235,12 +295,6 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
     else:
         refined.sort(key=lambda pair: abs(pair[0]))
         c = model.c
-        # where P's Horner overflows at the largest root, Newton stopped
-        # there; a lone c = 1 branch is still right, but for c >= 2 the
-        # boundary system solved from the branches is far off (ROADMAP J,
-        # step 1), so the exit 2 stays until a forward-error test can tell
-        if c > 1 and not cmath.isfinite(P(refined[-1][0])):
-            raise NumericalSingularityError(f"kernel polynomial overflows at a root at z={z}")
         tol = (_residual_tolerance(z, refined[c - 1][0], refined[c][0]) if len(refined) > c
                else ROOT_RESIDUAL_TOL)
         branches = tuple(u for u, _ in refined[:c])
@@ -250,7 +304,9 @@ def small_branches(model: WalkModel, z: complex) -> BranchSet:
         # of z*P's terms, so a root is accepted where Newton stops
         tol = floor
     for u, r in zip(branches, residuals):
-        if not r <= tol:  # a NaN branch, which overflow can leave, fails too
+        # a NaN branch, which overflow can leave, fails both tests; the
+        # second is read only where the first fails
+        if not r <= tol and not r <= 1e-15 * (1.0 + abs(z) * P(abs(u))):
             raise NumericalSingularityError(
                 f"kernel root {u} at z={z} has residual {r} > {tol}"
             )
@@ -325,12 +381,38 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
 
     Each small branch u_i gives one equation sum_k r_k(u_i) F_k = 1/z, with
     the r_k of ``WalkModel.boundary_corrections``. For c = 1 the solution
-    is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve; for c >= 2
-    one LAPACK call, ``np.linalg.solve``, solves the system, and its
-    residual max_i |sum_k r_k(u_i) x_k - 1/z| is checked in plain complex
-    arithmetic on the c-element rows: above 1e-8*max(1, |1/z|) the system
-    is ill conditioned. ``branches``, here and in every boundary quantity
-    below, is the ``BranchSet`` at z, solved if not given.
+    is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve. For c >= 2
+    one LAPACK call, ``np.linalg.solve``, solves the system A x = b, and
+    then, in plain complex arithmetic for c <= 3:
+
+    - a residual max_i |sum_k r_k(u_i) x_k - 1/z| above 1e-8*max(1, |1/z|)
+      means the system is ill conditioned;
+    - an F_k that is identically 0, at an altitude below c that the walk
+      never reaches (``_boundary_system``), is returned as an exact 0.0,
+      where the solve leaves round-off, and is not gated;
+    - every other F_k passes the forward-error gate, or
+      ``NumericalSingularityError`` is raised: its first-order bound
+      |A^-1|*(eps*|A|abs*|x| + eps*|b|) (``_forward_error_bounds``) is
+      within ``BOUNDARY_FORWARD_TOL``*|F_k|.
+
+    eps = ``BOUNDARY_FORWARD_EPS`` = 1e-15, about 4.5 units of round-off
+    (2**-53), is the relative size of what moves an entry: r_k(u_i) is a
+    Horner sum of at most c + d + 1 terms, at a branch that Newton leaves
+    within about a unit of round-off, so each moves it by a few units of
+    |A|abs, r_k on its coefficients' absolute values at |u_i|; 1/z is
+    rounded once. The tolerance, 1e-8 relative, is ten times ROADMAP J's
+    1e-9 because the bound is pessimistic: over 22,006 values of 163
+    c >= 2 models at real z in (-rho, rho), wherever the bound read above
+    1e-12 relative the solve's error was at most 0.64 of it (median 0.05;
+    one call with wrong companion branches aside, which the gate refuses on
+    its other F_k), the values the gate passed were within
+    1e-9 relative of a 60-digit or exact-series reference but for 7, 1.0e-9
+    to 2.4e-9 relative and under 1e-12 absolute off. With c = 2 an error
+    of eps in r_0(u_i), about 1/z, moves F_1 by about eps*z**-1.5 of
+    itself: on ``two_down_reflection`` the gate passes F_1 down to
+    z = 1e-4 (bound 8e-9, error 1.0e-9) and refuses it below about 9e-5.
+    ``branches``, here and in every boundary quantity below, is the
+    ``BranchSet`` at z, solved if not given.
     """
     branches = _branches_at(model, z, branches)
     if model.is_lukasiewicz:
@@ -347,7 +429,83 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     resid = max([abs(sum(map(mul, row, x)) - rhs) for row in rows])
     if resid > 1e-8 * max(1.0, abs(rhs)):
         raise NumericalSingularityError(f"boundary system ill conditioned at z={z}")
+    zeros, absolute = _boundary_system(model)
+    for k in zeros:
+        x[k] = 0.0
+    try:
+        bounds = _forward_error_bounds(rows, x, absolute, branches.branches, abs(rhs))
+    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        raise NumericalSingularityError(f"boundary system singular at z={z}") from exc
+    for k, v in enumerate(x):
+        if not bounds[k] <= BOUNDARY_FORWARD_TOL * abs(v) and k not in zeros:
+            raise NumericalSingularityError(
+                f"boundary value F_{k} at z={z} has forward-error bound {bounds[k]:.3g}"
+                f" > {BOUNDARY_FORWARD_TOL:g}*|F_{k}|")
     return [_real(v, "F_k value", z) for v in x]
+
+
+def _boundary_system(model: WalkModel) -> tuple[tuple[int, ...], tuple]:
+    """(zeros, absolute) for the model's c x c boundary system, built once
+    per model and kept in its ``__dict__``. zeros lists each k < c whose F_k
+    is identically 0: with g the gcd of P's jumps, a P step keeps the
+    altitude mod g, so the walk reaches altitude k only if k is 0 mod g or
+    P0geq has a jump j = k mod g, and from such a j every such k >= 0 is
+    reached (the up steps first, then the down steps). absolute[k] is r_k
+    as (lo, its coefficients' absolute values, highest first)."""
+    derived = model.__dict__
+    try:
+        return derived["_boundary_system"]
+    except KeyError:
+        pass
+    g = math.gcd(*model.P.support())
+    reached = {j % g for j in (0, *model.P0geq.support())}
+    zeros = tuple(k for k in range(model.c) if k % g not in reached)
+    absolute = tuple((r.lo, tuple(abs(v) for v in reversed(r.float_coeffs)))
+                     for r in model.boundary_corrections)
+    return derived.setdefault("_boundary_system", (zeros, absolute))
+
+
+def _abs_horner(coeffs: tuple[float, ...], lo: int, t: float) -> float:
+    """sum_j |a_j|*t**j at t >= 0, for (lo, coeffs) of ``_boundary_system``."""
+    acc = 0.0
+    for v in coeffs:
+        acc = acc * t + v
+    return acc * t**lo
+
+
+def _forward_error_bounds(rows, x, absolute, branches, rhs_abs: float) -> list[float]:
+    """First-order componentwise bound on the error of each x_k of A x = b,
+    |A^-1|*(eps*|A|abs*|x| + eps*|b|) with eps = ``BOUNDARY_FORWARD_EPS``:
+    |A|abs holds r_k at |u_i| on its coefficients' absolute values, which
+    bounds what round-off in u_i and in r_k's terms can move r_k(u_i) by,
+    and |A^-1| is the adjugate over the determinant in plain complex
+    arithmetic for c <= 3, ``np.linalg.inv`` for c >= 4; a singular A
+    raises ``ZeroDivisionError`` or ``np.linalg.LinAlgError``."""
+    c = len(rows)
+    if c == 2:
+        # written out: this is the hot case, about 1.5 us
+        (lo0, h0), (lo1, h1) = absolute
+        s0, s1 = abs(x[0]), abs(x[1])
+        t0, t1 = abs(branches[0]), abs(branches[1])
+        w0 = rhs_abs + _abs_horner(h0, lo0, t0) * s0 + _abs_horner(h1, lo1, t0) * s1
+        w1 = rhs_abs + _abs_horner(h0, lo0, t1) * s0 + _abs_horner(h1, lo1, t1) * s1
+        (a, b), (e, d) = rows
+        scale = BOUNDARY_FORWARD_EPS / abs(a * d - b * e)
+        return [(abs(d) * w0 + abs(b) * w1) * scale, (abs(e) * w0 + abs(a) * w1) * scale]
+    size = [abs(v) for v in x]
+    weights = [rhs_abs + sum([_abs_horner(coeffs, lo, abs(ui)) * s
+                              for (lo, coeffs), s in zip(absolute, size)])
+               for ui in branches]
+    if c == 3:
+        # cofactor (i, k), with the indices taken cyclically, which signs it
+        cof = [[rows[(i + 1) % 3][(k + 1) % 3] * rows[(i + 2) % 3][(k + 2) % 3]
+                - rows[(i + 1) % 3][(k + 2) % 3] * rows[(i + 2) % 3][(k + 1) % 3]
+                for k in range(3)] for i in range(3)]
+        scale = BOUNDARY_FORWARD_EPS / abs(sum(map(mul, rows[0], cof[0])))
+        inverse = [[abs(cof[i][k]) * scale for i in range(3)] for k in range(3)]
+    else:
+        inverse = (np.abs(np.linalg.inv(rows)) * BOUNDARY_FORWARD_EPS).tolist()
+    return [sum(map(mul, row, weights)) for row in inverse]
 
 
 def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:

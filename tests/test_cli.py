@@ -305,12 +305,12 @@ def test_dist_returns_without_excursions_exits_one(capsys):
                                     ("motzkin_reflection", "1e-320"),
                                     ("two_down_reflection", "1e-320")])
 def test_gf_eval_at_tiny_z_exits_two(capsys, name, z):
-    # with c = 2 the companion solve returns the small branches as 0 here
-    # (at 1e-320 its matrix overflows, silently), or, from 1e-110 to 1e-200,
-    # P's Horner overflows at a large root, where the boundary system gives
-    # F_1 = 0 or -1.7e39 for about z/2; with c = 1 at 1e-320 the quadratic's
-    # large root is inf and Newton's Horner overflows there; none of it may
-    # end in a traceback, a warning, a model error or a number
+    # with c = 2 the terms of the cubic's closed form overflow here (from
+    # about 1e-52; the companion solve returned the small branches as 0, or
+    # P's Horner overflowed at a large root, where the boundary system gave
+    # F_1 = 0 or -1.7e39 for about z/2); with c = 1 at 1e-320 the
+    # quadratic's large root is inf and Newton's Horner overflows there;
+    # none of it may end in a traceback, a warning, a model error or a number
     model = str(MODELS_DIR / f"{name}.model")
     code, out, err = invoke(capsys, "gf-eval", "--z", z, model)
     assert code == 2
@@ -339,11 +339,12 @@ def test_gf_eval_at_tiny_z_where_newton_stops_exits_zero(capsys, name, z):
     assert (code, err, rows["F_0"], rows["E_free"]) == (0, "", "1", "1")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP J")
 @pytest.mark.parametrize("z", ["1e-10", "1e-31"])
 def test_gf_eval_c2_at_small_z_is_right_or_exits_two(capsys, z):
-    # F_1 = 5.72e-11 for about 5e-11 at 1e-10, F_0 = -1 at 1e-31, both
-    # with exit 0; the reference is the exact altitude series to 30 terms
+    # the solve gets F_1 = 5.72e-11 for about 5e-11 at 1e-10 and F_0 = -1
+    # at 1e-31, which gf-eval printed with exit 0; the forward-error gate
+    # refuses both now. The reference is the exact altitude series to 30
+    # terms
     series = enumeration.altitude_series(load_model(C2), 30, 2)
     code, out, _ = invoke(capsys, "gf-eval", "--z", z, C2)
     if code == 2:
