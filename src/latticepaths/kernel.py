@@ -14,10 +14,13 @@ derives the structural constants that drive every asymptotic regime.
 A branch is accepted where its residual is within the larger of the
 branch tolerance and the floor at which Newton stops, 1e-15*(1 + |z|), or
 within the round-off of z*P's terms at it: far outside the disk the
-residual's round-off grows with z. A c >= 2 system takes one LAPACK call,
-``np.linalg.solve``; its residual and a first-order bound on each F_k's
-error are checked in plain complex arithmetic for c <= 3, and an F_k
-whose bound exceeds 1e-8 of itself raises (exit 2).
+residual's round-off grows with z. A c >= 2 system is solved from its
+adjugate in plain complex arithmetic for c <= 3, with no numpy call, and
+by one LAPACK call, ``np.linalg.solve``, from c = 4. Its residual is
+checked, and so is a first-order bound on each F_k's error that takes in
+round-off and how far each branch may be from its root, the square root
+of round-off at the double root at rho: an F_k whose bound exceeds 1e-8
+of itself raises (exit 2).
 
 Every boundary quantity at z (the F_k, E(z), the boundary-free product,
 E(z) = 1/(1 - z*L[P0geq]) over all c branches, which is the closed form
@@ -381,28 +384,33 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
 
     Each small branch u_i gives one equation sum_k r_k(u_i) F_k = 1/z, with
     the r_k of ``WalkModel.boundary_corrections``. For c = 1 the solution
-    is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve. For c >= 2
-    one LAPACK call, ``np.linalg.solve``, solves the system A x = b, and
-    then, in plain complex arithmetic for c <= 3:
+    is F_0 = E(z) = 1/(1 - z*P0geq(u1)), with no linear solve. For c = 2
+    and 3 the system A x = b comes from A's adjugate and determinant in
+    plain complex arithmetic, with no numpy call (``_adjugate_solve``); from
+    c = 4 it takes one LAPACK call, ``np.linalg.solve``, and |A^-1| one
+    ``np.linalg.inv`` (``_lapack_solve``). Then:
 
-    - a residual max_i |sum_k r_k(u_i) x_k - 1/z| above 1e-8*max(1, |1/z|)
-      means the system is ill conditioned;
+    - a zero determinant, or a singular LAPACK factorisation, means the
+      system is singular, and a residual max_i |sum_k r_k(u_i) x_k - 1/z|
+      above 1e-8*max(1, |1/z|) that it is ill conditioned;
     - an F_k that is identically 0, at an altitude below c that the walk
       never reaches (``_boundary_system``), is returned as an exact 0.0,
       where the solve leaves round-off, and is not gated;
     - every other F_k passes the forward-error gate, or
       ``NumericalSingularityError`` is raised: its first-order bound
-      |A^-1|*(eps*|A|abs*|x| + eps*|b|) (``_forward_error_bounds``) is
-      within ``BOUNDARY_FORWARD_TOL``*|F_k|.
+      (|A^-1|*w)_k is within ``BOUNDARY_FORWARD_TOL``*|F_k|, where w_i
+      bounds how far round-off, and the error of the branch u_i, move row
+      i's equation (``_row_errors``, ``_branch_error``).
 
     eps = ``BOUNDARY_FORWARD_EPS`` = 1e-15, about 4.5 units of round-off
     (2**-53), is the relative size of what moves an entry: r_k(u_i) is a
     Horner sum of at most c + d + 1 terms, at a branch that Newton leaves
-    within about a unit of round-off, so each moves it by a few units of
-    |A|abs, r_k on its coefficients' absolute values at |u_i|; 1/z is
-    rounded once. The tolerance, 1e-8 relative, is ten times ROADMAP J's
+    within about eps of itself inside the disk, so each moves it by a few
+    units of |A|abs, r_k on its coefficients' absolute values at |u_i|; 1/z
+    is rounded once. The tolerance, 1e-8 relative, is ten times ROADMAP J's
     1e-9 because the bound is pessimistic: over 22,006 values of 163
-    c >= 2 models at real z in (-rho, rho), wherever the bound read above
+    c >= 2 models at real z in (-rho, rho), wherever the bound without its
+    branch term, which only adds to it, read above
     1e-12 relative the solve's error was at most 0.64 of it (median 0.05;
     one call with wrong companion branches aside, which the gate refuses on
     its other F_k), the values the gate passed were within
@@ -411,101 +419,233 @@ def solve_boundary_gfs(model: WalkModel, z: float, branches: Optional[BranchSet]
     of eps in r_0(u_i), about 1/z, moves F_1 by about eps*z**-1.5 of
     itself: on ``two_down_reflection`` the gate passes F_1 down to
     z = 1e-4 (bound 8e-9, error 1.0e-9) and refuses it below about 9e-5.
-    ``branches``, here and in every boundary quantity below, is the
-    ``BranchSet`` at z, solved if not given.
+    At z = rho the c-th branch is a double root of the kernel, right only
+    to about the square root of round-off, and the branch term refuses the
+    values there: on the c >= 2 models of ``test_kernel`` those that came
+    back were up to 2.7e-7 relative off. ``branches``, here and in every
+    boundary quantity below, is the ``BranchSet`` at z, solved if not
+    given.
     """
     branches = _branches_at(model, z, branches)
     if model.is_lukasiewicz:
         # the lone branch, real at any real z inside the disk, negative z too
         u1 = _real(branches.branches[0], "small branch", z)
         return [_excursion_value(model, z, [u1])]
-    corrections = model.boundary_corrections
-    rows = [[complex(r(ui)) for r in corrections] for ui in branches.branches]
+    system = _boundary_system(model)
+    rows, absolute, betas = _system_rows(system, z, branches)
     rhs = 1.0 / z
     try:
-        x = np.linalg.solve(rows, [rhs] * model.c).tolist()
+        x, inverse = (_adjugate_solve if model.c <= 3 else _lapack_solve)(rows, rhs)
+    except ZeroDivisionError as exc:  # caught first: this clause reads no numpy
+        raise NumericalSingularityError(f"boundary system singular at z={z}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(f"boundary system singular at z={z}") from exc
     resid = max([abs(sum(map(mul, row, x)) - rhs) for row in rows])
     if resid > 1e-8 * max(1.0, abs(rhs)):
         raise NumericalSingularityError(f"boundary system ill conditioned at z={z}")
-    zeros, absolute = _boundary_system(model)
+    zeros = system[0]
     for k in zeros:
         x[k] = 0.0
-    try:
-        bounds = _forward_error_bounds(rows, x, absolute, branches.branches, abs(rhs))
-    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        raise NumericalSingularityError(f"boundary system singular at z={z}") from exc
-    for k, v in enumerate(x):
-        if not bounds[k] <= BOUNDARY_FORWARD_TOL * abs(v) and k not in zeros:
+    # the first bounds take each branch term at its m_k bound, which
+    # evaluates no r_k' (about 1.5 us of a 31 us kernel-sweep solve on
+    # two_down_reflection); where one fails, they are taken again with
+    # |r_k'(u_i)|, which is smaller (``_row_errors``)
+    errors = _row_errors(system, branches, x, abs(rhs), absolute, betas, False)
+    exact = False
+    for k, row in enumerate(inverse):
+        if k in zeros:
+            continue
+        bound = sum(map(mul, row, errors))
+        if not bound <= BOUNDARY_FORWARD_TOL * abs(x[k]) and not exact:
+            errors = _row_errors(system, branches, x, abs(rhs), absolute, betas, True)
+            exact = True
+            bound = sum(map(mul, row, errors))
+        if not bound <= BOUNDARY_FORWARD_TOL * abs(x[k]):
             raise NumericalSingularityError(
-                f"boundary value F_{k} at z={z} has forward-error bound {bounds[k]:.3g}"
+                f"boundary value F_{k} at z={z} has forward-error bound {bound:.3g}"
                 f" > {BOUNDARY_FORWARD_TOL:g}*|F_{k}|")
     return [_real(v, "F_k value", z) for v in x]
 
 
-def _boundary_system(model: WalkModel) -> tuple[tuple[int, ...], tuple]:
-    """(zeros, absolute) for the model's c x c boundary system, built once
-    per model and kept in its ``__dict__``. zeros lists each k < c whose F_k
-    is identically 0: with g the gcd of P's jumps, a P step keeps the
-    altitude mod g, so the walk reaches altitude k only if k is 0 mod g or
-    P0geq has a jump j = k mod g, and from such a j every such k >= 0 is
-    reached (the up steps first, then the down steps). absolute[k] is r_k
-    as (lo, its coefficients' absolute values, highest first)."""
+def _boundary_system(model: WalkModel) -> tuple:
+    """(zeros, polys, kernel) for the model's c x c boundary system, built
+    once per model and kept in its ``__dict__``.
+
+    zeros lists each k < c whose F_k is identically 0: with g the gcd of
+    P's jumps, a P step keeps the altitude mod g, so the walk reaches
+    altitude k only if k is 0 mod g or P0geq has a jump j = k mod g, and
+    from such a j every such k >= 0 is reached (the up steps first, then
+    the down steps). polys[k] is r_k as (lo, its coefficients paired with
+    their absolute values, m_k the largest |exponent| in r_k, and r_k' as
+    lo and coefficients); kernel is (P.lo, P'.lo, P's coefficients paired
+    with those of P', P'' as lo and coefficients, M2 the largest
+    |j*(j - 1)| over P's jumps j), for ``_branch_error``. Coefficients are
+    highest first.
+    """
     derived = model.__dict__
     try:
         return derived["_boundary_system"]
     except KeyError:
         pass
-    g = math.gcd(*model.P.support())
+    P, dP = model.P, model.P.derivative()
+    g = math.gcd(*P.support())
     reached = {j % g for j in (0, *model.P0geq.support())}
     zeros = tuple(k for k in range(model.c) if k % g not in reached)
-    absolute = tuple((r.lo, tuple(abs(v) for v in reversed(r.float_coeffs)))
-                     for r in model.boundary_corrections)
-    return derived.setdefault("_boundary_system", (zeros, absolute))
+    polys = tuple((r.lo, tuple(zip([complex(v) for v in reversed(r.coeffs)],
+                                   [abs(v) for v in reversed(r.float_coeffs)])),
+                   max(-r.lo, r.hi), *_horner(r.derivative()))
+                  for r in model.boundary_corrections)
+    # P' has P's length, one exponent lower: the end jumps -c < 0 < d of a
+    # valid model stay
+    kernel = (P.lo, dP.lo, tuple(zip(reversed(P.float_coeffs), reversed(dP.float_coeffs))),
+              *_horner(dP.derivative()), float(max(abs(j * (j - 1)) for j in P.support())))
+    return derived.setdefault("_boundary_system", (zeros, polys, kernel))
 
 
-def _abs_horner(coeffs: tuple[float, ...], lo: int, t: float) -> float:
-    """sum_j |a_j|*t**j at t >= 0, for (lo, coeffs) of ``_boundary_system``."""
-    acc = 0.0
-    for v in coeffs:
-        acc = acc * t + v
-    return acc * t**lo
+def _horner(poly: LaurentPolynomial) -> tuple[int, tuple[float, ...]]:
+    """(lo, float coefficients highest first) of a Laurent polynomial."""
+    return poly.lo, tuple(reversed(poly.float_coeffs))
 
 
-def _forward_error_bounds(rows, x, absolute, branches, rhs_abs: float) -> list[float]:
-    """First-order componentwise bound on the error of each x_k of A x = b,
-    |A^-1|*(eps*|A|abs*|x| + eps*|b|) with eps = ``BOUNDARY_FORWARD_EPS``:
-    |A|abs holds r_k at |u_i| on its coefficients' absolute values, which
-    bounds what round-off in u_i and in r_k's terms can move r_k(u_i) by,
-    and |A^-1| is the adjugate over the determinant in plain complex
-    arithmetic for c <= 3, ``np.linalg.inv`` for c >= 4; a singular A
-    raises ``ZeroDivisionError`` or ``np.linalg.LinAlgError``."""
-    c = len(rows)
-    if c == 2:
-        # written out: this is the hot case, about 1.5 us
-        (lo0, h0), (lo1, h1) = absolute
-        s0, s1 = abs(x[0]), abs(x[1])
-        t0, t1 = abs(branches[0]), abs(branches[1])
-        w0 = rhs_abs + _abs_horner(h0, lo0, t0) * s0 + _abs_horner(h1, lo1, t0) * s1
-        w1 = rhs_abs + _abs_horner(h0, lo0, t1) * s0 + _abs_horner(h1, lo1, t1) * s1
+def _system_rows(system, z: complex, branches: BranchSet) -> tuple[list, list, list]:
+    """(A, |A|abs, beta), one pass over the branches: A[i][k] = r_k(u_i),
+    by the Horner sum that calling r_k makes, to the bit; |A|abs[i][k], r_k
+    on its coefficients' absolute values at |u_i|, in the same loop; and
+    beta[i], the relative error of u_i beyond eps (``_branch_error``)."""
+    _, polys, kernel = system
+    rows, absolute, betas = [], [], []
+    for u, residual in zip(branches.branches, branches.residuals):
+        t = abs(u)
+        row, arow = [], []
+        for lo, pairs, _, _, _ in polys:
+            acc = 0
+            a = 0.0
+            for v, w in pairs:
+                acc = acc * u + v
+                a = a * t + w
+            row.append(acc * u**lo)
+            arow.append(a * t**lo)
+        rows.append(row)
+        absolute.append(arow)
+        betas.append(_branch_error(kernel, z, u, t, residual))
+    return rows, absolute, betas
+
+
+def _adjugate_solve(rows, rhs: complex) -> tuple[list, list]:
+    """(x, |A^-1|) for the 2 x 2 or 3 x 3 system A x = (rhs, ..., rhs), A
+    the list of ``rows``, in plain complex arithmetic: with adj the
+    adjugate, x_k = (sum_i adj[k][i])*rhs/det and |A^-1|[k][i] =
+    |adj[k][i]|/|det|. A zero determinant raises ``ZeroDivisionError``.
+    For 2 x 2 systems Cramer's rule is forward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 1.10.1)."""
+    if len(rows) == 2:
+        # written out: this is the hot case
         (a, b), (e, d) = rows
-        scale = BOUNDARY_FORWARD_EPS / abs(a * d - b * e)
-        return [(abs(d) * w0 + abs(b) * w1) * scale, (abs(e) * w0 + abs(a) * w1) * scale]
-    size = [abs(v) for v in x]
-    weights = [rhs_abs + sum([_abs_horner(coeffs, lo, abs(ui)) * s
-                              for (lo, coeffs), s in zip(absolute, size)])
-               for ui in branches]
-    if c == 3:
-        # cofactor (i, k), with the indices taken cyclically, which signs it
-        cof = [[rows[(i + 1) % 3][(k + 1) % 3] * rows[(i + 2) % 3][(k + 2) % 3]
-                - rows[(i + 1) % 3][(k + 2) % 3] * rows[(i + 2) % 3][(k + 1) % 3]
-                for k in range(3)] for i in range(3)]
-        scale = BOUNDARY_FORWARD_EPS / abs(sum(map(mul, rows[0], cof[0])))
-        inverse = [[abs(cof[i][k]) * scale for i in range(3)] for k in range(3)]
+        det = a * d - b * e
+        q = rhs / det
+        s = 1.0 / abs(det)
+        return [(d - b) * q, (a - e) * q], [[abs(d) * s, abs(b) * s], [abs(e) * s, abs(a) * s]]
+    # adj[k][i] is the cofactor (i, k), the indices taken cyclically, which
+    # signs it
+    adj = [[rows[(i + 1) % 3][(k + 1) % 3] * rows[(i + 2) % 3][(k + 2) % 3]
+            - rows[(i + 1) % 3][(k + 2) % 3] * rows[(i + 2) % 3][(k + 1) % 3]
+            for i in range(3)] for k in range(3)]
+    det = rows[0][0] * adj[0][0] + rows[0][1] * adj[1][0] + rows[0][2] * adj[2][0]
+    q = rhs / det
+    s = 1.0 / abs(det)
+    return [sum(row) * q for row in adj], [[abs(v) * s for v in row] for row in adj]
+
+
+def _lapack_solve(rows, rhs: complex) -> tuple[list, list]:
+    """(x, |A^-1|) as ``_adjugate_solve`` gives them, for any c: one
+    ``np.linalg.solve`` and one ``np.linalg.inv``, which raise
+    ``np.linalg.LinAlgError`` on a singular A."""
+    x = np.linalg.solve(rows, [rhs] * len(rows)).tolist()
+    return x, np.abs(np.linalg.inv(rows)).tolist()
+
+
+def _row_errors(system, branches: BranchSet, x, rhs_abs: float, absolute, betas,
+                exact: bool) -> list[float]:
+    """w_i, a first-order bound on how far round-off and the error of the
+    branch u_i move row i of A x = b, sum_k r_k(u_i) x_k = 1/z, so that
+    (|A^-1|*w)_k bounds the error of x_k:
+    w_i = eps*|b| + sum_k (eps*|A|abs[i][k] + |r_k'(u_i)|*delta_i)*|x_k|,
+    with eps = ``BOUNDARY_FORWARD_EPS`` and delta_i = beta_i*|u_i| how much
+    farther than eps*|u_i| the branch may be from its root
+    (``_branch_error``). |A|abs[i][k], r_k at |u_i| on its coefficients'
+    absolute values, bounds what round-off in r_k's terms, and in a branch
+    within eps*|u_i| of its root, moves r_k(u_i) by.
+
+    Each term a_j*u**j of r_k moves by |j|*delta/|u| of itself when u moves
+    by delta, so |r_k'(u_i)|*delta_i is at most m_k*beta_i*|A|abs[i][k],
+    m_k the largest |j| in r_k: unless ``exact``, that bound stands in for
+    it, and no r_k' is evaluated."""
+    polys = system[1]
+    size = list(map(abs, x))
+    base = BOUNDARY_FORWARD_EPS * rhs_abs
+    errors = []
+    for u, arow, beta in zip(branches.branches, absolute, betas):
+        w = base
+        if exact:
+            delta = beta * abs(u)
+            for (_, _, _, dlo, dcoeffs), a, s in zip(polys, arow, size):
+                d = 0j
+                for v in dcoeffs:
+                    d = d * u + v
+                w += (BOUNDARY_FORWARD_EPS * a + abs(d * u**dlo) * delta) * s
+        else:
+            for (_, _, m, _, _), a, s in zip(polys, arow, size):
+                w += (BOUNDARY_FORWARD_EPS + m * beta) * a * s
+        errors.append(w)
+    return errors
+
+
+def _branch_error(kernel, z: complex, u: complex, t: float, residual: float) -> float:
+    """max(0, delta/t - eps): how far beyond eps*t, relative to t = |u|, the
+    branch u may be from the root of f(w) = 1 - z*P(w) that it stands for,
+    with eps = ``BOUNDARY_FORWARD_EPS``.
+
+    |f(u)| is at most e, the larger of ``residual``, which
+    ``small_branches`` computed, and 1e-15*(1 + |z|*P(|u|)), the round-off
+    of z*P's terms at u that it accepts a residual within. To second order
+    the nearest root u + h solves f(u) + f'*h + f''*h**2/2 = 0, with
+    f' = -z*P'(u) and f'' = -z*P''(u), so |f'|*|h| <= e + |f''|*|h|**2/2.
+    Where f'**2 >= 2*|f''|*e, the smaller root of that bound gives
+    delta = 2e/(|f'| + sqrt(f'**2 - 2*|f''|*e)), e/|f'| to first order,
+    and more with a larger |f''|; so |f''| is first taken as its bound
+    M2*|z|*P(|u|)/|u|**2 (each term j*(j - 1)*p_j*u**(j - 2) of P'' is at
+    most M2/|u|**2 of p_j*|u|**j), and P'' is evaluated only where that
+    leaves f'**2 < 2*|f''|*e. Nearer the double root at z = rho, where f'
+    vanishes, h = -2f/(f' + s) with s = sqrt(f'**2 - 2*f*f'') signed to
+    add, and |f' + s|**2 >= |f'|**2 + |s|**2 >= 2*|f|*|f''|, so
+    delta = sqrt(2e/|f''|): the square-root form, equal to the first at
+    f'**2 = 2*|f''|*e. Inside the disk delta is about e/|f'|, within a few
+    units of round-off of t; at rho it is about sqrt(e)."""
+    lo, dlo, pairs, ddlo, ddcoeffs, m2 = kernel
+    p = 0.0
+    d = 0j
+    for v, dv in pairs:
+        p = p * t + v
+        d = d * u + dv
+    zp = abs(z) * p * t**lo  # |z|*P(|u|), P's weights being non-negative
+    e = 1e-15 * (1.0 + zp)
+    if residual > e:
+        e = residual
+    f1 = abs(z * d * u**dlo)
+    f2 = m2 * zp / (t * t)
+    if not (f1 and 2.0 * (f2 / f1) * (e / f1) <= 1.0):
+        d = 0j
+        for v in ddcoeffs:
+            d = d * u + v
+        f2 = abs(z * d * u**ddlo)
+    # the ratios keep the terms finite far outside the disk, where f'**2
+    # and f''*e overflow
+    if f1 and 2.0 * (f2 / f1) * (e / f1) <= 1.0:
+        delta = 2.0 * (e / f1) / (1.0 + math.sqrt(1.0 - 2.0 * (f2 / f1) * (e / f1)))
     else:
-        inverse = (np.abs(np.linalg.inv(rows)) * BOUNDARY_FORWARD_EPS).tolist()
-    return [sum(map(mul, row, weights)) for row in inverse]
+        delta = math.sqrt(2.0 * e / f2) if f2 else math.inf
+    beta = delta / t - BOUNDARY_FORWARD_EPS
+    return beta if beta > 0 else 0.0
 
 
 def excursion_gf(model: WalkModel, z: float, branches: Optional[BranchSet] = None) -> float:

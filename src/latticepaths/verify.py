@@ -200,8 +200,23 @@ def _kernel_checks(model: WalkModel) -> Iterator[Check]:
     yield "kernel/criticality-trichotomy", ok, f"lam={lam:.6g}"
 
     if sc.rho1 is not None and 0 < sc.rho1 < rho:
+        # rho1 is checked where it is computed, at the root u* of
+        # P0geq - P on (0, tau), and not by the branch at rho1: next to the
+        # branch point the branch is only about sqrt(round-off)-conditioned.
+        # P and P0geq have non-negative weights, so at u* > 0 the sum of
+        # their terms' absolute values is P0geq(u*) + P(u*); a Horner sum of
+        # n coefficients errs by at most 2n units of round-off of its terms'
+        # sum (Higham's gamma_2n), and the gap may be no more than the two
+        # sums' errors (on 169 supercritical models it read at most 1.6 units)
         try:
-            residual = abs(kernel.boundary_denominator(model, sc.rho1))
-            yield "kernel/rho1-is-root", residual <= 1e-9, f"residual {residual:.3g}"
+            # a rho1 below rho is the supercritical one, whatever the sign
+            _, u = kernel._find_rho1(model, rho, sc.tau, 1)
         except LatticePathError:
-            yield "kernel/rho1-is-root", False, "branch evaluation failed at rho1"
+            yield "kernel/rho1-is-root", False, "no root of P0geq - P on (0, tau)"
+        else:
+            P, Q = model.P, model.P0geq
+            gap = abs(Q(u) - P(u))
+            bound = 2 * (len(P.coeffs) + len(Q.coeffs)) * 2.0**-53 * (Q(u) + P(u))
+            ok = 0 < u < sc.tau and sc.rho1 == 1.0 / P(u) and gap <= bound
+            yield "kernel/rho1-is-root", ok, \
+                f"u*={u:.17g}: |P0geq(u*) - P(u*)| = {gap:.3g} against {bound:.3g}"

@@ -57,9 +57,10 @@ ORACLE_MODEL_NAMES = [
 
 
 # the Python and numpy versions on which the golden digests of outputs that
-# go through LAPACK or argparse's layout were taken (test_cli's
-# FRONT_END_SHA256, test_kernel's C2_KERNEL_OUTPUTS_SHA256); elsewhere
-# those tests skip
+# go through numpy's eigenvalue solve (a kernel of degree 4 or more) or
+# argparse's layout were taken (test_cli's FRONT_END_SHA256, test_kernel's
+# C2_KERNEL_OUTPUTS_SHA256); elsewhere those tests skip. No c <= 3
+# boundary system goes through LAPACK
 FRONT_END_PLATFORM = ((3, 11), "2.4.6")
 
 # absorbing, negative drift, lam = P0geq(tau)/P(tau) = 1 + 2.2e-7: just

@@ -566,13 +566,12 @@ def test_near_critical_family_subcommands_raise_nothing(capsys, tmp_path, s):
         assert "Traceback" not in err, argv
 
 
-# at s = +1e-7 kernel/rho1-is-root re-solves the branch at rho1, next to
-# the branch point rho, and misses its 1e-9 bound (residual 3.2e-9); at
-# s = +1e-8 rho1 rounds to rho, which kernel/criticality-trichotomy rejects
-# under a supercritical sign
+# at s = +1e-8 rho1 rounds to rho, which kernel/criticality-trichotomy
+# rejects under a supercritical sign; kernel/rho1-is-root, which read the
+# branch re-solved at rho1 and missed its 1e-9 bound at s = +1e-7, now
+# checks rho1 at the root u* where it is computed, and passes there
 VERIFY_FAILS_NEAR_CRITICAL = {
-    Fraction(1, 10**7): "ROADMAP Z step 3: kernel/rho1-is-root",
-    Fraction(1, 10**8): "ROADMAP Z step 3: kernel/criticality-trichotomy, rho1 rounds to rho",
+    Fraction(1, 10**8): "ROADMAP Z step 2: kernel/criticality-trichotomy, rho1 rounds to rho",
 }
 # lam - 1 = +-1.05e-9, just outside a 1e-9 band on lam and inside the
 # kernel's band, which calls both critical; the trichotomy reads that sign
@@ -621,6 +620,26 @@ def test_verify_trichotomy_fails_on_branches_or_sign_that_contradict(
     assert code == 3
     assert any(line.startswith("FAIL\tkernel/criticality-trichotomy\t")
                for line in out.splitlines())
+
+
+@pytest.mark.parametrize("fault", ["rho1 moved", "u* moved"])
+def test_verify_rho1_is_root_fails_where_rho1_or_its_root_is_off(capsys, monkeypatch, fault):
+    # on supercritical_drift_down: a rho1 one part in 1e12 off is not
+    # 1/P(u*), and a u* moved by 1e-9 of itself leaves P0geq - P far above
+    # the round-off of its terms
+    structural_constants, find_rho1 = kernel.structural_constants, kernel._find_rho1
+    if fault == "rho1 moved":
+        monkeypatch.setattr(kernel, "structural_constants", lambda model: dataclasses.replace(
+            structural_constants(model), rho1=structural_constants(model).rho1 * (1 + 1e-12)))
+    else:
+        def moved(*args):
+            rho1, u = find_rho1(*args)
+            return rho1, u * (1 + 1e-9)
+        monkeypatch.setattr(kernel, "_find_rho1", moved)
+    code, out, _ = invoke(capsys, "verify", str(MODELS_DIR / "supercritical_drift_down.model"))
+    assert code == 3
+    assert any(line.startswith("FAIL\tkernel/rho1-is-root\tu*=") for line in out.splitlines())
+    assert "PASS\tkernel/criticality-trichotomy" in out.splitlines()
 
 
 @pytest.mark.parametrize("m", [1, 17, 60])
@@ -1000,9 +1019,11 @@ def test_exact_outputs_match_their_golden_digest(capsys):
 # verify's and the 12 kernel and asymptotic errors; constants prints no
 # r row, on any model; and the c = 1 branch comes from the quadratic's
 # closed form, which moved gf-eval's round-off perturbation_residual by an
-# ulp or two on four models. argparse lays out help differently across
-# Python versions and the c >= 2 gf-eval residual still moves with the
-# LAPACK build, so the digest is checked where it was taken.
+# ulp or two on four models. It held when the c = 2 and 3 boundary values
+# left LAPACK for the adjugate: two_down_reflection, the one shipped c >= 2
+# model, now makes no numpy call at all. argparse lays out help
+# differently across Python versions, so the digest is checked where it
+# was taken.
 FRONT_END_SHA256 = "4be84f2a2a32f49bc80af2b29faaa56099e258ce05f1122ab8cab23e7f3957c9"
 FRONT_END_COMMANDS = [
     ("validate",), ("classify",), ("constants",),
